@@ -13,6 +13,7 @@ import pytest
 
 from repro.apps.registry import application_spec
 from repro.core.exhaustive import space_size
+from repro.engine.cache import EvalCache
 from repro.partition.evaluate import evaluate_allocation
 from repro.partition.model import BSBCost, TargetArchitecture, bsb_costs
 from repro.partition.pace import pace_partition
@@ -73,7 +74,7 @@ def test_cached_evaluation_much_faster(benchmark, programs, library):
                   "divider": 1, "shifter": 2, "constgen": 2,
                   "comparator": 1, "mem-read": 2, "mem-write": 1,
                   "and-unit": 1, "mover": 1}
-    cache = {}
+    cache = EvalCache()
     evaluate_allocation(program.bsbs, allocation, architecture,
                         area_quanta=120, cache=cache)  # warm up
     benchmark(lambda: evaluate_allocation(program.bsbs, allocation,

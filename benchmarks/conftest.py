@@ -1,9 +1,9 @@
 """Shared fixtures for the benchmark harness.
 
-Programs are compiled once per session; each ``bench_*`` module
-regenerates one artefact of the paper (see DESIGN.md's experiment
-index) and asserts its qualitative shape, while pytest-benchmark
-measures the runtime of the underlying computation.
+Programs are compiled once per session; each ``bench_<id>_*`` module
+regenerates one artefact of the paper (the id names it: T1, F3, F5,
+S51, T1n, C44) and asserts its qualitative shape, while
+pytest-benchmark measures the runtime of the underlying computation.
 """
 
 import pytest

@@ -7,7 +7,8 @@ differential-equation benchmark [11]), ``man`` (Mandelbrot set [12]) and
 The original sources are unpublished; these reimplementations in the
 mini-C frontend preserve the documented characteristics (size, operation
 mix, the constant-loading BSB of ``man``, the division-heavy blocks of
-``eigen``) — see DESIGN.md's substitution notes.
+``eigen``); each application module's docstring describes its
+reimplementation.
 """
 
 from repro.apps.registry import (

@@ -24,7 +24,7 @@ from repro.core.furo import UrgencyState
 from repro.core.priority import prioritize
 from repro.core.restrictions import asap_restrictions
 from repro.core.rmap import RMap
-from repro.engine.cache import EvalCache
+from repro.engine.cache import EvalCache, fingerprint
 from repro.errors import AllocationError
 
 
@@ -105,12 +105,13 @@ def urgency_state(bsbs, library, cache=None):
     """The (immutable) :class:`UrgencyState` of a BSB array, memoised.
 
     The FURO preprocessing is the allocator's expensive one-time step;
-    an :class:`~repro.engine.cache.EvalCache` reuses it across the many
-    Algorithm 1 runs a design-space sweep performs.
+    the :class:`~repro.engine.cache.EvalCache` reuses it across the many
+    Algorithm 1 runs a design-space sweep performs.  The state holds
+    the BSB objects themselves, so it is keyed by their uids.
     """
-    if not isinstance(cache, EvalCache):
-        return UrgencyState(bsbs, library=library, cache=cache)
-    key = (tuple(bsb.uid for bsb in bsbs), cache.pin(library))
+    if cache is None:
+        cache = EvalCache()
+    key = (tuple(bsb.uid for bsb in bsbs), fingerprint(library))
     state = cache.urgency.get(key)
     if state is None:
         cache.stats.miss("urgency")
@@ -123,9 +124,9 @@ def urgency_state(bsbs, library, cache=None):
 
 def cached_restrictions(bsbs, library, cache=None):
     """Memoised :func:`asap_restrictions` of a BSB array."""
-    if not isinstance(cache, EvalCache):
-        return asap_restrictions(bsbs, library)
-    key = (tuple(bsb.uid for bsb in bsbs), cache.pin(library))
+    if cache is None:
+        cache = EvalCache()
+    key = (cache.array_key(bsbs), fingerprint(library))
     restrictions = cache.restrictions.get(key)
     if restrictions is None:
         cache.stats.miss("restrictions")
@@ -136,16 +137,14 @@ def cached_restrictions(bsbs, library, cache=None):
     return restrictions
 
 
-def _estimated_eca(bsb, library, technology, cache=None):
+def _estimated_eca(bsb, library, technology, cache):
     """Memoised optimistic controller-area estimate of one BSB."""
-    if not isinstance(cache, EvalCache):
-        return estimated_controller_area(bsb.dfg, library=library,
-                                         technology=technology)
-    key = (bsb.uid, cache.pin(library), cache.pin(technology))
-    if key not in cache.eca:
-        cache.eca[key] = estimated_controller_area(
+    key = (fingerprint(bsb), fingerprint(library), fingerprint(technology))
+    area = cache.eca.get(key)
+    if area is None:
+        area = cache.eca[key] = estimated_controller_area(
             bsb.dfg, library=library, technology=technology)
-    return cache.eca[key]
+    return area
 
 
 def allocate(bsbs, library, area, restrictions=None, technology=None,
@@ -160,9 +159,12 @@ def allocate(bsbs, library, area, restrictions=None, technology=None,
             the ASAP-parallelism restrictions of section 4.3.
         technology: Gate areas for the ECA; defaults to the library's.
         keep_trace: Record an :class:`AllocationEvent` per change.
-        cache: Optional :class:`~repro.engine.cache.EvalCache` reusing
-            FURO urgencies, ECA estimates and restrictions across runs.
+        cache: The :class:`~repro.engine.cache.EvalCache` reusing FURO
+            urgencies, ECA estimates and restrictions across runs (a
+            fresh one when omitted).
     """
+    if cache is None:
+        cache = EvalCache()
     bsbs = list(bsbs)
     if area < 0:
         raise AllocationError("hardware area must be >= 0, got %r" % (area,))
@@ -175,7 +177,7 @@ def allocate(bsbs, library, area, restrictions=None, technology=None,
 
     started = time.perf_counter()
     state = urgency_state(bsbs, library, cache=cache)
-    eca_of = {bsb.uid: _estimated_eca(bsb, library, technology, cache=cache)
+    eca_of = {bsb.uid: _estimated_eca(bsb, library, technology, cache)
               for bsb in bsbs}
 
     allocation = RMap()

@@ -37,6 +37,7 @@ maximum of two quantities that are:
 
 from repro.core.eca import controller_area_for_states, min_latency_states
 from repro.core.restrictions import exclusive_type_load
+from repro.engine.cache import fingerprint
 from repro.partition.model import _capability, _software_time
 from repro.partition.speedup import speedup_percent
 
@@ -69,13 +70,12 @@ class BoundEngine:
         self._total_area = architecture.total_area
         self._technology = architecture.library.technology
         library = architecture.library
-        self._library_pin = cache.pin(library)
+        self._library_key = fingerprint(library)
         axis_index = {name: index for index, name in enumerate(names)}
         infos = []
         sw_all = 0.0
         for bsb in bsbs:
-            sw_time = _software_time(bsb, architecture.processor,
-                                     cache=cache)
+            sw_time = _software_time(bsb, architecture.processor, cache)
             sw_all += sw_time
             infos.append(self._bsb_info(bsb, sw_time, library,
                                         axis_index, caps))
@@ -88,11 +88,11 @@ class BoundEngine:
         if not len(bsb.dfg):
             # An empty BSB runs in zero hardware steps under every
             # allocation: constant gain, one-state controller.
-            return (bsb.uid, sw_time, bsb.profile_count, 0, (), (),
+            return (fingerprint(bsb), sw_time, bsb.profile_count, 0, (), (),
                     controller_area_for_states(1,
                                                technology=self._technology))
         requirements = []
-        _, per_type = _capability(bsb, library, cache=self._cache)
+        _, per_type = _capability(bsb, library, self._cache)
         for optype in sorted(per_type, key=lambda optype: optype.value):
             axes = tuple(sorted(axis_index[name]
                                 for name in per_type[optype]
@@ -110,14 +110,14 @@ class BoundEngine:
                 return None
             loads.append((axis, op_count, latency))
         asap_lb = min_latency_states(bsb.dfg, library=library)
-        return (bsb.uid, sw_time, bsb.profile_count, asap_lb,
+        return (fingerprint(bsb), sw_time, bsb.profile_count, asap_lb,
                 tuple(requirements), tuple(loads), None)
 
-    def _steps_floor(self, uid, asap_lb, loads, effective):
+    def _steps_floor(self, bsb_key, asap_lb, loads, effective):
         """Memoised admissible schedule-length floor of one BSB."""
         capped = tuple(min(effective[axis], op_count)
                        for axis, op_count, _ in loads)
-        key = (uid, self._library_pin, capped)
+        key = (bsb_key, self._library_key, capped)
         cache = self._cache
         entry = cache.bounds.get(key)
         if entry is not None:
@@ -155,7 +155,7 @@ class BoundEngine:
         for info in self._infos:
             if info is None:
                 continue
-            (uid, sw_time, profile, asap_lb, requirements, loads,
+            (bsb_key, sw_time, profile, asap_lb, requirements, loads,
              fixed_area) = info
             if fixed_area is not None:  # empty DFG: constant bound
                 if sw_time > 0:
@@ -168,7 +168,7 @@ class BoundEngine:
                     break
             if not movable:
                 continue
-            steps, eca_floor = self._steps_floor(uid, asap_lb, loads,
+            steps, eca_floor = self._steps_floor(bsb_key, asap_lb, loads,
                                                  effective)
             gain = sw_time - profile * steps * ratio
             if gain > 0:

@@ -839,7 +839,7 @@ def _scan_worker_chunk(spec):
                                    unit_areas, check_area=check_area,
                                    objective=objective) \
             + (None,)
-    # New cache entries ship back stable-encoded; the parent session —
+    # New cache entries ship back as they are; the parent session —
     # the store's one writer — spills them in its final flush.
     store_delta = None if session.store is None \
         else session.store.export_delta(session.cache)

@@ -25,7 +25,7 @@ accumulate (Example 2).
 import itertools
 
 from repro.core.rmap import RMap
-from repro.engine.cache import EvalCache
+from repro.engine.cache import EvalCache, fingerprint
 from repro.sched.mobility import (
     asap_alap_intervals,
     interval_overlap,
@@ -33,28 +33,39 @@ from repro.sched.mobility import (
 )
 
 
+def bsb_intervals(bsb, library, cache):
+    """Memoised ASAP/ALAP start intervals of one BSB's operations.
+
+    Keyed by BSB uid: the mapping is keyed by operation uid, so a
+    structurally equal twin (same fingerprint, other uids) must not
+    share it.
+    """
+    key = (bsb.uid, None if library is None else fingerprint(library))
+    intervals = cache.intervals.get(key)
+    if intervals is None:
+        intervals = cache.intervals[key] = asap_alap_intervals(
+            bsb.dfg, library=library)
+    return intervals
+
+
 def furo(bsb, library=None, cache=None):
     """FURO values of one BSB: mapping op type -> FURO(o, B).
 
     The computation is the paper's one-time L*k^2 preprocessing step
-    (section 4.4); callers should cache the result, which
-    :class:`UrgencyState` does for whole BSB arrays and an engine
-    :class:`~repro.engine.cache.EvalCache` does across them.
+    (section 4.4); the :class:`~repro.engine.cache.EvalCache` (a fresh
+    one when omitted) memoises it per BSB content and library.
     """
-    engine_cache = cache if isinstance(cache, EvalCache) else None
-    if engine_cache is not None:
-        key = (bsb.uid, engine_cache.pin(library))
-        values = engine_cache.furo.get(key)
-        if values is not None:
-            engine_cache.stats.hit("furo")
-            return values
-        engine_cache.stats.miss("furo")
+    if cache is None:
+        cache = EvalCache()
+    key = (fingerprint(bsb),
+           None if library is None else fingerprint(library))
+    values = cache.furo.get(key)
+    if values is not None:
+        cache.stats.hit("furo")
+        return values
+    cache.stats.miss("furo")
     dfg = bsb.dfg
-    intervals = asap_alap_intervals(
-        dfg, library=library,
-        cache=None if engine_cache is None else engine_cache.intervals,
-        cache_key=None if engine_cache is None
-        else (bsb.uid, engine_cache.pin(library)))
+    intervals = bsb_intervals(bsb, library, cache)
     values = {}
     for optype in dfg.op_types():
         ops = dfg.operations_of_type(optype)
@@ -75,8 +86,7 @@ def furo(bsb, library=None, cache=None):
         # Definition 2 sums over ordered pairs; combinations() walked the
         # unordered ones, hence the factor two.
         values[optype] = bsb.profile_count * 2.0 * total
-    if engine_cache is not None:
-        engine_cache.furo[key] = values
+    cache.furo[key] = values
     return values
 
 
@@ -97,6 +107,8 @@ class UrgencyState:
     """
 
     def __init__(self, bsbs, library=None, cache=None):
+        if cache is None:
+            cache = EvalCache()
         self.bsbs = list(bsbs)
         self.library = library
         self._furo = {bsb.uid: furo(bsb, library=library, cache=cache)

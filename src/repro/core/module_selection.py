@@ -32,6 +32,7 @@ from repro.core.furo import allocated_units_for
 from repro.core.priority import prioritize
 from repro.core.restrictions import asap_type_parallelism
 from repro.core.rmap import RMap
+from repro.engine.cache import EvalCache
 from repro.errors import AllocationError
 
 
@@ -150,9 +151,12 @@ def allocate_with_selection(bsbs, library, area, policy=None,
     Same control structure as :func:`repro.core.allocator.allocate`;
     the differences are confined to how resources are picked (the
     ``policy``) and how restrictions are checked (per operation type).
-    ``cache`` is an optional :class:`~repro.engine.cache.EvalCache`
-    reusing FURO urgencies and ECA estimates across runs.
+    ``cache`` is the :class:`~repro.engine.cache.EvalCache` reusing
+    FURO urgencies and ECA estimates across runs (a fresh one when
+    omitted).
     """
+    if cache is None:
+        cache = EvalCache()
     bsbs = list(bsbs)
     if area < 0:
         raise AllocationError("hardware area must be >= 0, got %r" % (area,))
@@ -164,7 +168,7 @@ def allocate_with_selection(bsbs, library, area, policy=None,
 
     started = time.perf_counter()
     state = urgency_state(bsbs, library, cache=cache)
-    eca_of = {bsb.uid: _estimated_eca(bsb, library, technology, cache=cache)
+    eca_of = {bsb.uid: _estimated_eca(bsb, library, technology, cache)
               for bsb in bsbs}
 
     allocation = RMap()

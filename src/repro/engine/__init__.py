@@ -9,8 +9,8 @@ Layers:
   design-space point (:class:`DesignPoint`) and its outcome
   (:class:`PointResult`).
 * :mod:`repro.engine.store` — the content-addressed persistent spill
-  (:class:`CacheStore`): stage entries re-keyed by content fingerprints
-  and shared across processes and machines through a ``cache_dir``.
+  (:class:`CacheStore`): the cache's content-keyed stage entries
+  shared across processes and machines through a ``cache_dir``.
 * :mod:`repro.engine.session` — the :class:`Session` facade tying the
   stages together, with the ``explore``/``explore_grid`` batch API
   over ``multiprocessing``.

@@ -33,7 +33,7 @@ from repro.core.module_selection import (
     FastestPolicy,
     allocate_with_selection,
 )
-from repro.engine.cache import EvalCache
+from repro.engine.cache import EvalCache, fingerprint
 from repro.engine.design_point import (
     DesignPoint,
     PointResult,
@@ -72,14 +72,13 @@ class Session:
 
             self.store = CacheStore(cache_dir)
             self.store.register(library=self.library)
-            self.store.hydrate(self.cache)
 
     def _adopt(self, bsbs, library=None):
         """Register a BSB array with the store and hydrate its entries.
 
         Called by every entry point that accepts BSBs, *before* any
-        cache lookup, so persisted entries are already translated onto
-        this process's uids when the lookup happens.
+        cache lookup, so the array's persisted entries are already in
+        the cache when the lookup happens.
         """
         if self.store is not None:
             changed = self.store.register(bsbs=bsbs, library=library)
@@ -109,8 +108,8 @@ class Session:
 
         Resolution order: the in-process memo, then the persistent
         program store (a hydrated program gets fresh uids but identical
-        structural signatures, so the stage shards key onto it
-        unchanged), then a cold frontend compile — whose result is
+        fingerprints, so the stage shards key onto it unchanged), then a
+        cold frontend compile — whose result is
         queued for the store, making the *next* process warm.  The
         ``compile`` stage counters are the scoreboard: a miss is an
         actual frontend compile, a hit is a compile the store absorbed.
@@ -227,8 +226,8 @@ class Session:
         # and an RMap could be mutated by the caller after the call.
         restrictions_key = (None if restrictions is None
                             else tuple(restrictions.items()))
-        key = (tuple(bsb.uid for bsb in bsbs), float(area), policy,
-               restrictions_key, self.cache.pin(library))
+        key = (self.cache.array_key(bsbs), float(area), policy,
+               restrictions_key, fingerprint(library))
         result = self.cache.allocs.get(key)
         if result is not None:
             self.stats.hit("alloc")
@@ -523,9 +522,9 @@ def _worker_point_chunk(task):
     does: the parent merges the per-chunk hit/miss delta so
     ``session.stats`` reflects the pool's real cache behaviour.  With a
     persistent store, the chunk's *new* cache entries travel back too
-    (stable-encoded), so the parent — the store's one writer — spills
-    everything in a single final flush instead of every worker racing
-    shard rewrites of its own.
+    (as they are: content-keyed), so the parent — the store's one
+    writer — spills everything in a single final flush instead of every
+    worker racing shard rewrites of its own.
 
     Every point is evaluated with its error *captured*: a bad point
     must not abort the chunk (which would discard its siblings' results

@@ -1,38 +1,34 @@
 """Content-addressed persistent spill store for :class:`EvalCache`.
 
-The in-memory :class:`~repro.engine.cache.EvalCache` keys its stage
-dicts by process-local identities — BSB uids and ``id()`` pins — which
-are exact within one process lifetime and meaningless outside it.  A
-:class:`CacheStore` gives those entries a durable second life: every
-volatile key is re-keyed by *content fingerprints* (the library's
-signature, the BSB's structural DFG hash, the allocation counts, the
-architecture knobs), the re-keyed stage dicts are spilled to pickle
-shards under a ``--cache-dir``, and a fresh session hydrates them back
-— translating stable keys onto whatever uids and object ids the new
-process happens to hold — so sweeps survive restarts and a store
-directory can be shared across machines.
+The in-memory :class:`~repro.engine.cache.EvalCache` keys its persisted
+stage dicts by *content fingerprints* (the library's signature, the
+BSB's structural DFG hash, the allocation counts, the architecture
+knobs), so its keys mean the same thing in every process.  A
+:class:`CacheStore` gives those entries a durable second life: the
+stage dicts are spilled as they are to pickle shards under a
+``--cache-dir``, and a fresh session merges them back into its own
+dicts — so sweeps survive restarts and a store directory can be shared
+across machines.  Nothing is translated in either direction.
 
-Translation is schema-driven: :data:`STAGE_SCHEMAS` names, per persisted
-stage, which key slots hold a BSB uid, an object pin, or plain data.
-Stages whose keys or values embed process-local *operation* uids
-(``intervals``, ``sched_inputs``) or live object graphs (``urgency``,
-``tables``) are deliberately not persisted — they are cheap to rebuild
-and would be wrong to ship.
-
-A key is only translated when every fingerprint it references is known
-(registered via :meth:`CacheStore.register`), so partially relevant
-shards hydrate incrementally as applications are loaded.  Unreadable or
-truncated shards — a crashed writer, a corrupted disk — are treated as
-empty and rewritten on the next flush, never raised to the caller.
+Every persisted key starts with its *owner*: one BSB fingerprint, or
+the fingerprint tuple of a BSB array.  :meth:`CacheStore.hydrate`
+installs an entry once every BSB its owner names is registered (via
+:meth:`CacheStore.register`), so a session loads only the entries of
+the programs it adopted, incrementally as applications are loaded.
+The process-local stages (``intervals``, ``sched_inputs``,
+``urgency``, ``tables``, plus the cheap ``bounds`` and ``energies``)
+are never persisted.  Unreadable or truncated shards — a crashed
+writer, a corrupted disk — are treated as empty and rewritten on the
+next flush, never raised to the caller.
 
 Beyond the stage memos, the store also persists **compiled programs**
 (the ``programs`` shard): neutral, uid-free documents of a frontend
 compile keyed by :func:`program_fingerprint` (source identity +
 library/technology fingerprints).  A warm session hydrates the program
-itself — uids re-assigned on load, structural signatures preserved —
-so the one stage the cost shards cannot cover, the frontend compile,
-goes warm too.  Fingerprints are *re-verified at flush time*: a
-registered library or BSB mutated after registration raises
+itself — uids re-assigned on load, fingerprints preserved — so the one
+stage the cost shards cannot cover, the frontend compile, goes warm
+too.  Fingerprints are *re-verified at flush time*: a registered
+library or BSB mutated after registration raises
 :class:`~repro.errors.StoreIntegrityError` instead of silently
 persisting entries under its stale hash.
 
@@ -45,14 +41,20 @@ provenance.
 """
 
 import contextlib
-import hashlib
 import itertools
 import os
 import pickle
 import tempfile
 import time
 
-from repro.engine.cache import EvalCache
+from repro.engine.cache import (  # noqa: F401  (re-exported)
+    bsb_fingerprint,
+    content_fingerprint,
+    digest,
+    fingerprint,
+    library_fingerprint,
+    technology_fingerprint,
+)
 from repro.errors import StoreIntegrityError
 
 #: Bumped whenever fingerprinting or shard layout changes shape; shards
@@ -60,36 +62,15 @@ from repro.errors import StoreIntegrityError
 #: v2: evaluations grew an ``energy`` field and the fingerprints cover
 #: the energy-model knobs (per-resource energy, per-gate-cycle and
 #: per-processor-cycle energies).
-STORE_VERSION = 2
+#: v3: shards hold the cache's own content keys: owner first, processor
+#: fingerprints, overhead models by value, partitions keyed by the BSB
+#: array plus a digest of its cost content.
+STORE_VERSION = 3
 
-#: Stage name -> key schema.  Slot codes: "uid" (one BSB uid), "uids"
-#: (tuple of BSB uids), "pin" (id() of a pinned library/technology/
-#: overhead object), "data" (plain self-describing values, passed
-#: through).  "*data" matches any number of data slots (the schedule
-#: memo has 3- and 4-slot key variants).
-STAGE_SCHEMAS = {
-    "ops": ("uid", "pin"),
-    "capable": ("uid", "pin"),
-    "sched": ("uid", "*data", "pin"),
-    "sw_times": ("uid", "data"),
-    "furo": ("uid", "pin"),
-    "eca": ("uid", "pin", "pin"),
-    "restrictions": ("uids", "pin"),
-    "cost_plans": ("uids", "pin"),
-    "costs": ("uid", "data", ("pin", "data", "data")),
-    "allocs": ("uids", "data", "data", "data", "pin"),
-    # The trailing pin_or_none is the overhead-model pin: only the
-    # None case translates (overhead models are never registered), so
-    # overhead-charged evaluations deliberately stay process-local.
-    "evals": ("uids", "pin", "data", "data", "data", "data", "data",
-              "data", "pin_or_none"),
-}
-
-#: Stages persisted through the generic schema translation, in hydrate
-#: order.  "partitions" is handled separately: its volatile key embeds
-#: the ids of memoised cost objects, so it can only hydrate after
-#: "costs" (which is why "costs" comes first here).
-PERSISTED_STAGES = tuple(STAGE_SCHEMAS) + ("partitions",)
+#: The EvalCache stages persisted to shards.
+PERSISTED_STAGES = ("ops", "capable", "sched", "sw_times", "furo", "eca",
+                    "restrictions", "cost_plans", "costs", "allocs",
+                    "evals", "partitions")
 
 #: The compiled-program shard: fingerprint -> neutral program document
 #: (see :func:`repro.io.serialize.program_to_dict`).  Not an EvalCache
@@ -106,49 +87,6 @@ ALL_SHARD_KINDS = PERSISTED_STAGES + (PROGRAMS_STAGE,)
 COMPACTION_HISTORY_LIMIT = 32
 
 
-# ----------------------------------------------------------------------
-# Content fingerprints
-# ----------------------------------------------------------------------
-def _digest(payload):
-    """Short stable hex digest of a canonical-repr'able structure."""
-    return hashlib.sha256(repr(payload).encode("utf-8")).hexdigest()[:20]
-
-
-def technology_fingerprint(technology):
-    """Content hash of a :class:`~repro.hwlib.technology.Technology`."""
-    return _digest(("technology", technology.name,
-                    technology.register_area, technology.and_gate_area,
-                    technology.or_gate_area, technology.inverter_area,
-                    technology.energy_per_gate_cycle))
-
-
-def library_fingerprint(library):
-    """Content hash of a resource library: every signal the pipeline
-    reads from it (resources, designated units, technology)."""
-    resources = tuple(
-        (resource.name, tuple(sorted(op.value for op in resource.optypes)),
-         resource.area, resource.latency, resource.energy)
-        for resource in library.resources())
-    defaults = tuple(sorted(
-        (optype.value, library.resource_for(optype).name)
-        for optype in library.optypes_covered()))
-    return _digest(("library", library.name, resources, defaults,
-                    technology_fingerprint(library.technology)))
-
-
-def bsb_fingerprint(bsb):
-    """Structural content hash of one leaf BSB.
-
-    Includes the BSB name — it flows into
-    :attr:`~repro.partition.model.BSBCost.name` and from there into
-    reported partitions — so two structurally identical BSBs with
-    different names never alias one store entry.
-    """
-    return _digest(("bsb", bsb.name, bsb.profile_count,
-                    tuple(sorted(bsb.reads)), tuple(sorted(bsb.writes)),
-                    bsb.dfg.structural_signature()))
-
-
 def program_fingerprint(name, source, inputs, library):
     """Content hash of a compiled program's identity.
 
@@ -158,7 +96,7 @@ def program_fingerprint(name, source, inputs, library):
     program, so a hydrated program is only ever paired with the stage
     entries of the library generation it was compiled alongside.
     """
-    return _digest(("program", name, source,
+    return digest(("program", name, source,
                     tuple(sorted((inputs or {}).items())),
                     library_fingerprint(library)))
 
@@ -175,9 +113,8 @@ class CacheStore:
         ...                        # run the pipeline
         store.flush(cache)         # spill new entries to disk
 
-    The store never *computes* anything: it only translates between the
-    volatile (uid/id) key space of the live cache and the stable
-    (fingerprint) key space of the shards, in both directions.
+    The store never *computes* anything: it merges the live cache's
+    stage dicts with the shards, in both directions.
     """
 
     def __init__(self, root):
@@ -185,38 +122,32 @@ class CacheStore:
         # inspection of a mistyped path must not conjure an empty store
         # into existence (it would mask the typo for later runs too).
         self.root = os.fspath(root)
-        # Volatile -> stable: uid/int-token to fingerprint.  The
-        # strong references in _registered (and _uid_obj, for BSBs)
-        # keep every fingerprinted object alive: a collected library
-        # could hand its id() to a different-content successor, which
-        # would then inherit the stale fingerprint and persist entries
-        # under the wrong hash.  They also let flush() re-verify each
-        # fingerprint — mutation after registration fails loudly
-        # (StoreIntegrityError) instead of persisting stale keys.
-        self._uid_fp = {}
-        self._uid_obj = {}
-        self._token_fp = {}
+        # id -> (object, fingerprint at registration).  The strong
+        # reference keeps the id from being recycled and lets flush()
+        # re-verify each fingerprint — mutation after registration
+        # fails loudly (StoreIntegrityError) instead of persisting
+        # entries under a hash that no longer describes the object.
         self._registered = {}
-        self._refingerprint = {}
-        # Stable -> volatile: fingerprint to uid / live object.
-        self._fp_uid = {}
-        self._fp_obj = {}
-        # Stage -> {stable key: value}, loaded from disk on first use;
-        # entries leave as they hydrate so each installs exactly once.
-        self._stable = {}
+        # Fingerprints of the registered BSBs: the owners whose shard
+        # entries hydrate() may install.
+        self._owned = set()
+        # Stage -> {owner: {key: value}}, loaded from disk on first
+        # use; an owner's entries leave as they hydrate, so each
+        # installs exactly once and no second copy stays resident.
+        self._pending = {}
         # Stage -> cache entry count known to be disk-backed already.
         # Cache stage dicts are add-only memos, so an unchanged length
         # since the last sync means there is nothing new to spill and
         # the (comparatively expensive) shard rewrite can be skipped.
         self._clean_counts = {}
-        # Stage -> volatile keys installed by hydrate (disk-born, so
-        # export_delta never ships them back) and stage -> number of
-        # cache items already examined by export_delta (add-only dicts
-        # keep insertion order, so the unexamined entries are a suffix).
-        self._hydrated_keys = {}
+        # Stage -> number of cache items export_delta already examined
+        # (add-only dicts keep insertion order, so the unexamined
+        # entries are a suffix), and stage -> the (start, stop) index
+        # spans hydrate installed since: disk-born, never shipped back.
         self._export_counts = {}
-        # Stage -> {stable key: value} absorbed from worker deltas;
-        # written out (then dropped) by the next flush.
+        self._hydrated_spans = {}
+        # Stage -> {key: value} absorbed from worker deltas; written
+        # out (then dropped) by the next flush.
         self._absorbed = {}
         # Engine label -> [raw bytes, compressed bytes, frames] of
         # store deltas absorbed from remote engines since the last
@@ -233,17 +164,17 @@ class CacheStore:
         self._programs_disk = None
         self._programs_clean_count = 0
         self._programs_export_count = 0
-        # Stage -> stable keys *used* (hydrated into a live cache)
-        # since the last stamp write; the LRU side of compaction.  A
-        # warm run that computes nothing still refreshes these, so
+        # Stage -> keys *used* (hydrated into a live cache) since the
+        # last stamp write; the LRU side of compaction.  A warm run
+        # that computes nothing still refreshes these, so
         # recently-replayed entries survive a compact.
         self._touched = {}
-        # Stage -> stable keys a compact() evicted while they were
-        # (possibly) still held by a live session cache.  flush()
-        # re-encodes the *whole* cache per dirty stage, so without this
-        # set a non-quiescent session would simply write every victim
-        # straight back.  Evicted keys are skipped at flush-encode time;
-        # a worker delta that recomputes one un-evicts it (that is new
+        # Stage -> keys a compact() evicted while they were (possibly)
+        # still held by a live session cache.  flush() writes the
+        # *whole* cache per dirty stage, so without this set a
+        # non-quiescent session would simply write every victim
+        # straight back.  Evicted keys are skipped at flush time; a
+        # worker delta that recomputes one un-evicts it (that is new
         # work arriving, not a resurrection).
         self._evicted = {}
         # Monotonic timestamp of the last flush() attempt, for the
@@ -254,69 +185,47 @@ class CacheStore:
     # Registration: teach the store which objects are in play
     # ------------------------------------------------------------------
     def register(self, bsbs=None, library=None):
-        """Register live objects; returns True when anything was new."""
-        changed = False
+        """Register live objects; returns True when a BSB was new.
+
+        A new BSB is what can make further shard entries installable,
+        so callers hydrate after a True return.
+        """
         if library is not None:
-            changed |= self._register_object(library,
-                                             library_fingerprint(library),
-                                             library_fingerprint)
-            changed |= self._register_object(
-                library.technology,
-                technology_fingerprint(library.technology),
-                technology_fingerprint)
+            self._remember(library)
+            self._remember(library.technology)
+        changed = False
         for bsb in (bsbs if bsbs is not None else ()):
-            if bsb.uid not in self._uid_fp:
-                fingerprint = bsb_fingerprint(bsb)
-                self._uid_fp[bsb.uid] = fingerprint
-                self._uid_obj[bsb.uid] = bsb
-                self._fp_uid.setdefault(fingerprint, bsb.uid)
+            if self._remember(bsb):
+                self._owned.add(fingerprint(bsb))
                 changed = True
         return changed
 
-    def _register_object(self, obj, fingerprint, refingerprint):
-        token = id(obj)
-        if token in self._token_fp:
+    def _remember(self, obj):
+        if id(obj) in self._registered:
             return False
-        self._registered[token] = obj
-        self._token_fp[token] = fingerprint
-        self._refingerprint[token] = refingerprint
-        # First registered object wins the decode direction; equal-by-
-        # content duplicates keep their own encode mapping.
-        self._fp_obj.setdefault(fingerprint, obj)
+        self._registered[id(obj)] = (obj, fingerprint(obj))
         return True
 
     def verify_registered(self):
         """Recompute every registered fingerprint; loud on drift.
 
         Libraries, technologies and BSBs are immutable-by-contract once
-        registered: the store persists entries under their registration
-        -time hashes, so an object mutated afterwards would ship data
-        keyed by content it no longer has.  Every flush calls this
-        first and raises :class:`StoreIntegrityError` — refusing to
-        write — when any fingerprint no longer matches.
+        registered: the cache keys (and so the store) carry their
+        registration-time hashes, so an object mutated afterwards would
+        ship data keyed by content it no longer has.  Every flush calls
+        this first and raises :class:`StoreIntegrityError` — refusing
+        to write — when any fingerprint no longer matches.
         """
-        for token, obj in self._registered.items():
-            expected = self._token_fp[token]
-            actual = self._refingerprint[token](obj)
+        for obj, expected in self._registered.values():
+            actual = content_fingerprint(obj)
             if actual != expected:
                 raise StoreIntegrityError(
                     "%s %r was mutated after being registered with the "
                     "persistent store (fingerprint %s -> %s); "
                     "registered objects are immutable-by-contract — "
-                    "open a fresh session over a fresh copy instead of "
-                    "mutating in place"
+                    "rebuild a fresh copy instead of mutating in place"
                     % (type(obj).__name__,
                        getattr(obj, "name", obj), expected, actual))
-        for uid, bsb in self._uid_obj.items():
-            expected = self._uid_fp[uid]
-            actual = bsb_fingerprint(bsb)
-            if actual != expected:
-                raise StoreIntegrityError(
-                    "BSB %r (uid %d) was mutated after being registered "
-                    "with the persistent store (fingerprint %s -> %s); "
-                    "registered BSB arrays are immutable-by-contract — "
-                    "rebuild the array instead of mutating it in place"
-                    % (bsb.name, uid, expected, actual))
 
     # ------------------------------------------------------------------
     # Shard I/O
@@ -326,7 +235,7 @@ class CacheStore:
                             "%s.v%d.pkl" % (stage, STORE_VERSION))
 
     def _load_shard(self, stage):
-        """The on-disk stable dict of one stage; {} on any damage.
+        """The on-disk entry dict of one stage; {} on any damage.
 
         Partial writes never happen through :meth:`_write_shard` (it
         replaces atomically), but a crashed writer using another tool,
@@ -359,11 +268,6 @@ class CacheStore:
             except OSError:
                 pass
             raise
-
-    def _pending(self, stage):
-        if stage not in self._stable:
-            self._stable[stage] = self._load_shard(stage)
-        return self._stable[stage]
 
     #: Fallback scheme only: how old an ``O_EXCL`` lock file must be
     #: before it counts as the debris of a crashed writer.  Generous on
@@ -442,171 +346,56 @@ class CacheStore:
                     pass
 
     # ------------------------------------------------------------------
-    # Key translation
-    # ------------------------------------------------------------------
-    def _encode_slot(self, slot, part):
-        if slot == "uid":
-            fingerprint = self._uid_fp.get(part)
-            return (False, None) if fingerprint is None \
-                else (True, fingerprint)
-        if slot == "uids":
-            fps = tuple(self._uid_fp.get(uid) for uid in part)
-            return (False, None) if None in fps else (True, fps)
-        if slot == "pin":
-            fingerprint = self._token_fp.get(part)
-            return (False, None) if fingerprint is None \
-                else (True, fingerprint)
-        if slot == "pin_or_none":
-            if part is None:
-                return True, None
-            fingerprint = self._token_fp.get(part)
-            return (False, None) if fingerprint is None \
-                else (True, fingerprint)
-        if isinstance(slot, tuple):  # nested key (the costs arch key)
-            return self._encode_key(slot, part)
-        return True, part  # "data"
-
-    def _decode_slot(self, slot, part, cache):
-        if slot == "uid":
-            uid = self._fp_uid.get(part)
-            return (False, None) if uid is None else (True, uid)
-        if slot == "uids":
-            uids = tuple(self._fp_uid.get(fp) for fp in part)
-            return (False, None) if None in uids else (True, uids)
-        if slot in ("pin", "pin_or_none"):
-            if slot == "pin_or_none" and part is None:
-                return True, None
-            obj = self._fp_obj.get(part)
-            return (False, None) if obj is None \
-                else (True, cache.pin(obj))
-        if isinstance(slot, tuple):
-            return self._decode_key(slot, part, cache)
-        return True, part
-
-    def _match_schema(self, schema, key):
-        """Expand a "*data" wildcard against the key's actual arity."""
-        if not isinstance(key, tuple):
-            return None
-        if "*data" in schema:
-            star = schema.index("*data")
-            fixed = len(schema) - 1
-            if len(key) < fixed:
-                return None
-            spread = len(key) - fixed
-            schema = (schema[:star] + ("data",) * spread
-                      + schema[star + 1:])
-        return schema if len(schema) == len(key) else None
-
-    def _encode_key(self, schema, key):
-        schema = self._match_schema(schema, key)
-        if schema is None:
-            return False, None
-        out = []
-        for slot, part in zip(schema, key):
-            ok, encoded = self._encode_slot(slot, part)
-            if not ok:
-                return False, None
-            out.append(encoded)
-        return True, tuple(out)
-
-    def _decode_key(self, schema, key, cache):
-        schema = self._match_schema(schema, key)
-        if schema is None:
-            return False, None
-        out = []
-        for slot, part in zip(schema, key):
-            ok, decoded = self._decode_slot(slot, part, cache)
-            if not ok:
-                return False, None
-            out.append(decoded)
-        return True, tuple(out)
-
-    # ------------------------------------------------------------------
     # Hydrate: disk -> live cache
     # ------------------------------------------------------------------
-    def hydrate(self, cache):
-        """Install every now-translatable stable entry into ``cache``.
+    def _pending_entries(self, stage):
+        """The not-yet-installed shard entries of one stage, by owner."""
+        groups = self._pending.get(stage)
+        if groups is None:
+            groups = self._pending[stage] = {}
+            for key, value in self._load_shard(stage).items():
+                owner = key[0] if isinstance(key, tuple) and key else None
+                groups.setdefault(owner, {})[key] = value
+        return groups
 
-        Returns the number of entries installed.  Entries whose
-        fingerprints are still unknown stay pending for a later call
-        (after more registrations); entries the cache already holds are
-        left alone — a live value always wins over a loaded one, so
-        object identities established this run stay stable.
+    def _owns(self, owner):
+        """True when every BSB a key owner names is registered."""
+        if isinstance(owner, str):
+            return owner in self._owned
+        return isinstance(owner, tuple) and all(
+            part in self._owned for part in owner)
+
+    def hydrate(self, cache):
+        """Merge the shard entries of every registered program into
+        ``cache``; returns the number of entries installed.
+
+        Entries whose owner is not (yet) registered stay pending for a
+        later call; entries the cache already holds are left alone — a
+        live value always wins over a loaded one, so object identities
+        established this run stay stable.
         """
         installed = 0
-        cost_objects = None
-        for stage, schema in STAGE_SCHEMAS.items():
-            pending = self._pending(stage)
-            if not pending:
+        for stage in PERSISTED_STAGES:
+            pending = self._pending_entries(stage)
+            ready = [owner for owner in pending if self._owns(owner)]
+            if not ready:
                 continue
             target = getattr(cache, stage)
-            done = []
-            grown = 0
-            for stable_key, value in pending.items():
-                ok, volatile_key = self._decode_key(schema, stable_key,
-                                                    cache)
-                if not ok:
-                    continue
-                if volatile_key not in target:
-                    target[volatile_key] = value
-                    grown += 1
-                    self._hydrated_keys.setdefault(stage, set()).add(
-                        volatile_key)
-                    self._touched.setdefault(stage, set()).add(
-                        stable_key)
-                done.append(stable_key)
-            for stable_key in done:
-                del pending[stable_key]
+            start = len(target)
+            touched = self._touched.setdefault(stage, set())
+            for owner in ready:
+                for key, value in pending.pop(owner).items():
+                    if key not in target:
+                        target[key] = value
+                        touched.add(key)
+            grown = len(target) - start
             if grown:
                 installed += grown
                 self._clean_counts[stage] = \
                     self._clean_counts.get(stage, 0) + grown
-        # Partitions: volatile key ((cost ids...), comm, available,
-        # quanta); resolvable only for cost objects live in this cache.
-        pending = self._pending("partitions")
-        if pending:
-            cost_objects = self._stable_cost_objects(cache)
-            done = []
-            for stable_key, value in pending.items():
-                volatile_key = self._decode_partition_key(stable_key,
-                                                          cost_objects)
-                if volatile_key is None:
-                    continue
-                if volatile_key not in cache.partitions:
-                    cache.partitions[volatile_key] = value
-                    installed += 1
-                    self._clean_counts["partitions"] = \
-                        self._clean_counts.get("partitions", 0) + 1
-                    self._hydrated_keys.setdefault("partitions",
-                                                   set()).add(volatile_key)
-                    self._touched.setdefault("partitions", set()).add(
-                        stable_key)
-                done.append(stable_key)
-            for stable_key in done:
-                del pending[stable_key]
+                self._hydrated_spans.setdefault(stage, []).append(
+                    (start, len(target)))
         return installed
-
-    def _stable_cost_objects(self, cache):
-        """Mapping stable costs key -> live BSBCost object."""
-        schema = STAGE_SCHEMAS["costs"]
-        objects = {}
-        for volatile_key, cost in cache.costs.items():
-            ok, stable_key = self._encode_key(schema, volatile_key)
-            if ok:
-                objects[stable_key] = cost
-        return objects
-
-    def _decode_partition_key(self, stable_key, cost_objects):
-        if not (isinstance(stable_key, tuple) and len(stable_key) == 4):
-            return None
-        cost_keys, comm, available, quanta = stable_key
-        ids = []
-        for cost_key in cost_keys:
-            cost = cost_objects.get(cost_key)
-            if cost is None:
-                return None
-            ids.append(id(cost))
-        return ((tuple(ids), comm), available, quanta)
 
     # ------------------------------------------------------------------
     # Compiled programs: disk <-> session program memo
@@ -641,41 +430,32 @@ class CacheStore:
     # Worker deltas: live cache -> parent process
     # ------------------------------------------------------------------
     def export_delta(self, cache):
-        """Stable-encoded entries computed since the last export.
+        """The cache entries computed since the last export.
 
         Pool workers cannot be relied on to write the store themselves
         (their last flush would race the pool teardown, and per-chunk
-        shard rewrites are quadratic), so instead each worker ships the
-        stable form of its *new* entries back with its results and the
-        parent merges them via :meth:`absorb_delta` — one writer, one
-        final flush, nothing lost.  Hydrated (disk-born) entries are
-        excluded, and the examined-suffix pointer ensures each export
-        only *encodes and ships* the entries added since the last one
-        (each export still walks the stage dict to reach the suffix).
+        shard rewrites are quadratic), so instead each worker ships its
+        *new* entries back with its results and the parent merges them
+        via :meth:`absorb_delta` — one writer, one final flush, nothing
+        lost.  Cache keys are content keys, so the entries travel as
+        they are.  Stage dicts are add-only and keep insertion order:
+        the new entries are the suffix past the last export, minus the
+        spans hydrate installed from disk.
         """
         delta = {}
-        for stage, schema in STAGE_SCHEMAS.items():
-            encoded = self._export_stage(
-                stage, getattr(cache, stage),
-                lambda key: self._encode_key(schema, key))
-            if encoded:
-                delta[stage] = encoded
-        source = cache.partitions
-        if len(source) > self._export_counts.get("partitions", 0):
-            cost_ids = {id(cost): stable_key for stable_key, cost
-                        in self._stable_cost_objects(cache).items()}
-
-            def encode(volatile_key):
-                stable_key = self._encode_partition_key(volatile_key,
-                                                        cost_ids)
-                return stable_key is not None, stable_key
-
-            encoded = self._export_stage("partitions", source, encode)
-            if encoded:
-                delta["partitions"] = encoded
-        # Programs a worker compiled travel back too: they are already
-        # stable-keyed (fingerprints), so the suffix pointer is all the
-        # bookkeeping the export needs.
+        for stage in PERSISTED_STAGES:
+            source = getattr(cache, stage)
+            start = self._export_counts.get(stage, 0)
+            self._export_counts[stage] = len(source)
+            fresh = {}
+            for low, high in self._hydrated_spans.pop(stage, []) + \
+                    [(len(source), None)]:
+                fresh.update(itertools.islice(source.items(), start, low))
+                start = high
+            if fresh:
+                delta[stage] = fresh
+        # Programs a worker compiled travel back too; the suffix
+        # pointer is all the bookkeeping the export needs.
         if len(self._programs_new) > self._programs_export_count:
             fresh = dict(itertools.islice(
                 iter(self._programs_new.items()),
@@ -685,25 +465,6 @@ class CacheStore:
                 delta[PROGRAMS_STAGE] = fresh
         return delta
 
-    def _export_stage(self, stage, source, encode):
-        examined = self._export_counts.get(stage, 0)
-        total = len(source)
-        if total <= examined:
-            return {}
-        hydrated = self._hydrated_keys.get(stage, ())
-        encoded = {}
-        # Add-only dicts keep insertion order, so the unexamined
-        # entries are exactly the suffix past the pointer.
-        suffix = itertools.islice(iter(source.items()), examined, None)
-        for volatile_key, value in suffix:
-            if volatile_key in hydrated:
-                continue
-            ok, stable_key = encode(volatile_key)
-            if ok:
-                encoded[stable_key] = value
-        self._export_counts[stage] = total
-        return encoded
-
     def absorb_delta(self, delta):
         """Queue a worker's exported entries for the next flush."""
         absorbed = 0
@@ -711,9 +472,9 @@ class CacheStore:
             if not entries:
                 continue
             if stage == PROGRAMS_STAGE:
-                for fingerprint, payload in entries.items():
-                    if fingerprint not in self._programs_new:
-                        self._programs_new[fingerprint] = payload
+                for fingerprint_key, payload in entries.items():
+                    if fingerprint_key not in self._programs_new:
+                        self._programs_new[fingerprint_key] = payload
                         absorbed += 1
                 continue
             if stage not in PERSISTED_STAGES:
@@ -726,7 +487,7 @@ class CacheStore:
     # Flush: live cache -> disk
     # ------------------------------------------------------------------
     def flush(self, cache):
-        """Spill every translatable cache entry, merging with the disk.
+        """Spill the cache's stage dicts, merging with the disk.
 
         Flushers sharing one ``--cache-dir`` (the parent plus the pool
         workers of a sweep or exhaustive search) are serialised by
@@ -735,9 +496,6 @@ class CacheStore:
         additions are ever lost.  Returns the number of entries
         written overall.
         """
-        if not isinstance(cache, EvalCache):
-            raise TypeError("flush() expects an EvalCache, got %r"
-                            % (cache,))
         self._last_flush = time.monotonic()
         if not self._needs_flush(cache):
             # Nothing to spill, but a warm run still refreshed entry
@@ -749,13 +507,12 @@ class CacheStore:
                 with self._flush_lock():
                     self._stamp_entries({})
             return 0
-        # The ROADMAP mutation nuance, closed: fingerprints are only
-        # trustworthy if the fingerprinted objects still have their
-        # registration-time content.  Verify before writing entries —
-        # a mutated library/BSB must fail loudly here, not persist
-        # entries under a hash that no longer describes them.  Gated
-        # behind _needs_flush so the service's rate-limited no-op
-        # flushes skip the recomputation.
+        # Fingerprints are only trustworthy if the fingerprinted
+        # objects still have their registration-time content.  Verify
+        # before writing entries — a mutated library/BSB must fail
+        # loudly here, not persist entries under a hash that no longer
+        # describes them.  Gated behind _needs_flush so the service's
+        # rate-limited no-op flushes skip the recomputation.
         self.verify_registered()
         with self._flush_lock():
             return self._flush_locked(cache)
@@ -777,10 +534,7 @@ class CacheStore:
 
     def _needs_flush(self, cache):
         """True when a stage grew or a worker delta awaits writing."""
-        if self._delta_stats_pending:
-            return True
-        if any(self._absorbed.get(stage)
-               for stage in PERSISTED_STAGES):
+        if self._delta_stats_pending or self._absorbed:
             return True
         if len(self._programs_new) != self._programs_clean_count:
             return True
@@ -790,62 +544,26 @@ class CacheStore:
 
     def _flush_locked(self, cache):
         written = 0
-        fresh = {}  # stage -> stable keys this flush (re)wrote
-        for stage, schema in STAGE_SCHEMAS.items():
+        fresh = {}  # stage -> keys this flush (re)wrote
+        for stage in PERSISTED_STAGES:
             source = getattr(cache, stage)
-            absorbed = self._absorbed.get(stage)
+            absorbed = self._absorbed.pop(stage, {})
             if not absorbed and \
                     len(source) == self._clean_counts.get(stage, 0):
                 continue  # add-only memo, unchanged since last sync
-            merged = self._load_shard(stage)
-            merged.update(self._stable.get(stage, {}))  # still-pending
-            live = set()
+            self._clean_counts[stage] = len(source)
             evicted = self._evicted.get(stage)
-            if absorbed:
-                merged.update(absorbed)
-                live.update(absorbed)
-                if evicted:
-                    evicted.difference_update(absorbed)
-            for volatile_key, value in source.items():
-                ok, stable_key = self._encode_key(schema, volatile_key)
-                if ok and not (evicted and stable_key in evicted):
-                    merged[stable_key] = value
-                    live.add(stable_key)
+            if evicted:
+                evicted.difference_update(absorbed)
+                source = {key: value for key, value in source.items()
+                          if key not in evicted}
+            merged = self._load_shard(stage)
+            merged.update(absorbed)
+            merged.update(source)
             if merged:
                 self._write_shard(stage, merged)
                 written += len(merged)
-            if live:
-                fresh[stage] = live
-            self._absorbed.pop(stage, None)
-            self._clean_counts[stage] = len(source)
-        absorbed = self._absorbed.get("partitions")
-        if absorbed or len(cache.partitions) != \
-                self._clean_counts.get("partitions", 0):
-            cost_ids = {id(cost): stable_key for stable_key, cost
-                        in self._stable_cost_objects(cache).items()}
-            merged = self._load_shard("partitions")
-            merged.update(self._stable.get("partitions", {}))
-            live = set()
-            evicted = self._evicted.get("partitions")
-            if absorbed:
-                merged.update(absorbed)
-                live.update(absorbed)
-                if evicted:
-                    evicted.difference_update(absorbed)
-            for volatile_key, value in cache.partitions.items():
-                stable_key = self._encode_partition_key(volatile_key,
-                                                        cost_ids)
-                if stable_key is not None and \
-                        not (evicted and stable_key in evicted):
-                    merged[stable_key] = value
-                    live.add(stable_key)
-            if merged:
-                self._write_shard("partitions", merged)
-                written += len(merged)
-            if live:
-                fresh["partitions"] = live
-            self._absorbed.pop("partitions", None)
-            self._clean_counts["partitions"] = len(cache.partitions)
+            fresh[stage] = itertools.chain(absorbed, source)
         if len(self._programs_new) != self._programs_clean_count:
             merged = self._load_shard(PROGRAMS_STAGE)
             evicted = self._evicted.get(PROGRAMS_STAGE)
@@ -867,21 +585,6 @@ class CacheStore:
             self._write_delta_stats_locked()
         self._stamp_entries(fresh)
         return written
-
-    def _encode_partition_key(self, volatile_key, cost_ids):
-        if not (isinstance(volatile_key, tuple)
-                and len(volatile_key) == 3
-                and isinstance(volatile_key[0], tuple)
-                and len(volatile_key[0]) == 2):
-            return None
-        (ids, comm), available, quanta = volatile_key
-        cost_keys = []
-        for token in ids:
-            stable_key = cost_ids.get(token)
-            if stable_key is None:
-                return None
-            cost_keys.append(stable_key)
-        return (tuple(cost_keys), comm, available, quanta)
 
     # ------------------------------------------------------------------
     # Store-delta compression stats (the fabric's absorb accounting)
@@ -1016,7 +719,7 @@ class CacheStore:
         return os.path.join(self.root, "lru.v%d.meta" % STORE_VERSION)
 
     def _load_lru(self):
-        """{stage: {stable key: last-used unix time}}; {} on damage."""
+        """{stage: {key: last-used unix time}}; {} on damage."""
         try:
             with open(self._lru_path(), "rb") as handle:
                 data = pickle.load(handle)
@@ -1044,7 +747,7 @@ class CacheStore:
     def _stamp_entries(self, fresh_by_stage):
         """Refresh last-used stamps; the caller holds the flush lock.
 
-        ``fresh_by_stage`` holds the stable keys a flush just wrote
+        ``fresh_by_stage`` holds the keys a flush just wrote
         (live cache entries *are* in use); the buffered ``_touched``
         keys — entries a hydrate replayed into a cache — join them.
         Untouched disk entries keep their old stamps, which is what
@@ -1059,8 +762,8 @@ class CacheStore:
                 if stamps is None:
                     stamps = self._load_lru()
                 bucket = stamps.setdefault(stage, {})
-                for stable_key in keys:
-                    bucket[stable_key] = now
+                for key in keys:
+                    bucket[key] = now
         self._touched = {}
         if stamps is not None:
             self._write_lru(stamps)
@@ -1117,13 +820,13 @@ class CacheStore:
         entries = []
         for stage, data in shards.items():
             bucket = stamps.get(stage, {})
-            for stable_key, value in data.items():
-                size = (len(pickle.dumps(stable_key,
+            for key, value in data.items():
+                size = (len(pickle.dumps(key,
                                          pickle.HIGHEST_PROTOCOL))
                         + len(pickle.dumps(value,
                                            pickle.HIGHEST_PROTOCOL)))
-                entries.append((bucket.get(stable_key, 0.0), size,
-                                stage, stable_key))
+                entries.append((bucket.get(key, 0.0), size,
+                                stage, key))
         victims = set()
         if max_age_seconds is not None:
             horizon = now - max_age_seconds
@@ -1162,7 +865,7 @@ class CacheStore:
                 except OSError:
                     pass
             # Pre-compact in-memory copies must not resurrect victims.
-            self._stable.pop(stage, None)
+            self._pending.pop(stage, None)
             if stage == PROGRAMS_STAGE:
                 self._programs_disk = None
         pruned = {}
@@ -1223,7 +926,7 @@ class CacheStore:
         except OSError:
             pass
         self._delta_stats_pending = {}
-        self._stable.clear()
+        self._pending.clear()
         self._clean_counts.clear()
         self._absorbed.clear()
         self._touched.clear()

@@ -5,25 +5,29 @@ allocation *is* the speed-up PACE achieves with it.  Both the heuristic
 allocation and every allocation visited by the exhaustive search go
 through this same function, so comparisons are consistent.
 
-With an :class:`~repro.engine.cache.EvalCache` (what the engine's
-:class:`~repro.engine.session.Session` passes), three levels memoise:
+The :class:`~repro.engine.cache.EvalCache` (the engine
+:class:`~repro.engine.session.Session`'s, or a fresh one) memoises at
+four levels:
 
 * whole evaluations, keyed by (BSBs, architecture, allocation, quanta);
 * per-BSB cost objects (see :mod:`repro.partition.model`);
 * PACE :class:`~repro.partition.pace.SequenceTable` instances, keyed by
   the identity of the cost array — allocations that differ only in
-  resources no BSB can use share one table and only re-run the DP.
+  resources no BSB can use share one table;
+* PACE results, keyed by the cost array's content plus the available
+  area and quanta, so such allocations also share one DP run.
 """
 
 from dataclasses import dataclass
 
 from repro.core.rmap import RMap
-from repro.engine.cache import EvalCache
+from repro.engine.cache import EvalCache, data_digest, fingerprint
 from repro.errors import PartitionError
 from repro.partition.model import (
     _arch_cost_key,
     _compute_bsb_cost,
     _cost_plan,
+    _group_signature,
     bsb_costs,
     bsb_energy_pairs,
     partition_energy,
@@ -72,15 +76,55 @@ class AllocationEvaluation:
 
 def _evaluation_key(bsbs, allocation, architecture, area_quanta,
                     overhead_model, cache):
-    return (cache.uid_key(bsbs),
-            cache.pin(architecture.library),
-            cache.processor_token(architecture.processor),
+    return (cache.array_key(bsbs),
+            fingerprint(architecture.library),
+            fingerprint(architecture.processor),
             architecture.total_area,
             architecture.comm_cycles_per_word,
             architecture.hw_cycle_ratio,
             allocation,
             area_quanta,
-            None if overhead_model is None else cache.pin(overhead_model))
+            overhead_model)
+
+
+def _partition(costs, content, architecture, available, area_quanta,
+               cache, remember):
+    """PACE result of one cost array, through the table and DP memos.
+
+    Tables are keyed by cost-object identity (cost objects are
+    memoised, hence live as long as the cache).  A PartitionResult
+    depends on nothing but the cost array's ``content`` (see
+    :class:`~repro.partition.model.CostArray`), the communication
+    cost, the available area and the quanta, so allocations that differ
+    only in resources no BSB uses while their data-path areas coincide
+    share one DP run.  Each table keeps its array's content as (array
+    fingerprints, digest of the rest): one short string per key instead
+    of a nested signature tuple per cost group, both in memory and on
+    disk.
+    """
+    comm = architecture.comm_cycles_per_word
+    table_key = (tuple(map(id, costs)), comm)
+    entry = cache.tables.get(table_key)
+    if entry is None:
+        cache.stats.miss("table")
+        entry = cache.tables[table_key] = (
+            SequenceTable(costs, architecture),
+            (content[0], data_digest(content[1:])))
+    else:
+        cache.stats.hit("table")
+    sequence_table, content_key = entry
+    partition_key = content_key + (comm, available, area_quanta)
+    partition = cache.partitions.get(partition_key)
+    if partition is not None:
+        cache.stats.hit("partition")
+        return partition
+    cache.stats.miss("partition")
+    partition = pace_partition(costs, architecture, available,
+                               area_quanta=area_quanta,
+                               sequence_table=sequence_table)
+    if remember:
+        cache.partitions[partition_key] = partition
+    return partition
 
 
 def evaluate_allocation(bsbs, allocation, architecture, area_quanta=400,
@@ -93,11 +137,9 @@ def evaluate_allocation(bsbs, allocation, architecture, area_quanta=400,
         allocation: Data-path allocation (RMap or dict).
         architecture: The target architecture (defines the total area).
         area_quanta: Resolution of PACE's area axis.
-        cache: Optional memo store shared across evaluations: either a
-            plain dict of hardware schedule lengths (the legacy
-            contract) or an :class:`~repro.engine.cache.EvalCache`,
-            which additionally memoises cost arrays, PACE sequence
-            tables and whole evaluations.
+        cache: The :class:`~repro.engine.cache.EvalCache` shared across
+            evaluations (cost arrays, PACE sequence tables and results,
+            whole evaluations); a fresh one when omitted.
         overhead_model: Optional
             :class:`~repro.hwlib.overheads.OverheadModel`: charges the
             interconnect/storage estimate of the future-work extension
@@ -121,16 +163,16 @@ def evaluate_allocation(bsbs, allocation, architecture, area_quanta=400,
     resolution for throughput over many candidates).  Results are only
     comparable across calls made at one resolution.
     """
+    if cache is None:
+        cache = EvalCache()
     allocation = RMap._coerce(allocation)
-    engine_cache = cache if isinstance(cache, EvalCache) else None
-    if engine_cache is not None:
-        key = _evaluation_key(bsbs, allocation, architecture, area_quanta,
-                              overhead_model, engine_cache)
-        evaluation = engine_cache.evals.get(key)
-        if evaluation is not None:
-            engine_cache.stats.hit("eval")
-            return evaluation
-        engine_cache.stats.miss("eval")
+    key = _evaluation_key(bsbs, allocation, architecture, area_quanta,
+                          overhead_model, cache)
+    evaluation = cache.evals.get(key)
+    if evaluation is not None:
+        cache.stats.hit("eval")
+        return evaluation
+    cache.stats.miss("eval")
 
     datapath_area = allocation.area(architecture.library)
     if datapath_area > architecture.total_area:
@@ -147,42 +189,8 @@ def evaluate_allocation(bsbs, allocation, architecture, area_quanta=400,
     # (terrible) design point, not an error: PACE then moves nothing.
     available = architecture.total_area - datapath_area - overhead_area
     costs = bsb_costs(bsbs, allocation, architecture, cache=cache)
-
-    sequence_table = None
-    if engine_cache is not None:
-        # Cost objects are memoised (hence pinned) by bsb_costs, so
-        # their ids are a stable, cheap identity for the whole array.
-        table_key = (tuple(map(id, costs)),
-                     architecture.comm_cycles_per_word)
-        sequence_table = engine_cache.tables.get(table_key)
-        if sequence_table is None:
-            engine_cache.stats.miss("table")
-            sequence_table = SequenceTable(costs, architecture)
-            engine_cache.tables[table_key] = sequence_table
-        else:
-            engine_cache.stats.hit("table")
-
-    partition = None
-    partition_key = None
-    if engine_cache is not None:
-        # A PartitionResult depends only on (costs, communication model,
-        # available area, quanta) — the table key already encodes the
-        # first two, so allocations that differ only in resources no BSB
-        # uses while their data-path areas coincide share one DP run.
-        # Keyed by the cost-id tuple rather than the table's own id so a
-        # persistent store can re-key the entry by cost content hashes.
-        partition_key = (table_key, available, area_quanta)
-        partition = engine_cache.partitions.get(partition_key)
-        if partition is None:
-            engine_cache.stats.miss("partition")
-        else:
-            engine_cache.stats.hit("partition")
-    if partition is None:
-        partition = pace_partition(costs, architecture, available,
-                                   area_quanta=area_quanta,
-                                   sequence_table=sequence_table)
-        if engine_cache is not None and remember:
-            engine_cache.partitions[partition_key] = partition
+    partition = _partition(costs, costs.content, architecture, available,
+                           area_quanta, cache, remember)
     evaluation = AllocationEvaluation(
         allocation=allocation,
         datapath_area=datapath_area,
@@ -193,8 +201,8 @@ def evaluate_allocation(bsbs, allocation, architecture, area_quanta=400,
             bsb_energy_pairs(bsbs, architecture, cache=cache),
             partition.hw_sequences),
     )
-    if engine_cache is not None and remember is True:
-        engine_cache.evals[key] = evaluation
+    if remember is True:
+        cache.evals[key] = evaluation
     return evaluation
 
 
@@ -224,24 +232,20 @@ class EvaluationScan:
     """
 
     __slots__ = ("_bsbs", "_architecture", "_area_quanta", "_cache",
-                 "_remember", "_library", "_members", "_groups",
-                 "_deps", "_arch_key", "_key_prefix", "_prev",
-                 "_signatures", "_costs")
+                 "_remember", "_members", "_groups", "_deps", "_arch_key",
+                 "_key_prefix", "_array_key", "_prev", "_signatures",
+                 "_costs")
 
     def __init__(self, bsbs, architecture, area_quanta=400, cache=None,
                  remember=False):
-        if not isinstance(cache, EvalCache):
-            raise PartitionError(
-                "EvaluationScan requires an EvalCache (the diffed scan "
-                "state is only sound against one shared memo store)")
+        if cache is None:
+            cache = EvalCache()
         self._bsbs = bsbs
         self._architecture = architecture
         self._area_quanta = area_quanta
         self._cache = cache
         self._remember = remember
-        library = architecture.library
-        self._library = library
-        members, group_list = _cost_plan(bsbs, library, cache)
+        members, group_list = _cost_plan(bsbs, architecture.library, cache)
         self._members = members
         self._groups = group_list
         # Per group, the resource names its signature can depend on:
@@ -257,12 +261,10 @@ class EvaluationScan:
                 deps.append(tuple(sorted(
                     {name for name, _ in ops} | set(capable))))
         self._deps = deps
-        self._arch_key = _arch_cost_key(architecture, cache)
-        self._key_prefix = (cache.uid_key(bsbs), cache.pin(library),
-                            cache.processor_token(architecture.processor),
-                            architecture.total_area,
-                            architecture.comm_cycles_per_word,
-                            architecture.hw_cycle_ratio)
+        self._arch_key = _arch_cost_key(architecture)
+        self._key_prefix = _evaluation_key(bsbs, None, architecture, None,
+                                           None, cache)[:6]
+        self._array_key = cache.array_key(bsbs)
         self._prev = None
         self._signatures = [None] * len(group_list)
         self._costs = [None] * len(bsbs)
@@ -291,29 +293,11 @@ class EvaluationScan:
                 % (datapath_area, architecture.total_area))
         available = architecture.total_area - datapath_area
         costs = self._costs_for(allocation)
-
-        table_key = (tuple(map(id, costs)),
-                     architecture.comm_cycles_per_word)
-        sequence_table = cache.tables.get(table_key)
-        if sequence_table is None:
-            cache.stats.miss("table")
-            sequence_table = SequenceTable(costs, architecture)
-            cache.tables[table_key] = sequence_table
-        else:
-            cache.stats.hit("table")
-
-        partition_key = (table_key, available, self._area_quanta)
-        partition = cache.partitions.get(partition_key)
-        if partition is None:
-            cache.stats.miss("partition")
-        else:
-            cache.stats.hit("partition")
-        if partition is None:
-            partition = pace_partition(costs, architecture, available,
-                                       area_quanta=self._area_quanta,
-                                       sequence_table=sequence_table)
-            if self._remember:
-                cache.partitions[partition_key] = partition
+        # The content key bsb_costs would attach to the same array.
+        content = (self._array_key, self._arch_key,
+                   tuple(self._signatures))
+        partition = _partition(costs, content, architecture, available,
+                               self._area_quanta, cache, self._remember)
         evaluation = AllocationEvaluation(
             allocation=allocation,
             datapath_area=datapath_area,
@@ -330,9 +314,8 @@ class EvaluationScan:
     def _costs_for(self, allocation):
         """The candidate's cost array, diffed against the previous one.
 
-        Mirrors ``partition.model._cached_bsb_costs`` — the inline
-        signature forms must stay in sync with `_allocation_signature`
-        — but only re-keys the groups whose dependency counts changed.
+        Mirrors :func:`~repro.partition.model.bsb_costs`, but only
+        re-keys the groups whose dependency counts changed.
         """
         cache = self._cache
         prev = self._prev
@@ -346,40 +329,25 @@ class EvaluationScan:
                        if any(get(name, 0) != prev_get(name, 0)
                               for name in deps)]
         for index in changed:
-            identity = self._groups[index]
-            if identity is None:
-                signatures[index] = ("empty",)
-                continue
-            ops, capable, type_sets = identity
-            counts = tuple((name, min(get(name, 0), need))
-                           for name, need in ops)
-            if all(count >= 1 for _, count in counts):
-                signatures[index] = ("homo", counts)
-            elif all(any(get(name, 0) for name in names)
-                     for names in type_sets):
-                signatures[index] = ("hetero", tuple(sorted(
-                    (name, count) for name, count in allocation.items()
-                    if count and name in capable)))
-            else:
-                signatures[index] = ("hetero", None)
+            signatures[index] = _group_signature(self._groups[index],
+                                                 allocation)
         stale = frozenset(changed)
         costs_memo = cache.costs
         arch_key = self._arch_key
         result = self._costs
         hits = 0
         misses = 0
-        for position, (bsb, index) in enumerate(zip(self._bsbs,
-                                                    self._members)):
+        for position, (bsb, fp, index) in enumerate(zip(
+                self._bsbs, self._array_key, self._members)):
             if prev is not None and index not in stale:
                 hits += 1  # carried: a fresh probe would have hit
                 continue
-            cost_key = (bsb.uid, signatures[index], arch_key)
+            cost_key = (fp, signatures[index], arch_key)
             cost = costs_memo.get(cost_key)
             if cost is None:
                 misses += 1
-                cost = _compute_bsb_cost(bsb, allocation,
-                                         self._architecture, cache)
-                costs_memo[cost_key] = cost
+                cost = costs_memo[cost_key] = _compute_bsb_cost(
+                    bsb, allocation, self._architecture, cache)
             else:
                 hits += 1
             result[position] = cost

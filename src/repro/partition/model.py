@@ -3,7 +3,7 @@
 from dataclasses import dataclass, field
 
 from repro.core.eca import controller_area_for_states
-from repro.engine.cache import EvalCache
+from repro.engine.cache import EvalCache, fingerprint
 from repro.errors import PartitionError, ResourceError
 from repro.hwlib.library import ResourceLibrary
 from repro.sched.list_scheduler import list_schedule
@@ -82,26 +82,22 @@ class BSBCost:
         return self.sw_time - self.hw_time
 
 
-def _ops_per_resource(bsb, library, cache=None):
+def _ops_per_resource(bsb, library, cache):
     """Designated-resource demand of one BSB, as a sorted (name, need)
     tuple — the pre-ordered form lets the hot signature path skip a
     dict build and a sort per evaluation."""
-    if isinstance(cache, EvalCache):
-        key = (bsb.uid, cache.pin(library))
-        ops = cache.ops.get(key)
-        if ops is not None:
-            return ops
-    counts = {}
-    for optype, op_count in bsb.dfg.count_by_type().items():
-        name = library.resource_for(optype).name
-        counts[name] = counts.get(name, 0) + op_count
-    ops = tuple(sorted(counts.items()))
-    if isinstance(cache, EvalCache):
-        cache.ops[key] = ops
+    key = (fingerprint(bsb), fingerprint(library))
+    ops = cache.ops.get(key)
+    if ops is None:
+        counts = {}
+        for optype, op_count in bsb.dfg.count_by_type().items():
+            name = library.resource_for(optype).name
+            counts[name] = counts.get(name, 0) + op_count
+        ops = cache.ops[key] = tuple(sorted(counts.items()))
     return ops
 
 
-def _relevant_counts(bsb, allocation, library, cache=None):
+def _relevant_counts(bsb, allocation, library, cache):
     """The allocation as seen by one BSB, capped at useful counts.
 
     A BSB with three multiplications schedules identically under four or
@@ -110,29 +106,24 @@ def _relevant_counts(bsb, allocation, library, cache=None):
     """
     get = allocation.get
     return tuple((name, min(get(name, 0), need))
-                 for name, need in _ops_per_resource(bsb, library,
-                                                     cache=cache))
+                 for name, need in _ops_per_resource(bsb, library, cache))
 
 
-def _capability(bsb, library, cache=None):
+def _capability(bsb, library, cache):
     """(capable resource names, per-optype capable names) of one BSB.
 
     Used by the module-selection paths: which library units can execute
     any of the BSB's operation types at all.
     """
-    if isinstance(cache, EvalCache):
-        key = (bsb.uid, cache.pin(library))
-        capability = cache.capable.get(key)
-        if capability is not None:
-            return capability
-    per_type = {optype: frozenset(resource.name for resource
-                                  in library.candidates_for(optype))
-                for optype in bsb.dfg.op_types()}
-    names = frozenset().union(*per_type.values()) if per_type \
-        else frozenset()
-    capability = (names, per_type)
-    if isinstance(cache, EvalCache):
-        cache.capable[key] = capability
+    key = (fingerprint(bsb), fingerprint(library))
+    capability = cache.capable.get(key)
+    if capability is None:
+        per_type = {optype: frozenset(resource.name for resource
+                                      in library.candidates_for(optype))
+                    for optype in bsb.dfg.op_types()}
+        names = frozenset().union(*per_type.values()) if per_type \
+            else frozenset()
+        capability = cache.capable[key] = (names, per_type)
     return capability
 
 
@@ -140,10 +131,10 @@ def hardware_steps(bsb, allocation, architecture, cache=None):
     """List-schedule length of a BSB under ``allocation``, or ``None``.
 
     ``None`` means the allocation lacks a required unit and the BSB
-    cannot execute in hardware.  ``cache`` — a plain dict of schedule
-    lengths or an :class:`~repro.engine.cache.EvalCache` — memoises
-    schedule lengths across the many allocations an exhaustive search
-    evaluates.
+    cannot execute in hardware.  ``cache`` (an
+    :class:`~repro.engine.cache.EvalCache`, a fresh one when omitted)
+    memoises schedule lengths across the many allocations an exhaustive
+    search evaluates.
 
     Allocations where some type is covered only by a non-designated
     unit (module-selection mixes) are scheduled with the heterogeneous
@@ -152,31 +143,19 @@ def hardware_steps(bsb, allocation, architecture, cache=None):
     library = architecture.library
     if not len(bsb.dfg):
         return 0
-    sched_cache = cache.sched if isinstance(cache, EvalCache) else cache
-    counts = _relevant_counts(bsb, allocation, library, cache=cache)
-    if all(count >= 1 for _, count in counts):
-        key = None
-        if sched_cache is not None:
-            # The legacy plain-dict cache is created fresh per
-            # single-library search, so its keys never needed the
-            # library; the long-lived EvalCache serves sessions that
-            # may evaluate under several libraries.
-            if isinstance(cache, EvalCache):
-                key = (bsb.uid, counts, cache.pin(library))
-            else:
-                key = (bsb.uid, counts)
-            if key in sched_cache:
-                return sched_cache[key]
-        priority = latencies = None
-        if isinstance(cache, EvalCache):
-            priority, latencies = _schedule_inputs(bsb, library, cache)
-        steps = list_schedule(bsb.dfg, dict(counts), library,
-                              priority=priority,
-                              latencies=latencies).length
-        if sched_cache is not None:
-            sched_cache[key] = steps
-        return steps
-    return _hetero_hardware_steps(bsb, allocation, library, cache)
+    if cache is None:
+        cache = EvalCache()
+    counts = _relevant_counts(bsb, allocation, library, cache)
+    if not all(count >= 1 for _, count in counts):
+        return _hetero_hardware_steps(bsb, allocation, library, cache)
+    key = (fingerprint(bsb), counts, fingerprint(library))
+    steps = cache.sched.get(key)
+    if steps is None:
+        priority, latencies = _schedule_inputs(bsb, library, cache)
+        steps = cache.sched[key] = list_schedule(
+            bsb.dfg, dict(counts), library, priority=priority,
+            latencies=latencies).length
+    return steps
 
 
 def _schedule_inputs(bsb, library, cache):
@@ -184,17 +163,16 @@ def _schedule_inputs(bsb, library, cache):
 
     Derived from the memoised ASAP/ALAP intervals (the ALAP start *is*
     the list scheduler's priority), so the many allocations that
-    re-schedule the same DFG pay the graph preprocessing once.
+    re-schedule the same DFG pay the graph preprocessing once.  Both
+    maps are keyed by operation uid, hence by BSB uid here.
     """
-    key = (bsb.uid, cache.pin(library))
+    key = (bsb.uid, fingerprint(library))
     inputs = cache.sched_inputs.get(key)
     if inputs is None:
-        from repro.sched.mobility import asap_alap_intervals
+        from repro.core.furo import bsb_intervals
         from repro.sched.schedule import latency_table
 
-        intervals = asap_alap_intervals(bsb.dfg, library=library,
-                                        cache=cache.intervals,
-                                        cache_key=key)
+        intervals = bsb_intervals(bsb, library, cache)
         priority = {uid: (interval[1], uid)
                     for uid, interval in intervals.items()}
         inputs = (priority, latency_table(bsb.dfg, library=library))
@@ -202,52 +180,37 @@ def _schedule_inputs(bsb, library, cache):
     return inputs
 
 
-def _hetero_relevant(bsb, allocation, library, cache=None):
+def _hetero_relevant(bsb, allocation, library, cache):
     """Allocation restricted to units capable of the BSB's types, or
     ``None`` when some type has no allocated capable unit."""
-    if isinstance(cache, EvalCache):
-        capable, per_type = _capability(bsb, library, cache=cache)
-        for names in per_type.values():
-            if not any(allocation.get(name, 0) for name in names):
-                return None
-        return tuple(sorted((name, count)
-                            for name, count in allocation.items()
-                            if count and name in capable))
-    from repro.core.furo import allocated_units_for
-
-    for optype in bsb.dfg.op_types():
-        if allocated_units_for(optype, allocation, library) < 1:
+    capable, per_type = _capability(bsb, library, cache)
+    for names in per_type.values():
+        if not any(allocation.get(name, 0) for name in names):
             return None
-    return tuple(sorted(
-        (name, count) for name, count in allocation.items()
-        if count and any(library.get(name).executes(optype)
-                         for optype in bsb.dfg.op_types())))
+    return tuple(sorted((name, count)
+                        for name, count in allocation.items()
+                        if count and name in capable))
 
 
 def _hetero_hardware_steps(bsb, allocation, library, cache):
     """Schedule length under a module-selection mix, or ``None``."""
     from repro.sched.hetero_scheduler import hetero_list_schedule
 
-    relevant = _hetero_relevant(bsb, allocation, library, cache=cache)
+    relevant = _hetero_relevant(bsb, allocation, library, cache)
     if relevant is None:
         return None
-    sched_cache = cache.sched if isinstance(cache, EvalCache) else cache
-    if isinstance(cache, EvalCache):
-        key = (bsb.uid, "hetero", relevant, cache.pin(library))
-    else:
-        key = (bsb.uid, "hetero", relevant)
-    if sched_cache is not None and key in sched_cache:
-        return sched_cache[key]
-    steps = hetero_list_schedule(bsb.dfg, dict(relevant), library).length
-    if sched_cache is not None:
-        sched_cache[key] = steps
+    key = (fingerprint(bsb), "hetero", relevant, fingerprint(library))
+    steps = cache.sched.get(key)
+    if steps is None:
+        steps = cache.sched[key] = hetero_list_schedule(
+            bsb.dfg, dict(relevant), library).length
     return steps
 
 
-def _arch_cost_key(architecture, cache):
+def _arch_cost_key(architecture):
     """The architecture knobs a BSBCost depends on, as one key part."""
-    return (cache.pin(architecture.library),
-            cache.processor_token(architecture.processor),
+    return (fingerprint(architecture.library),
+            fingerprint(architecture.processor),
             architecture.hw_cycle_ratio)
 
 
@@ -256,29 +219,49 @@ def _allocation_signature(bsb, allocation, library, cache):
 
     Two allocations with equal signatures yield bit-identical BSBCosts,
     which is what makes the per-BSB cost memo below exact.
-    _cached_bsb_costs computes these same signatures inline over groups
-    of BSBs — keep the two in sync.
+    :func:`_group_signature` computes the same signatures for a whole
+    cost group at once — keep the two in sync.
     """
     if not len(bsb.dfg):
         return ("empty",)
-    counts = _relevant_counts(bsb, allocation, library, cache=cache)
+    counts = _relevant_counts(bsb, allocation, library, cache)
     if all(count >= 1 for _, count in counts):
         return ("homo", counts)
-    return ("hetero", _hetero_relevant(bsb, allocation, library,
-                                       cache=cache))
+    return ("hetero", _hetero_relevant(bsb, allocation, library, cache))
 
 
-def _software_time(bsb, processor, cache=None):
+def _group_signature(identity, allocation):
+    """The allocation signature shared by one cost-plan group.
+
+    ``identity`` is a group of :func:`_cost_plan`; an unexecutable group
+    gets ``("hetero", None)``, so every allocation that leaves it in
+    software shares one signature (and thus one cost object), exactly
+    like :func:`_hetero_relevant`'s ``None`` case.
+    """
+    if identity is None:
+        return ("empty",)
+    ops, capable, type_sets = identity
+    get = allocation.get
+    counts = tuple((name, min(get(name, 0), need)) for name, need in ops)
+    if all(count >= 1 for _, count in counts):
+        return ("homo", counts)
+    if all(any(get(name, 0) for name in names) for names in type_sets):
+        return ("hetero", tuple(sorted(
+            (name, count) for name, count in allocation.items()
+            if count and name in capable)))
+    return ("hetero", None)
+
+
+def _software_time(bsb, processor, cache):
     """Memoised :func:`bsb_software_time` (allocation-independent)."""
-    if isinstance(cache, EvalCache):
-        key = (bsb.uid, cache.processor_token(processor))
-        if key not in cache.sw_times:
-            cache.sw_times[key] = bsb_software_time(bsb, processor)
-        return cache.sw_times[key]
-    return bsb_software_time(bsb, processor)
+    key = (fingerprint(bsb), fingerprint(processor))
+    sw_time = cache.sw_times.get(key)
+    if sw_time is None:
+        sw_time = cache.sw_times[key] = bsb_software_time(bsb, processor)
+    return sw_time
 
 
-def _bsb_energy_pair(bsb, architecture, cache=None):
+def _bsb_energy_pair(bsb, architecture, cache):
     """(software, hardware) energy of one BSB over the whole run.
 
     The software side prices the serial cycle count at the processor's
@@ -292,11 +275,11 @@ def _bsb_energy_pair(bsb, architecture, cache=None):
     move to hardware anyway.
     """
     processor = architecture.processor
-    sw_energy = (_software_time(bsb, processor, cache=cache)
+    sw_energy = (_software_time(bsb, processor, cache)
                  * processor.energy_per_cycle)
     library = architecture.library
     try:
-        ops = _ops_per_resource(bsb, library, cache=cache)
+        ops = _ops_per_resource(bsb, library, cache)
     except ResourceError:
         return (sw_energy, None)
     hw_energy = bsb.profile_count * sum(
@@ -312,17 +295,15 @@ def bsb_energy_pairs(bsbs, architecture, cache=None):
     branch-and-bound ``bounds`` stage, because the pairs are trivially
     cheap and charging lookups would shift every reported hit rate.
     """
-    if isinstance(cache, EvalCache):
-        key = (cache.uid_key(bsbs), cache.pin(architecture.library),
-               cache.processor_token(architecture.processor))
-        pairs = cache.energies.get(key)
-        if pairs is None:
-            pairs = tuple(_bsb_energy_pair(bsb, architecture, cache=cache)
-                          for bsb in bsbs)
-            cache.energies[key] = pairs
-        return pairs
-    return tuple(_bsb_energy_pair(bsb, architecture, cache=cache)
-                 for bsb in bsbs)
+    if cache is None:
+        cache = EvalCache()
+    key = (cache.array_key(bsbs), fingerprint(architecture.library),
+           fingerprint(architecture.processor))
+    pairs = cache.energies.get(key)
+    if pairs is None:
+        pairs = cache.energies[key] = tuple(
+            _bsb_energy_pair(bsb, architecture, cache) for bsb in bsbs)
+    return pairs
 
 
 def partition_energy(pairs, hw_sequences):
@@ -343,7 +324,7 @@ def partition_energy(pairs, hw_sequences):
 
 
 def _compute_bsb_cost(bsb, allocation, architecture, cache):
-    sw_time = _software_time(bsb, architecture.processor, cache=cache)
+    sw_time = _software_time(bsb, architecture.processor, cache)
     steps = hardware_steps(bsb, allocation, architecture, cache=cache)
     if steps is None:
         hw_time = None
@@ -366,28 +347,27 @@ def _compute_bsb_cost(bsb, allocation, architecture, cache):
 def bsb_cost(bsb, allocation, architecture, cache=None):
     """Compute the :class:`BSBCost` of one BSB under ``allocation``.
 
-    With an :class:`~repro.engine.cache.EvalCache` the whole cost object
-    is memoised by its true inputs — the BSB, the allocation counts the
-    BSB can use, and the architecture knobs entering the cost — so the
-    exhaustive search's thousands of allocations collapse onto a few
-    distinct cost signatures per BSB.
+    The cost object is memoised by its true inputs — the BSB, the
+    allocation counts the BSB can use, and the architecture knobs
+    entering the cost — so the exhaustive search's thousands of
+    allocations collapse onto a few distinct cost signatures per BSB.
     """
-    if not isinstance(cache, EvalCache):
-        return _compute_bsb_cost(bsb, allocation, architecture, cache)
-    # Same key shape as _cached_bsb_costs (and _allocation_signature
-    # computes the same signatures as its grouped inline form), so both
-    # entry points share one memo entry per logical cost.
-    key = (bsb.uid,
+    if cache is None:
+        cache = EvalCache()
+    # Same key shape as bsb_costs (and _allocation_signature computes
+    # the same signatures as _group_signature), so both entry points
+    # share one memo entry per logical cost.
+    key = (fingerprint(bsb),
            _allocation_signature(bsb, allocation, architecture.library,
                                  cache),
-           _arch_cost_key(architecture, cache))
+           _arch_cost_key(architecture))
     cost = cache.costs.get(key)
     if cost is not None:
         cache.stats.hit("cost")
         return cost
     cache.stats.miss("cost")
-    cost = _compute_bsb_cost(bsb, allocation, architecture, cache)
-    cache.costs[key] = cost
+    cost = cache.costs[key] = _compute_bsb_cost(bsb, allocation,
+                                                architecture, cache)
     return cost
 
 
@@ -400,7 +380,7 @@ def _cost_plan(bsbs, library, cache):
     allocation, so one evaluation needs each distinct signature once.
     Returns (per-BSB group indices, group identity list).
     """
-    plan_key = (cache.uid_key(bsbs), cache.pin(library))
+    plan_key = (cache.array_key(bsbs), fingerprint(library))
     plan = cache.cost_plans.get(plan_key)
     if plan is not None:
         return plan
@@ -411,8 +391,8 @@ def _cost_plan(bsbs, library, cache):
         if not len(bsb.dfg):
             identity = None
         else:
-            ops = _ops_per_resource(bsb, library, cache=cache)
-            capable, per_type = _capability(bsb, library, cache=cache)
+            ops = _ops_per_resource(bsb, library, cache)
+            capable, per_type = _capability(bsb, library, cache)
             type_sets = tuple(names for _, names in sorted(
                 per_type.items(), key=lambda item: item[0].value))
             identity = (ops, capable, type_sets)
@@ -427,43 +407,45 @@ def _cost_plan(bsbs, library, cache):
     return plan
 
 
-def _cached_bsb_costs(bsbs, allocation, architecture, cache):
-    """Memoised cost array: one signature per group, one get per BSB."""
-    library = architecture.library
-    members, group_list = _cost_plan(bsbs, library, cache)
-    arch_key = _arch_cost_key(architecture, cache)
-    get = allocation.get
-    signatures = []
-    for identity in group_list:
-        if identity is None:
-            signatures.append(("empty",))
-            continue
-        ops, capable, type_sets = identity
-        counts = tuple((name, min(get(name, 0), need))
-                       for name, need in ops)
-        if all(count >= 1 for _, count in counts):
-            signatures.append(("homo", counts))
-        elif all(any(get(name, 0) for name in names)
-                 for names in type_sets):
-            signatures.append(("hetero", tuple(sorted(
-                (name, count) for name, count in allocation.items()
-                if count and name in capable))))
-        else:
-            # Unexecutable under this allocation: every such allocation
-            # shares one signature (and thus one cost object), exactly
-            # like _hetero_relevant's None case.
-            signatures.append(("hetero", None))
+class CostArray(list):
+    """A BSB cost array that knows its content key.
+
+    ``content`` is (array fingerprints, arch, per-cost-group
+    signatures): the cost memo keys each BSB by (fingerprint,
+    signature, arch), and this carries the same information for the
+    whole array with one arch part and one signature per group.  PACE
+    results are memoised under it (see
+    :func:`repro.partition.evaluate._partition`).
+    """
+
+    __slots__ = ("content",)
+
+
+def bsb_costs(bsbs, allocation, architecture, cache=None):
+    """Per-BSB costs for the whole application, in array order.
+
+    One signature per cost group, one memo probe per BSB; returns a
+    :class:`CostArray`.
+    """
+    if cache is None:
+        cache = EvalCache()
+    members, group_list = _cost_plan(bsbs, architecture.library, cache)
+    array_key = cache.array_key(bsbs)
+    arch_key = _arch_cost_key(architecture)
+    signatures = tuple(_group_signature(identity, allocation)
+                       for identity in group_list)
     costs_memo = cache.costs
     hits = 0
     misses = 0
-    result = []
-    for bsb, index in zip(bsbs, members):
-        key = (bsb.uid, signatures[index], arch_key)
+    result = CostArray()
+    result.content = (array_key, arch_key, signatures)
+    for bsb, fp, index in zip(bsbs, array_key, members):
+        key = (fp, signatures[index], arch_key)
         cost = costs_memo.get(key)
         if cost is None:
             misses += 1
-            cost = _compute_bsb_cost(bsb, allocation, architecture, cache)
-            costs_memo[key] = cost
+            cost = costs_memo[key] = _compute_bsb_cost(
+                bsb, allocation, architecture, cache)
         else:
             hits += 1
         result.append(cost)
@@ -473,11 +455,3 @@ def _cached_bsb_costs(bsbs, allocation, architecture, cache):
     if misses:
         stats.misses["cost"] = stats.misses.get("cost", 0) + misses
     return result
-
-
-def bsb_costs(bsbs, allocation, architecture, cache=None):
-    """Per-BSB costs for the whole application, in array order."""
-    if isinstance(cache, EvalCache):
-        return _cached_bsb_costs(bsbs, allocation, architecture, cache)
-    return [bsb_cost(bsb, allocation, architecture, cache=cache)
-            for bsb in bsbs]

@@ -1,8 +1,9 @@
 """Drivers for every experiment in the paper's evaluation section.
 
 Each function regenerates one table or figure; the benchmarks and the
-CLI are thin wrappers around these.  See DESIGN.md's experiment index
-(T1, F3, F5, S51, T1n, C44) and EXPERIMENTS.md for measured results.
+CLI are thin wrappers around these.  Each ``benchmarks/bench_<id>_*.py``
+module (T1, F3, F5, S51, T1n, C44) regenerates one experiment and
+asserts its qualitative shape.
 """
 
 from dataclasses import dataclass

@@ -9,31 +9,19 @@ from repro.sched.alap import alap_schedule
 from repro.sched.asap import asap_schedule
 
 
-def asap_alap_intervals(dfg, library=None, default_latency=1,
-                        cache=None, cache_key=None):
+def asap_alap_intervals(dfg, library=None, default_latency=1):
     """Per-operation (asap_start, alap_start) pairs.
 
     Returns a mapping uid -> (asap, alap) where both bounds refer to the
     operation's *start* step, the interval over which the final schedule
-    may place the operation.
-
-    ``cache``/``cache_key`` memoise the result in a caller-provided
-    mapping: a DFG carries no identity token of its own, so the caller
-    supplies the stable key (BSB callers use their uid plus the library
-    identity).  Both ASAP and ALAP runs are skipped on a hit — the
-    engine re-prioritises allocations many times over the same BSBs.
+    may place the operation.  The engine memoises the result per BSB
+    (:func:`repro.core.furo.bsb_intervals`): it re-prioritises
+    allocations many times over the same BSBs.
     """
-    if cache is not None and cache_key is not None:
-        intervals = cache.get(cache_key)
-        if intervals is not None:
-            return intervals
     asap = asap_schedule(dfg, library=library, default_latency=default_latency)
     alap = alap_schedule(dfg, library=library, default_latency=default_latency)
-    intervals = {op.uid: (asap.start(op), alap.start(op))
-                 for op in dfg.operations()}
-    if cache is not None and cache_key is not None:
-        cache[cache_key] = intervals
-    return intervals
+    return {op.uid: (asap.start(op), alap.start(op))
+            for op in dfg.operations()}
 
 
 def mobility(interval):

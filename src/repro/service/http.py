@@ -74,6 +74,10 @@ CACHE_REVALIDATE = "no-cache"
 #: The HTML documents' content type (reports, dashboard).
 HTML_CONTENT_TYPE = "text/html; charset=utf-8"
 
+#: How often the serving thread checks for shutdown (seconds): stop()
+#: waits out at most one interval instead of socketserver's 0.5 s.
+SHUTDOWN_POLL_SECONDS = 0.05
+
 
 class ApiKey:
     """One API key's identity: client label, weight, in-flight quota."""
@@ -224,6 +228,7 @@ class HttpGateway:
         self.address = self._httpd.server_address[:2]
         self._thread = threading.Thread(
             target=self._httpd.serve_forever,
+            kwargs={"poll_interval": SHUTDOWN_POLL_SECONDS},
             name="lycos-http", daemon=True)
         self._thread.start()
         return self

@@ -47,7 +47,7 @@ worker's one persistent connection:
 ``join`` registers a remote engine (auth first, like every op);
 ``lease`` long-polls for placed units; ``delta`` delivers evaluated
 results plus an optional cache-store delta.  Store deltas are the
-stable-encoded entry mappings of
+content-keyed entry mappings of
 :meth:`~repro.engine.store.CacheStore.export_delta` — the exact
 structures the store pickles to its shards — so the wire form is a
 zlib-compressed pickle in base64 (:func:`encode_store_delta`), split
@@ -336,7 +336,7 @@ def encode_store_delta(delta):
 def decode_store_delta(blob):
     """Decode one wire store delta; :class:`ProtocolError` when bad.
 
-    Anything short of a well-shaped ``{stage: {stable key: value}}``
+    Anything short of a well-shaped ``{stage: {key: value}}``
     mapping — bad base64, bad zlib, a truncated pickle, the wrong
     structure — rejects the frame.  Only call this for blobs received
     from a *joined* engine: decoding is unpickling, and the join

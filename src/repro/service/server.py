@@ -30,7 +30,7 @@ Concurrency model (the single-writer rule, unchanged in spirit):
   processes each hold a session hydrated from the same ``cache_dir``;
   dispatch threads block on the pool while the event loop stays
   responsive.  Workers (pool *and* remote) never write shards — their
-  stable-encoded store deltas travel back and are absorbed on the
+  content-keyed store deltas travel back and are absorbed on the
   engine thread, which remains the store's only writer.
 
 Durability: the engine thread rate-limits flushes through
@@ -103,7 +103,7 @@ def _pooled_point(point):
     Runs in a worker process initialised by
     :func:`repro.engine.session._worker_init`; reuses the chunk
     plumbing with a one-point chunk, so the result ships with the
-    worker's hit/miss delta and the stable-encoded store delta for the
+    worker's hit/miss delta and the content-keyed store delta for the
     parent (the single writer) to absorb.
     """
     from repro.engine import session as session_module

@@ -66,22 +66,6 @@ class TestEvaluateParity:
             assert_same_evaluation(plain, cached)
             assert cached is rewarmed
 
-    def test_legacy_dict_cache_matches(self, library, small_app):
-        architecture = TargetArchitecture(library=library,
-                                          total_area=6000.0)
-        legacy = {}
-        session = Session(library=library)
-        for allocation in ({"multiplier": 1, "adder": 1},
-                           {"multiplier": 2, "adder": 2},
-                           {"multiplier": 3}):
-            allocation = RMap(allocation)
-            plain = evaluate_allocation(small_app, allocation,
-                                        architecture, area_quanta=100,
-                                        cache=legacy)
-            cached = session.evaluate(small_app, allocation, architecture,
-                                      area_quanta=100)
-            assert_same_evaluation(plain, cached)
-
     def test_session_matches_uncached_on_hal(self):
         session = Session()
         program = session.program("hal")

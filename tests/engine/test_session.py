@@ -199,20 +199,17 @@ class TestExplore:
 
 
 class TestEvalCache:
-    def test_pin_keeps_ids_stable(self):
-        cache = EvalCache()
-        obj = object()
-        assert cache.pin(obj) == cache.pin(obj) == id(obj)
-
     def test_processor_token_by_value(self):
+        from repro.engine.cache import fingerprint
         from repro.swmodel.processor import default_processor
 
-        cache = EvalCache()
-        assert (cache.processor_token(default_processor())
-                == cache.processor_token(default_processor()))
+        assert (fingerprint(default_processor())
+                == fingerprint(default_processor()))
 
-    def test_uid_key_memoised_per_list(self, small_app):
+    def test_array_key_memoised_per_list(self, small_app):
+        from repro.engine.cache import fingerprint
+
         cache = EvalCache()
-        assert cache.uid_key(small_app) is cache.uid_key(small_app)
-        assert cache.uid_key(small_app) == \
-            tuple(bsb.uid for bsb in small_app)
+        assert cache.array_key(small_app) is cache.array_key(small_app)
+        assert cache.array_key(small_app) == \
+            tuple(fingerprint(bsb) for bsb in small_app)

@@ -3,6 +3,7 @@
 import pytest
 
 from repro.core.rmap import RMap
+from repro.engine.cache import EvalCache
 from repro.errors import PartitionError
 from repro.ir.ops import OpType
 from repro.partition.evaluate import evaluate_allocation
@@ -67,12 +68,12 @@ class TestEvaluate:
     def test_cache_shared_across_evaluations(self, library, app):
         architecture = TargetArchitecture(library=library,
                                           total_area=10000.0)
-        cache = {}
+        cache = EvalCache()
         evaluate_allocation(app, RMap({"multiplier": 2, "adder": 3}),
                             architecture, cache=cache)
-        populated = len(cache)
+        populated = len(cache.sched)
         assert populated > 0
         evaluate_allocation(app, RMap({"multiplier": 2, "adder": 3,
                                        "divider": 1}),
                             architecture, cache=cache)
-        assert len(cache) == populated  # divider is irrelevant
+        assert len(cache.sched) == populated  # divider is irrelevant

@@ -95,8 +95,28 @@ class RawWorker:
                              "max": max_units, "wait": wait})
 
     def vanish(self):
-        """Die without a word — the mid-lease crash."""
+        """Die without a word — the mid-lease crash.
+
+        The ``makefile`` stream holds its own reference to the socket,
+        so it must close too before the kernel sends the FIN.
+        """
+        self.stream.close()
         self.sock.close()
+
+
+def wait_for_requeue(client, engine, timeout):
+    """Poll ping until ``engine`` is dead with nothing in flight (its
+    units re-queued); returns the seconds that took."""
+    started = time.monotonic()
+    while time.monotonic() - started < timeout:
+        roster = {entry["engine"]: entry
+                  for entry in client.ping()["engines"]}
+        if not roster[engine]["alive"] and \
+                roster[engine]["in_flight"] == 0:
+            return time.monotonic() - started
+        time.sleep(0.02)
+    raise AssertionError("%s's units were not re-queued within %.1fs"
+                         % (engine, timeout))
 
 
 class TestRemoteParity:
@@ -201,6 +221,9 @@ class TestFaultInjection:
         leased = doomed.lease(max_units=2, wait=10.0)["points"]
         assert len(leased) == 2  # really held mid-lease
         doomed.vanish()
+        # The dropped connection alone fails the engine — long before
+        # the 30 s reaper could.
+        wait_for_requeue(client, "doomed", timeout=1.0)
         # The survivor joins after the crash and must still see every
         # point — the dead engine's leases and lane re-queue onto it.
         survivor = WorkerThread(harness, "survivor")
@@ -212,6 +235,24 @@ class TestFaultInjection:
         assert roster["doomed"]["alive"] is False
         assert roster["doomed"]["in_flight"] == 0
         assert roster["survivor"]["done"] == len(FABRIC_GRID)
+        harness.stop()
+        survivor.join()
+
+    def test_silent_worker_is_reaped(self, make_harness):
+        # A hung worker keeps its socket open and sends nothing: only
+        # the heartbeat reaper can notice, after engine_timeout.
+        harness = make_harness(local_engines=0, engine_timeout=0.5)
+        client = harness.client()
+        job = client.submit(FABRIC_GRID)
+        silent = RawWorker(harness, "silent", slots=2)
+        leased = silent.lease(max_units=2, wait=10.0)["points"]
+        assert len(leased) == 2
+        waited = wait_for_requeue(client, "silent", timeout=5.0)
+        assert waited >= 0.3  # the reaper, not a disconnect
+        survivor = WorkerThread(harness, "survivor")
+        results = client.collect(job)
+        assert_matches_serial(results, FABRIC_GRID)
+        silent.vanish()
         harness.stop()
         survivor.join()
 
@@ -311,6 +352,7 @@ class TestFaultInjection:
         # The rogue disconnects; its lease re-queues and an honest
         # worker completes the job bit-identical to serial.
         rogue.vanish()
+        wait_for_requeue(client, "rogue", timeout=1.0)
         honest = WorkerThread(harness, "honest")
         results = client.collect(job)
         assert_matches_serial(results, GRID_A)
