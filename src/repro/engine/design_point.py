@@ -8,6 +8,7 @@ what makes points usable as cache keys and safe to ship to worker
 processes.
 """
 
+import math
 from dataclasses import dataclass, field
 
 from repro.errors import ReproError
@@ -15,6 +16,10 @@ from repro.errors import ReproError
 #: Module-selection policies understood by the engine (None means the
 #: paper's designated-unit Algorithm 1).
 POLICY_NAMES = ("fastest", "cheapest", "balanced")
+
+#: Largest PACE resolution a point may ask for.  The DP's arrays grow
+#: with it, and points arrive from the wire, so it must be bounded.
+MAX_QUANTA = 10_000
 
 
 @dataclass(frozen=True)
@@ -24,13 +29,14 @@ class DesignPoint:
     Attributes:
         app: Benchmark name from the application registry
             (``straight``, ``hal``, ``man``, ``eigen``).
-        area: Total ASIC area in gate equivalents; ``None`` uses the
-            registry spec's Table 1 area.
+        area: Total ASIC area in gate equivalents (positive and
+            finite); ``None`` uses the registry spec's Table 1 area.
         policy: Module-selection policy name (one of
             :data:`POLICY_NAMES`) or ``None`` for the designated-unit
             Algorithm 1 of the paper.
-        quanta: PACE area-axis resolution.
-        comm_cycles_per_word: HW/SW interface cost in CPU cycles.
+        quanta: PACE area-axis resolution, at most :data:`MAX_QUANTA`.
+        comm_cycles_per_word: HW/SW interface cost in CPU cycles
+            (finite, >= 0).
     """
 
     app: str
@@ -43,19 +49,22 @@ class DesignPoint:
         if not isinstance(self.app, str) or not self.app:
             raise ReproError("DesignPoint.app must be a benchmark name, "
                              "got %r" % (self.app,))
-        if self.area is not None and self.area <= 0:
-            raise ReproError("DesignPoint.area must be positive, got %r"
-                             % (self.area,))
+        if self.area is not None and not (self.area > 0
+                                          and math.isfinite(self.area)):
+            raise ReproError("DesignPoint.area must be positive and "
+                             "finite, got %r" % (self.area,))
         if self.policy is not None and self.policy not in POLICY_NAMES:
             raise ReproError(
                 "DesignPoint.policy must be one of %s or None, got %r"
                 % (", ".join(POLICY_NAMES), self.policy))
-        if self.quanta < 1:
-            raise ReproError("DesignPoint.quanta must be >= 1, got %r"
-                             % (self.quanta,))
-        if self.comm_cycles_per_word < 0:
+        if not 1 <= self.quanta <= MAX_QUANTA:
+            raise ReproError("DesignPoint.quanta must be in 1..%d, got %r"
+                             % (MAX_QUANTA, self.quanta))
+        if not (self.comm_cycles_per_word >= 0
+                and math.isfinite(self.comm_cycles_per_word)):
             raise ReproError("DesignPoint.comm_cycles_per_word must be "
-                             ">= 0, got %r" % (self.comm_cycles_per_word,))
+                             "finite and >= 0, got %r"
+                             % (self.comm_cycles_per_word,))
 
 
 @dataclass(frozen=True)

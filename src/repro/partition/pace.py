@@ -18,10 +18,12 @@ never violated).
 
 import math
 from dataclasses import dataclass, field
+from itertools import chain
 
 try:
     import numpy as _np
-except ImportError:  # pragma: no cover - the environment bakes numpy in
+    from numpy.lib.stride_tricks import as_strided
+except ImportError:  # numpy is the optional ``fast`` extra
     _np = None
 
 from repro.errors import PartitionError
@@ -57,30 +59,31 @@ class PartitionResult:
 
 
 class SequenceTable:
-    """Gain and area of feasible contiguous sequences, area-prunable.
+    """Gain and area of the positive-gain contiguous sequences, area-prunable.
 
     A sequence's gain and area do not depend on the controller area
     available — only on its BSB costs and the communication model.  The
     area constraint merely *prunes* which sequences are worth keeping.
-    The table therefore builds entries lazily up to the largest area
+    The table therefore builds sequences lazily up to the largest area
     horizon ever queried and serves smaller areas by filtering, so
     incremental-area re-partitions — the exhaustive search evaluating
     many allocations whose cost arrays coincide while their data-path
     areas differ — reuse all sequence work done so far.
 
-    Entries map ``(first, last)`` (inclusive, 0-based) to
-    ``(gain_cycles, area)``; sequences containing an unmovable BSB are
-    absent.  A table must only be queried with the exact ``costs`` and
-    ``architecture`` it was built from.
+    Only sequences that save cycles can ever be chosen, so only those
+    are kept: ``(last, first, gain_cycles, area)`` tuples (inclusive,
+    0-based) sorted by (last, first), the order the DP reads them in.
+    Sequences containing an unmovable BSB are absent.  A table must
+    only be queried with the exact ``costs`` and ``architecture`` it was
+    built from.
     """
 
-    __slots__ = ("_costs", "_architecture", "_entries", "_horizon",
-                 "_resume", "_positive", "_fields")
+    __slots__ = ("_costs", "_architecture", "_horizon", "_resume",
+                 "_positive", "_fields")
 
     def __init__(self, costs, architecture):
         self._costs = list(costs)
         self._architecture = architecture
-        self._entries = {}
         self._positive = []
         self._horizon = 0.0
         # Cost attributes unpacked once into parallel tuples: the build
@@ -100,33 +103,17 @@ class SequenceTable:
                         for first, cost in enumerate(self._costs)
                         if cost.movable}
 
-    def __len__(self):
-        return len(self._entries)
-
     @property
     def horizon(self):
         """Largest area the table has been built for so far."""
         return self._horizon
 
-    def entries(self, available_area):
-        """dict (first, last) -> (gain, area) of sequences fitting the area.
-
-        Growing queries extend the table in place; shrinking queries
-        prune the already-built entries without recomputation.
-        """
-        if available_area > self._horizon:
-            self._extend(available_area)
-        if available_area >= self._horizon:
-            return self._entries
-        return {key: value for key, value in self._entries.items()
-                if value[1] <= available_area}
-
     def positive_entries(self, available_area):
         """(last, first, gain, area) of positive-gain sequences that fit.
 
-        The flat-list form the DP consumes: only sequences that save
-        cycles can ever be chosen, so the losers are filtered once at
-        build time instead of on every partition call.
+        Sorted by (last, first).  Growing queries extend the table in
+        place; shrinking queries filter the already-built sequences
+        without recomputation.
         """
         if available_area > self._horizon:
             self._extend(available_area)
@@ -142,11 +129,10 @@ class SequenceTable:
         # written variable is conservatively transferred) by the writes,
         # the activation count is the running min profile count, and the
         # gain sum accumulates in the same left-to-right order as the
-        # from-scratch sum() — so entries are bit-identical to a rebuild.
+        # from-scratch sum() — so gains are bit-identical to a rebuild.
         fields = self._fields
         comm_per_word = self._architecture.comm_cycles_per_word
         count = len(fields)
-        entries = self._entries
         positive = self._positive
         finished = []
         for first, state in self._resume.items():
@@ -168,7 +154,6 @@ class SequenceTable:
                 comm = comm_per_word * ((len(live_in) + len(defined))
                                         * min_profile)
                 gain = gain_sum - comm
-                entries[(first, last)] = (gain, area)
                 if gain > 0:
                     positive.append((last, first, gain, area))
                 last += 1
@@ -179,6 +164,7 @@ class SequenceTable:
                                        min_profile, gain_sum)
         for first in finished:
             del self._resume[first]
+        positive.sort()
         self._horizon = horizon
 
 
@@ -217,12 +203,6 @@ def _quantized_by_last(positive, quantum, count):
     for entries in seq_by_last:
         entries.sort()
     return seq_by_last
-
-
-#: BSB-array size from which the vectorised DP beats the plain one (the
-#: per-vector numpy overhead loses on the paper's small benchmarks but
-#: wins ~15% on eigen-sized arrays; measured on the Table 1 suite).
-_NUMPY_DP_MIN_BSBS = 32
 
 
 def _dp_python(count, width, seq_by_last):
@@ -269,60 +249,72 @@ def _dp_python(count, width, seq_by_last):
     return total_saving, hw_sequences
 
 
-def _dp_numpy(count, width, seq_by_last):
-    """The same DP with whole area rows relaxed as numpy vectors.
+def _quantize_array(areas, quantum):
+    """:func:`_quantize` over a float64 array, operation for operation."""
+    ratio = areas / quantum
+    needed = _np.ceil(ratio - _QUANTIZE_RTOL * _np.maximum(ratio, 1.0))
+    return _np.maximum(needed, 1.0).astype(_np.intp)
 
-    Per-element float64 additions and strict comparisons match the
-    Python path operation for operation, so savings and choices are
-    bit-identical; only the loop over area quanta moves into C.
+
+def _dp_vectorised(count, width, positive, quantum):
+    """The same DP over numpy rows, read straight from the sorted table.
+
+    The forward pass computes only the saving rows: row j relaxes every
+    sequence ending at BSB j-1 with one gather and one max.  Each
+    candidate is the float64 addition the Python path makes and max is
+    exact, so the rows are bit-identical to it.  The choices are then
+    recovered on the traceback by applying the Python path's tie-break
+    at the (at most ``count``) states it visits.
     """
-    best = _np.zeros((count + 1, width))
-    choice_first = _np.full((count + 1, width), -1, dtype=_np.int32)
-    choice_wprev = _np.zeros((count + 1, width), dtype=_np.int32)
-    columns = _np.arange(width)
+    if not positive:
+        return 0.0, []
+    lasts, firsts, gains, areas = _np.fromiter(
+        chain.from_iterable(positive), float,
+        4 * len(positive)).reshape(-1, 4).T
+    needed = _np.minimum(_quantize_array(areas, quantum), width)
+    # Row j of ``best`` is ``width`` cells of -inf, then values[j].  The
+    # width-long window of the flat array that starts ``needed`` cells
+    # before values[first] thus holds a sequence's candidate base for
+    # every w, -inf wherever w < needed; one clamped to needed == width
+    # reads only padding, which drops it as the Python path's
+    # ``needed >= width`` test does.
+    stride = 2 * width
+    best = _np.full((count + 1, stride), -_np.inf)
+    values = best[:, width:]
+    values[0] = 0.0
+    flat = best.ravel()
+    windows = as_strided(flat, (flat.size - width + 1, width),
+                         (flat.itemsize, flat.itemsize), writeable=False)
+    offsets = firsts.astype(_np.intp) * stride + width - needed
+    gain_column = gains[:, None]
+    bounds = _np.searchsorted(lasts, _np.arange(count + 1)).tolist()
     for j in range(1, count + 1):
-        row = best[j]
-        row[:] = best[j - 1]
-        # Rows are nondecreasing in w, so a sequence whose best
-        # candidate cannot beat the cheapest target state of the
-        # *pre-relaxation* row (which only grows) can never win.
-        live = [(first, gain, needed)
-                for first, gain, needed in seq_by_last[j - 1]
-                if needed < width
-                and best[first][width - 1 - needed] + gain > row[needed]]
-        if not live:
+        start, stop = bounds[j - 1], bounds[j]
+        if start == stop:
+            values[j] = values[j - 1]
             continue
-        # All candidate rows at once: stack[0] keeps BSB j-1 in
-        # software; stack[i] moves sequence live[i-1].  argmax takes the
-        # first row achieving the maximum, which reproduces the
-        # sequential strict-> relaxation's tie-break (earliest wins).
-        stack = _np.full((len(live) + 1, width), -_np.inf)
-        stack[0] = row
-        for index, (first, gain, needed) in enumerate(live, start=1):
-            stack[index, needed:] = best[first][:width - needed] + gain
-        winner = stack.argmax(axis=0)
-        row[:] = stack[winner, columns]
-        updated = _np.nonzero(winner)[0]
-        if updated.size:
-            firsts = _np.fromiter((entry[0] for entry in live),
-                                  dtype=_np.int32, count=len(live))
-            neededs = _np.fromiter((entry[2] for entry in live),
-                                   dtype=_np.int32, count=len(live))
-            chosen = winner[updated] - 1
-            choice_first[j, updated] = firsts[chosen]
-            choice_wprev[j, updated] = updated - neededs[chosen]
+        candidates = windows[offsets[start:stop]]
+        candidates += gain_column[start:stop]
+        _np.maximum(values[j - 1], _np.maximum.reduce(candidates),
+                    out=values[j])
 
+    # The Python path's choice at (j, w): BSB j-1 stays in software when
+    # the row did not rise there, else the earliest-relaxed (lowest
+    # first) sequence whose candidate reaches the row's value.
     hw_sequences = []
     j, w = count, width - 1
-    total_saving = float(best[count, width - 1])
+    total_saving = float(values[count, w])
     while j > 0:
-        first = int(choice_first[j, w])
-        if first < 0:
+        value = values[j, w]
+        if value == values[j - 1, w]:
             j -= 1
             continue
-        w_prev = int(choice_wprev[j, w])
+        start, stop = bounds[j - 1], bounds[j]
+        candidates = windows[offsets[start:stop], w] + gains[start:stop]
+        index = start + int((candidates == value).argmax())
+        first = int(firsts[index])
         hw_sequences.append((first, j - 1))
-        j, w = first, w_prev
+        j, w = first, w - int(needed[index])
     hw_sequences.reverse()
     return total_saving, hw_sequences
 
@@ -356,25 +348,18 @@ def pace_partition(costs, architecture, available_area, area_quanta=400,
     if sequence_table is None:
         sequence_table = SequenceTable(costs, architecture)
 
-    # Ties on equal savings go to the earliest-relaxed sequence, so the
-    # ascending-first order _quantized_by_last returns is part of the
-    # DP's contract.
+    # best[j][w]: max saving considering BSBs[0..j-1] with w quanta.  Ties
+    # on equal savings go to the earliest-relaxed sequence, so the
+    # ascending-first order of the table's entries is part of the DP's
+    # contract; both paths compute bit-identical savings and choices.
     width = area_quanta + 1
-    seq_by_last = _quantized_by_last(
-        sequence_table.positive_entries(available_area), quantum, count)
-
-    # best[j][w]: max saving considering BSBs[0..j-1] with w quanta;
-    # the choice arrays record, per state, the moved sequence's first
-    # index (-1: BSB j-1 stays in software) and the w it transitioned
-    # from.  Both paths perform the identical float additions and strict
-    # comparisons in the identical order, so their savings and choices
-    # are bit-for-bit the same; the numpy path relaxes whole area rows
-    # at once, which only pays off once the instance is large enough to
-    # amortise the per-vector overhead.
-    if _np is not None and count >= _NUMPY_DP_MIN_BSBS:
-        total_saving, hw_sequences = _dp_numpy(count, width, seq_by_last)
+    positive = sequence_table.positive_entries(available_area)
+    if _np is not None:
+        total_saving, hw_sequences = _dp_vectorised(count, width,
+                                                    positive, quantum)
     else:
-        total_saving, hw_sequences = _dp_python(count, width, seq_by_last)
+        total_saving, hw_sequences = _dp_python(
+            count, width, _quantized_by_last(positive, quantum, count))
 
     hw_names = []
     controller_area_used = 0.0

@@ -1,10 +1,15 @@
 """Tests for the prunable SequenceTable and the PACE DP rewrite."""
 
 import math
+import random
+from unittest import mock
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import repro.partition.pace as pace_module
+from repro.hwlib.library import default_library
 from repro.partition.communication import sequence_communication_time
 from repro.partition.model import BSBCost, TargetArchitecture
 from repro.partition.pace import (
@@ -13,6 +18,9 @@ from repro.partition.pace import (
     _quantized_by_last,
     pace_partition,
 )
+
+needs_numpy = pytest.mark.skipif(pace_module._np is None,
+                                 reason="numpy unavailable")
 
 
 def make_cost(name, sw, hw, area, profile=1, reads=(), writes=()):
@@ -66,45 +74,55 @@ def reference_tables(costs, architecture, available_area):
     return tables
 
 
+def reference_positive(costs, architecture, available_area):
+    """The oracle's positive-gain sequences in the table's entry order."""
+    return sorted((last, first, gain, area)
+                  for (first, last), (gain, area)
+                  in reference_tables(costs, architecture,
+                                      available_area).items()
+                  if gain > 0)
+
+
 class TestSequenceTable:
     @pytest.mark.parametrize("available", [50.0, 100.0, 150.0, 1000.0])
     def test_matches_reference(self, costs, architecture, available):
         table = SequenceTable(costs, architecture)
-        assert table.entries(available) == \
-            reference_tables(costs, architecture, available)
+        assert table.positive_entries(available) == \
+            reference_positive(costs, architecture, available)
 
     def test_growing_queries_extend_in_place(self, costs, architecture):
         table = SequenceTable(costs, architecture)
-        small = dict(table.entries(80.0))
-        assert small == reference_tables(costs, architecture, 80.0)
-        large = table.entries(500.0)
-        assert large == reference_tables(costs, architecture, 500.0)
+        small = list(table.positive_entries(80.0))
+        assert small == reference_positive(costs, architecture, 80.0)
+        large = table.positive_entries(500.0)
+        assert large == reference_positive(costs, architecture, 500.0)
         assert table.horizon == 500.0
 
     def test_shrinking_queries_prune(self, costs, architecture):
         table = SequenceTable(costs, architecture)
-        table.entries(1000.0)
-        entries = len(table)
-        pruned = table.entries(90.0)
-        assert pruned == reference_tables(costs, architecture, 90.0)
+        built = list(table.positive_entries(1000.0))
+        pruned = table.positive_entries(90.0)
+        assert pruned == reference_positive(costs, architecture, 90.0)
         # Pruning does not discard the already-built entries.
-        assert len(table) == entries
+        assert table.horizon == 1000.0
+        assert table.positive_entries(1000.0) == built
 
     def test_unmovable_breaks_rows(self, costs, architecture):
         table = SequenceTable(costs, architecture)
-        entries = table.entries(10000.0)
-        assert (0, 3) not in entries       # crosses the unmovable "d"
-        assert (3, 3) not in entries       # "d" itself
-        assert (4, 4) in entries
+        pairs = {(first, last) for last, first, _, _
+                 in table.positive_entries(10000.0)}
+        assert (0, 3) not in pairs         # crosses the unmovable "d"
+        assert (3, 3) not in pairs         # "d" itself
+        assert (4, 4) in pairs
 
     def test_positive_entries_consistent(self, costs, architecture):
+        # However the queries interleave, a shared table answers each
+        # area exactly as a fresh one does, entry order included.
         table = SequenceTable(costs, architecture)
-        entries = table.entries(1000.0)
-        positive = table.positive_entries(1000.0)
-        assert {(first, last) for last, first, _, _ in positive} == \
-            {key for key, (gain, _) in entries.items() if gain > 0}
-        for last, first, gain, area in positive:
-            assert entries[(first, last)] == (gain, area)
+        for available in (90.0, 1000.0, 50.0, 300.0, 1000.0):
+            assert table.positive_entries(available) == \
+                SequenceTable(costs, architecture).positive_entries(
+                    available)
 
 
 class TestQuantize:
@@ -128,33 +146,77 @@ class TestQuantize:
         for area in (0.1, 1.0, 1.5, 7.25, 1234.5):
             assert _quantize(area, 0.5) == max(1, math.ceil(area / 0.5))
 
+    AREAS = [0.001, 0.5, 1.0, 3.0, 3.5, 256.00000000001, 256.01,
+             300.0, 1234.5]
+
     def test_dp_grouping_inlines_the_same_quantization(self):
         # _quantized_by_last inlines _quantize for speed; this pins the
         # two implementations together so they cannot drift.
-        areas = [0.001, 0.5, 1.0, 3.0, 3.5, 256.00000000001, 256.01,
-                 300.0, 1234.5]
         positive = [(0, index, 1.0, area)
-                    for index, area in enumerate(areas)]
+                    for index, area in enumerate(self.AREAS)]
         for quantum in (0.5, 1.0, 100.0):
             grouped = _quantized_by_last(positive, quantum, 1)
             assert [needed for _, _, needed in grouped[0]] == \
-                [_quantize(area, quantum) for area in areas]
+                [_quantize(area, quantum) for area in self.AREAS]
+
+    @needs_numpy
+    def test_vectorised_quantization_matches(self):
+        areas = pace_module._np.array(self.AREAS)
+        for quantum in (0.5, 1.0, 100.0):
+            assert pace_module._quantize_array(areas, quantum).tolist() \
+                == [_quantize(area, quantum) for area in self.AREAS]
+
+
+LIBRARY = default_library()
+
+
+def tie_heavy_instance(rng, count):
+    """Integer times, areas and communication, so savings tie exactly."""
+    variables = "pqr"
+    costs = [
+        make_cost("r%d" % index, rng.randint(0, 8),
+                  rng.randint(0, 4) if rng.random() < 0.9 else None,
+                  rng.randint(1, 4), profile=rng.randint(1, 3),
+                  reads=rng.sample(variables, rng.randint(0, 2)),
+                  writes=rng.sample(variables, rng.randint(0, 2)))
+        for index in range(count)]
+    architecture = TargetArchitecture(
+        library=LIBRARY, total_area=10000.0,
+        comm_cycles_per_word=float(rng.randint(0, 1)))
+    total_area = sum(int(cost.controller_area) for cost in costs)
+    return costs, architecture, float(rng.randint(1, total_area + 2))
+
+
+def assert_dp_paths_identical(costs, architecture, available, quanta):
+    vectorised = pace_partition(costs, architecture, available,
+                                area_quanta=quanta)
+    with mock.patch.object(pace_module, "_np", None):
+        plain = pace_partition(costs, architecture, available,
+                               area_quanta=quanta)
+    assert vectorised == plain
 
 
 class TestDpPathEquality:
+    @needs_numpy
     @pytest.mark.parametrize("available", [100.0, 180.0, 260.0, 310.0])
     def test_numpy_and_python_paths_identical(self, costs, architecture,
-                                              available, monkeypatch):
-        if pace_module._np is None:
-            pytest.skip("numpy unavailable")
-        # Force both paths over the same instance regardless of size.
-        monkeypatch.setattr(pace_module, "_NUMPY_DP_MIN_BSBS", 0)
-        vectorised = pace_partition(costs, architecture, available,
-                                    area_quanta=57)
-        monkeypatch.setattr(pace_module, "_np", None)
-        plain = pace_partition(costs, architecture, available,
-                               area_quanta=57)
-        assert vectorised == plain
+                                              available):
+        assert_dp_paths_identical(costs, architecture, available, 57)
+
+    @needs_numpy
+    @settings(max_examples=60, deadline=None)
+    @given(rng=st.randoms(use_true_random=False),
+           count=st.integers(0, 40),
+           quanta=st.sampled_from([1, 2, 7, 57, 150]))
+    def test_paths_identical_on_tie_heavy_instances(self, rng, count,
+                                                     quanta):
+        assert_dp_paths_identical(*tie_heavy_instance(rng, count), quanta)
+
+    @needs_numpy
+    @pytest.mark.parametrize("seed, quanta", [(1, 57), (2, 150), (3, 7)])
+    def test_paths_identical_at_eigen_size(self, seed, quanta):
+        assert_dp_paths_identical(
+            *tie_heavy_instance(random.Random(seed), 57), quanta)
 
     def test_shared_table_matches_fresh(self, costs, architecture):
         table = SequenceTable(costs, architecture)

@@ -220,6 +220,24 @@ class TestMalformedRequests:
         assert "points" in replies[2]["error"]
         assert "greedy" in replies[3]["error"]
 
+    def test_out_of_range_points_are_refused_before_any_job_state(
+            self, harness):
+        point = b'{"kind": "design-point", "version": 1, "app": "hal", '
+        replies = self.raw_lines(harness, [
+            b'{"op": "submit", "points": [' + point
+            + b'"quanta": 100000000}]}\n',
+            b'{"op": "submit", "points": [' + point + b'"area": NaN}]}\n',
+            b'{"op": "submit", "points": [' + point
+            + b'"comm_cycles_per_word": Infinity}]}\n',
+        ])
+        assert [reply["ok"] for reply in replies] == [False] * 3
+        assert "quanta" in replies[0]["error"]
+        assert "area" in replies[1]["error"]
+        assert "comm_cycles_per_word" in replies[2]["error"]
+        client = harness.client()
+        assert client.ping()["jobs"] == 0
+        assert client.jobs() == []
+
     def test_rejected_submission_queues_nothing(self, harness):
         client = harness.client()
         before = client.ping()["jobs"]

@@ -4,6 +4,7 @@ import pytest
 
 from repro.core.allocator import allocate
 from repro.core.rmap import RMap
+from repro.engine.design_point import MAX_QUANTA
 from repro.errors import ReproError, ResourceError
 from repro.io.serialize import (
     allocation_from_dict,
@@ -261,6 +262,32 @@ class TestDesignPointRoundtrip:
         point = design_point_from_dict(design_point_to_dict(
             DesignPoint(app="not-a-benchmark")))
         assert point.app == "not-a-benchmark"
+
+    @pytest.mark.parametrize("field, value", [
+        ("area", float("nan")),
+        ("area", float("inf")),
+        ("area", "Infinity"),
+        ("comm_cycles_per_word", float("nan")),
+        ("comm_cycles_per_word", float("inf")),
+        ("quanta", MAX_QUANTA + 1),
+        ("quanta", 10**8),
+    ])
+    def test_rejects_out_of_range_values(self, field, value):
+        """Wire points that would size the DP or poison its arithmetic."""
+        from repro.io.serialize import design_point_from_dict
+
+        data = {"kind": "design-point", "version": 1, "app": "hal",
+                field: value}
+        with pytest.raises(ReproError, match=field):
+            design_point_from_dict(data)
+
+    def test_accepts_the_largest_quanta(self):
+        from repro.io.serialize import design_point_from_dict
+
+        point = design_point_from_dict({"kind": "design-point",
+                                        "version": 1, "app": "hal",
+                                        "quanta": MAX_QUANTA})
+        assert point.quanta == MAX_QUANTA
 
 
 class TestPointResultRoundtrip:
