@@ -14,6 +14,16 @@ After any change to the allocation, urgencies are recomputed, the array
 is re-prioritised and the scan restarts from the front; otherwise the
 scan advances.  The algorithm stops when a full pass makes no change or
 the remaining area reaches zero, and returns the allocation.
+
+A run costs time in proportion to its allocation changes.  The FURO
+values and each BSB's software urgency are computed once per BSB array
+(:class:`UrgencyState`).  Each change builds one Alloc(o) table for
+every type (:meth:`UrgencyState.allocated_units`), which the
+re-prioritisation and a hardware BSB's most-urgent-type step both
+read.  A BSB's required units are computed once per run, when the scan
+first reaches it in software.  :func:`most_urgent_resource` and
+:func:`~repro.core.priority.bsb_priority_key` stay the per-query
+reference of these steps.
 """
 
 import time
@@ -21,7 +31,7 @@ from dataclasses import dataclass, field
 
 from repro.core.eca import estimated_controller_area
 from repro.core.furo import UrgencyState
-from repro.core.priority import prioritize
+from repro.core.priority import _prioritize
 from repro.core.restrictions import asap_restrictions
 from repro.core.rmap import RMap
 from repro.engine.cache import EvalCache, fingerprint
@@ -84,7 +94,7 @@ def required_resources(bsb, library):
     the BSB can be executed" (section 4.2).
     """
     required = RMap()
-    for optype in bsb.op_types():
+    for optype in sorted(bsb.op_types(), key=lambda ot: ot.value):
         if not library.supports(optype):
             raise AllocationError(
                 "BSB %r contains %s but library %r has no resource for it"
@@ -188,13 +198,17 @@ def allocate(bsbs, library, area, restrictions=None, technology=None,
     controller_area = 0.0
     events = []
 
-    order = prioritize(bsbs, state, hw_uids, allocation)
+    required = {}             # bsb uid -> required_resources, on first use
+    units = state.allocated_units(allocation)
+    order = _prioritize(bsbs, state, hw_uids, units)
     index = 0
     while index < len(order) and remaining > 0:
         changed = False
         bsb = order[index]
         if bsb.uid in hw_uids:
-            resource = most_urgent_resource(bsb, state, allocation, library)
+            _, optype = state.hardware_max_urgency(bsb, units)
+            resource = (None if optype is None
+                        else library.resource_for(optype))
             if (resource is not None
                     and resource.area <= remaining
                     and allocation[resource.name] + 1
@@ -208,12 +222,15 @@ def allocate(bsbs, library, area, restrictions=None, technology=None,
                         "extra-unit", bsb.name, {resource.name: 1},
                         resource.area, remaining))
         else:
-            needed = required_resources(bsb, library) - allocation
-            cost = eca_of[bsb.uid] + needed.area(library)
+            if bsb.uid not in required:
+                required[bsb.uid] = required_resources(bsb, library)
+            needed = required[bsb.uid] - allocation
+            needed_area = needed.area(library)
+            cost = eca_of[bsb.uid] + needed_area
             if cost <= remaining:
                 allocation = allocation | needed
                 remaining -= cost
-                datapath_area += needed.area(library)
+                datapath_area += needed_area
                 controller_area += eca_of[bsb.uid]
                 hw_uids.add(bsb.uid)
                 hw_names.append(bsb.name)
@@ -225,7 +242,8 @@ def allocate(bsbs, library, area, restrictions=None, technology=None,
                     events.append(AllocationEvent(
                         "move", bsb.name, needed.as_dict(), cost, remaining))
         if changed:
-            order = prioritize(bsbs, state, hw_uids, allocation)
+            units = state.allocated_units(allocation)
+            order = _prioritize(bsbs, state, hw_uids, units)
             index = 0
         else:
             index += 1

@@ -20,10 +20,19 @@ Definition 3 then derives the dynamic urgency used for prioritisation:
 where ``Alloc(o)`` counts allocated units able to execute ``o`` — so a
 BSB already benefiting from hardware sinks in priority as units
 accumulate (Example 2).
+
+Algorithm 1 reads these urgencies after every allocation change.  A
+software BSB's urgency is its largest FURO, fixed for the array, and
+:class:`UrgencyState` stores it once per BSB.  A hardware BSB's
+urgency is read against an Alloc(o) table that
+:meth:`UrgencyState.allocated_units` builds for every type in one walk
+of the allocation, once per change.  :func:`allocated_units_for` and
+:meth:`UrgencyState.max_urgency` stay the per-query reference.
 """
 
 import itertools
 
+from repro.core.restrictions import asap_type_parallelism
 from repro.core.rmap import RMap
 from repro.engine.cache import EvalCache, fingerprint
 from repro.sched.mobility import (
@@ -100,10 +109,13 @@ def allocated_units_for(optype, allocation, library):
 class UrgencyState:
     """Cached FURO values plus the dynamic urgency of Definition 3.
 
-    FURO values are computed once per BSB array (the expensive step);
-    urgency queries then depend only on the current allocation and the
-    current hardware/software placement, both supplied per call so the
-    state object itself stays immutable.
+    FURO values are computed once per BSB array (the expensive step),
+    together with what every Algorithm 1 step re-reads: each BSB's
+    (type, FURO) pairs in ascending ``OpType.value`` order and its
+    software urgency.  Urgency queries then depend only on the current
+    allocation and the current hardware/software placement, both
+    supplied per call, so the state stays immutable apart from the
+    memoised :meth:`type_caps`.
     """
 
     def __init__(self, bsbs, library=None, cache=None):
@@ -113,6 +125,14 @@ class UrgencyState:
         self.library = library
         self._furo = {bsb.uid: furo(bsb, library=library, cache=cache)
                       for bsb in self.bsbs}
+        self._pairs = {}
+        self._software = {}
+        for uid, values in self._furo.items():
+            pairs = tuple((optype, values[optype]) for optype in
+                          sorted(values, key=lambda ot: ot.value))
+            self._pairs[uid] = pairs
+            self._software[uid] = max([0.0] + [value for _, value in pairs])
+        self._type_caps = None
 
     def furo_value(self, bsb, optype):
         """Static FURO(o, B); zero if the BSB lacks the type."""
@@ -141,3 +161,48 @@ class UrgencyState:
             if value > best_value:
                 best_value, best_type = value, optype
         return best_value, best_type
+
+    def furo_pairs(self, bsb):
+        """(type, FURO) pairs of ``bsb`` in ascending type-value order."""
+        return self._pairs[bsb.uid]
+
+    def software_urgency(self, bsb):
+        """max U(o, B) of a software BSB: its largest FURO (0.0 if none)."""
+        return self._software[bsb.uid]
+
+    def allocated_units(self, allocation):
+        """Alloc(o) of every type at once, in one walk of ``allocation``.
+
+        A multi-function unit counts toward every type it executes, as
+        in :func:`allocated_units_for`; a type no allocated unit
+        executes is absent from the table.
+        """
+        if self.library is None:
+            raise ValueError("urgency of a hardware BSB requires a library "
+                             "to resolve Alloc(o)")
+        units = {}
+        for name, count in RMap._coerce(allocation).items():
+            for optype in self.library.get(name).optypes:
+                units[optype] = units.get(optype, 0) + count
+        return units
+
+    def hardware_max_urgency(self, bsb, units):
+        """:meth:`max_urgency` of a hardware BSB, read from an
+        :meth:`allocated_units` table: the first strict maximum in
+        ascending type-value order, from ``(0.0, None)``."""
+        best_value, best_type = 0.0, None
+        for optype, value in self._pairs[bsb.uid]:
+            value = value / (units.get(optype, 0) + 1)
+            if value > best_value:
+                best_value, best_type = value, optype
+        return best_value, best_type
+
+    def type_caps(self):
+        """Module selection's per-type caps
+        (:func:`~repro.core.restrictions.asap_type_parallelism`), computed
+        on first use; process-local and outside the hit/miss accounting.
+        """
+        if self._type_caps is None:
+            self._type_caps = asap_type_parallelism(self.bsbs,
+                                                    library=self.library)
+        return self._type_caps

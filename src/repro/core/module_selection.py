@@ -17,8 +17,13 @@ a drop-in variant of Algorithm 1:
 
 Hardware times under mixed allocations come from
 :func:`repro.sched.hetero_scheduler.hetero_list_schedule`.
+
+Like the designated allocator, a run reads one Alloc(o) table per
+allocation change; the per-type caps are computed once per array
+(:meth:`~repro.core.furo.UrgencyState.type_caps`).
 """
 
+import functools
 import time
 from dataclasses import dataclass
 
@@ -28,8 +33,7 @@ from repro.core.allocator import (
     _estimated_eca,
     urgency_state,
 )
-from repro.core.furo import allocated_units_for
-from repro.core.priority import prioritize
+from repro.core.priority import _prioritize
 from repro.core.restrictions import asap_type_parallelism
 from repro.core.rmap import RMap
 from repro.engine.cache import EvalCache
@@ -118,19 +122,21 @@ def selection_restrictions(bsbs, library):
     return asap_type_parallelism(bsbs, library=library)
 
 
-def _required_with_selection(bsb, allocation, library, policy,
-                             remaining_area):
+def _required_with_selection(bsb, state, units, candidates_for, library,
+                             policy, remaining_area):
     """Units (RMap) still needed to cover the BSB's types, policy-chosen.
 
+    ``units`` is the allocation's Alloc(o) table; a type counts as
+    covered once the allocation or an already chosen unit executes it.
     Returns ``None`` when some type has no affordable candidate.
     """
     needed = RMap()
+    covered = set()
     budget = remaining_area
-    for optype in sorted(bsb.op_types(), key=lambda ot: ot.value):
-        covered = allocated_units_for(optype, allocation | needed, library)
-        if covered > 0:
+    for optype, _ in state.furo_pairs(bsb):
+        if units.get(optype, 0) > 0 or optype in covered:
             continue
-        candidates = library.candidates_for(optype)
+        candidates = candidates_for(optype)
         if not candidates:
             raise AllocationError(
                 "BSB %r contains %s but library %r has no resource "
@@ -139,6 +145,7 @@ def _required_with_selection(bsb, allocation, library, policy,
         if chosen is None:
             return None
         needed[chosen.name] = needed[chosen.name] + 1
+        covered |= chosen.optypes
         budget -= chosen.area
     return needed
 
@@ -163,11 +170,13 @@ def allocate_with_selection(bsbs, library, area, policy=None,
     policy = policy or BalancedPolicy()
     if technology is None:
         technology = library.technology
-    if restrictions is None:
-        restrictions = selection_restrictions(bsbs, library)
 
     started = time.perf_counter()
     state = urgency_state(bsbs, library, cache=cache)
+    if restrictions is None:
+        restrictions = state.type_caps()
+    candidates_for = functools.lru_cache(maxsize=None)(
+        library.candidates_for)
     eca_of = {bsb.uid: _estimated_eca(bsb, library, technology, cache)
               for bsb in bsbs}
 
@@ -179,19 +188,19 @@ def allocate_with_selection(bsbs, library, area, policy=None,
     controller_area = 0.0
     events = []
 
-    order = prioritize(bsbs, state, hw_uids, allocation)
+    units = state.allocated_units(allocation)
+    order = _prioritize(bsbs, state, hw_uids, units)
     index = 0
     while index < len(order) and remaining > 0:
         changed = False
         bsb = order[index]
         if bsb.uid in hw_uids:
-            urgency, optype = state.max_urgency(bsb, True, allocation)
+            urgency, optype = state.hardware_max_urgency(bsb, units)
             if optype is not None:
                 cap = restrictions.get(optype, 0)
-                units = allocated_units_for(optype, allocation, library)
-                if units + 1 <= cap:
+                if units.get(optype, 0) + 1 <= cap:
                     chosen = policy.choose(
-                        optype, library.candidates_for(optype),
+                        optype, candidates_for(optype),
                         remaining, urgency)
                     if chosen is not None:
                         allocation = allocation.incremented(chosen.name)
@@ -204,14 +213,15 @@ def allocate_with_selection(bsbs, library, area, policy=None,
                                 {chosen.name: 1}, chosen.area, remaining))
         else:
             needed = _required_with_selection(
-                bsb, allocation, library, policy,
+                bsb, state, units, candidates_for, library, policy,
                 remaining - eca_of[bsb.uid])
             if needed is not None:
-                cost = eca_of[bsb.uid] + needed.area(library)
+                needed_area = needed.area(library)
+                cost = eca_of[bsb.uid] + needed_area
                 if cost <= remaining:
                     allocation = allocation | needed
                     remaining -= cost
-                    datapath_area += needed.area(library)
+                    datapath_area += needed_area
                     controller_area += eca_of[bsb.uid]
                     hw_uids.add(bsb.uid)
                     hw_names.append(bsb.name)
@@ -221,7 +231,8 @@ def allocate_with_selection(bsbs, library, area, policy=None,
                             "move", bsb.name, needed.as_dict(),
                             cost, remaining))
         if changed:
-            order = prioritize(bsbs, state, hw_uids, allocation)
+            units = state.allocated_units(allocation)
+            order = _prioritize(bsbs, state, hw_uids, units)
             index = 0
         else:
             index += 1
