@@ -17,7 +17,7 @@ Usage (after ``pip install -e .``)::
                                     # inspect / clear the store
     lycos-repro cache compact --cache-dir .lycos-cache --max-bytes 2000000
                                     # LRU-evict down to a size budget
-    lycos-repro serve --cache-dir .lycos-cache --workers 2
+    lycos-repro serve --cache-dir .lycos-cache
                                     # exploration service over one store
     lycos-repro serve --host 0.0.0.0 --token-file /run/secret --scheduler fair \
                       --queue-cap 8192 --job-ttl 3600 --max-jobs 64
@@ -340,10 +340,6 @@ def build_parser():
                       "submit design points against one shared store")
     _add_cache_dir_argument(serve)
     _add_service_address(serve)
-    serve.add_argument("--workers", type=int, default=1,
-                       help="evaluation workers; 1 runs in-process, "
-                            ">1 keeps a persistent process pool "
-                            "(default: %(default)s)")
     serve.add_argument("--flush-interval", type=float, default=2.0,
                        help="seconds between store flushes while busy "
                             "(default: %(default)s)")
@@ -390,9 +386,9 @@ def build_parser():
     serve.add_argument("--label", default=None,
                        help="worker mode: suggested engine name (the "
                             "coordinator uniquifies it)")
-    serve.add_argument("--slots", type=int, default=None,
+    serve.add_argument("--slots", type=int, default=1,
                        help="worker mode: points leased at once "
-                            "(default: --workers)")
+                            "(default: %(default)s)")
     serve.add_argument("--http", type=int, default=None,
                        metavar="PORT",
                        help="also mount the REST/JSON gateway on this "
@@ -813,8 +809,6 @@ def cmd_cache(args):
 def cmd_serve(args):
     from repro.service.server import LOOPBACK_HOSTS, serve
 
-    if args.workers < 1:
-        raise SystemExit("--workers must be >= 1")
     if args.flush_interval < 0:
         raise SystemExit("--flush-interval must be >= 0")
     if args.queue_cap is not None and args.queue_cap < 1:
@@ -829,7 +823,7 @@ def cmd_serve(args):
         raise SystemExit("--steal-delay must be >= 0")
     if args.engine_timeout <= 0:
         raise SystemExit("--engine-timeout must be > 0")
-    if args.slots is not None and args.slots < 1:
+    if args.slots < 1:
         raise SystemExit("--slots must be >= 1")
     if args.http is not None and not 0 < args.http < 65536:
         raise SystemExit("--http must be a port number (1-65535)")
@@ -859,8 +853,7 @@ def cmd_serve(args):
                          "without --api-keys-file; an open gateway "
                          "beyond loopback hands the queue to the "
                          "network" % args.host)
-    serve(cache_dir=args.cache_dir, workers=args.workers,
-          host=args.host, port=args.port,
+    serve(cache_dir=args.cache_dir, host=args.host, port=args.port,
           flush_interval=args.flush_interval, token=token,
           scheduler=args.scheduler, queue_cap=args.queue_cap,
           job_ttl=args.job_ttl, max_jobs=args.max_jobs,
@@ -881,10 +874,9 @@ def _cmd_serve_join(args, token):
         port = -1
     if not host or not 0 < port < 65536:
         raise SystemExit("--join expects HOST:PORT, got %r" % args.join)
-    slots = args.slots if args.slots is not None else args.workers
     evaluated = join_coordinator(host, port, token=token,
                                  label=args.label or "",
-                                 slots=slots,
+                                 slots=args.slots,
                                  cache_dir=args.cache_dir)
     print("worker done: %d point(s) evaluated" % evaluated)
 
@@ -979,18 +971,17 @@ def cmd_status(args):
         return
     info = client.ping()
     cap = info.get("queue_cap")
-    print("service up: protocol v%d, %d worker(s), %d job(s), "
+    engines = sum(engine["alive"] for engine in info["engines"])
+    print("service up: protocol v%d, %d engine(s), %d job(s), "
           "scheduler %s, depth %d/%s"
-          % (info["protocol"], info["workers"], info["jobs"],
+          % (info["protocol"], engines, info["jobs"],
              info.get("scheduler", "fifo"), info.get("depth", 0),
              "unbounded" if cap is None else cap))
     if "program_compiles" in info:
         print("programs: %d frontend compile(s), %d program store "
               "hit(s)" % (info["program_compiles"],
                           info.get("program_store_hits", 0)))
-    # Roster observability (additive — the lines above are unchanged,
-    # so a single-engine service still prints exactly what it used to
-    # plus its one roster line).
+    # Roster observability: one line per engine, dead ones included.
     for engine in info.get("engines", []):
         # The delta-bytes suffix is appended at the end of the line so
         # anything parsing the historical prefix still matches.

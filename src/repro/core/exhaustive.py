@@ -711,8 +711,6 @@ def _better(candidate, incumbent, library):
 #: completion order, so load balancing never affects the result).
 _CHUNKS_PER_WORKER = 4
 
-_WORKER_SCAN_CONTEXT = None
-
 
 def _parallel_scan(bsbs, architecture, restrictions, area_quanta,
                    keep_history, session, unit_areas, sampled,
@@ -733,7 +731,10 @@ def _parallel_scan(bsbs, architecture, restrictions, area_quanta,
     A Pareto objective's chunk fronts are merged in chunk order —
     dominance is order-independent and an exact vector tie keeps the
     first point in scan order either way, so the merged front equals
-    the serial scan's.
+    the serial scan's.  The chunks run on
+    :meth:`~repro.engine.session.Session.fan_out`, which merges every
+    worker's accounting and store entries into ``session`` as its
+    chunks complete.
     """
     objective = as_objective(objective)
     chunk_count = min(workload, workers * _CHUNKS_PER_WORKER)
@@ -748,18 +749,12 @@ def _parallel_scan(bsbs, architecture, restrictions, area_quanta,
         specs = [(kind, (start, stop))
                  for start, stop in zip(bounds, bounds[1:])
                  if stop > start]
-    cache_dir = None if session.store is None else session.store.root
-    # Spill the parent's cache first: work the session already did
-    # (allocations, evaluations, earlier searches) reaches the workers
-    # through their hydration instead of being recomputed per worker.
-    session.save_store()
-    with multiprocessing.Pool(
-            processes=workers,
-            initializer=_scan_worker_init,
-            initargs=(bsbs, architecture, restrictions, area_quanta,
-                      keep_history, cache_dir, primed, objective.name,
-                      shared)) as pool:
-        results = pool.map(_scan_worker_chunk, specs, chunksize=1)
+    # Objectives are stateless singletons: the *name* crosses the
+    # process boundary and resolves to each worker's instance.
+    outcomes = session.fan_out(
+        specs, _scan_worker_chunk, workers, setup=_scan_worker_setup,
+        setup_args=(bsbs, architecture, restrictions, area_quanta,
+                    keep_history, primed, objective.name, shared))
 
     best_eval = None
     best_allocation = None
@@ -771,11 +766,7 @@ def _parallel_scan(bsbs, architecture, restrictions, area_quanta,
     prune = _empty_prune_stats()
     library = architecture.library
     for (chunk_allocation, chunk_eval, chunk_evaluations, chunk_skipped,
-         chunk_history, chunk_front, chunk_prune, stats_delta,
-         store_delta) in results:
-        session.stats.merge(stats_delta)
-        if session.store is not None and store_delta:
-            session.store.absorb_delta(store_delta)
+         chunk_history, chunk_front, chunk_prune) in outcomes:
         evaluations += chunk_evaluations
         skipped_infeasible += chunk_skipped
         history.extend(chunk_history)
@@ -794,57 +785,39 @@ def _parallel_scan(bsbs, architecture, restrictions, area_quanta,
             history, front, prune)
 
 
-def _scan_worker_init(bsbs, architecture, restrictions, area_quanta,
-                      keep_history, cache_dir, primed=None,
-                      objective_name=None, shared=None):
-    global _WORKER_SCAN_CONTEXT
-    from repro.engine.session import Session
-
-    session = Session(library=architecture.library, cache_dir=cache_dir)
-    session._adopt(bsbs)
+def _scan_worker_setup(session, bsbs, architecture, restrictions,
+                       area_quanta, keep_history, primed, objective_name,
+                       shared):
+    """A worker's scan context, built once per worker process."""
+    session._adopt(bsbs, library=architecture.library)
     names, ranges = allocation_space(bsbs, architecture.library,
                                      restrictions=restrictions)
     unit_areas = {name: architecture.library.area_of(name)
                   for name in names}
-    # Objectives are stateless singletons: the *name* crosses the
-    # process boundary and resolves to this process's instance.
-    objective = as_objective(objective_name)
-    _WORKER_SCAN_CONTEXT = (bsbs, architecture, area_quanta,
-                            keep_history, session, unit_areas,
-                            names, ranges, primed, objective, shared)
+    return (bsbs, architecture, area_quanta, keep_history, session,
+            unit_areas, names, ranges, primed, as_objective(objective_name),
+            shared)
 
 
-def _scan_worker_chunk(spec):
-    """Scan one contiguous chunk; ship the winner and accounting back."""
+def _scan_worker_chunk(context, spec):
+    """Scan one contiguous chunk; return the scan 7-tuple."""
     (bsbs, architecture, area_quanta, keep_history, session, unit_areas,
-     names, ranges, primed, objective, shared) = _WORKER_SCAN_CONTEXT
+     names, ranges, primed, objective, shared) = context
     kind, payload = spec
-    before = session.stats.snapshot()
     if kind == "prange":
         start, stop = payload
-        outcome = _scan_pruned_range(bsbs, architecture, area_quanta,
-                                     keep_history, session, names,
-                                     ranges, unit_areas, start, stop,
-                                     primed, objective, shared=shared)
+        return _scan_pruned_range(bsbs, architecture, area_quanta,
+                                  keep_history, session, names, ranges,
+                                  unit_areas, start, stop, primed,
+                                  objective, shared=shared)
+    if kind == "range":
+        start, stop = payload
+        candidates = _enumerate_slice(names, ranges, start, stop)
+        check_area = True
     else:
-        if kind == "range":
-            start, stop = payload
-            candidates = _enumerate_slice(names, ranges, start, stop)
-            check_area = True
-        else:
-            candidates = payload
-            check_area = False
-        outcome = _scan_candidates(candidates, bsbs, architecture,
-                                   area_quanta, keep_history, session,
-                                   unit_areas, check_area=check_area,
-                                   objective=objective) \
-            + (None,)
-    # New cache entries ship back as they are; the parent session —
-    # the store's one writer — spills them in its final flush.
-    store_delta = None if session.store is None \
-        else session.store.export_delta(session.cache)
-    from repro.engine.cache import CacheStats
-
-    return outcome + (CacheStats.delta(before,
-                                       session.stats.snapshot()),
-                      store_delta)
+        candidates = payload
+        check_area = False
+    return _scan_candidates(candidates, bsbs, architecture, area_quanta,
+                            keep_history, session, unit_areas,
+                            check_area=check_area, objective=objective) \
+        + (None,)

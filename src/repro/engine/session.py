@@ -13,7 +13,8 @@ The batch API fans a list of immutable
 :class:`~repro.engine.design_point.DesignPoint` instances out over
 ``multiprocessing`` workers; each worker holds one long-lived session
 of its own, so the cache is shared across all points a worker
-evaluates::
+evaluates.  :meth:`Session.fan_out` is the one process pool of the
+package: the exhaustive search's parallel scan runs on it too::
 
     session = Session()
     results = session.explore_grid(apps=["hal", "man"],
@@ -33,7 +34,7 @@ from repro.core.module_selection import (
     FastestPolicy,
     allocate_with_selection,
 )
-from repro.engine.cache import EvalCache, fingerprint
+from repro.engine.cache import CacheStats, EvalCache, fingerprint
 from repro.engine.design_point import (
     DesignPoint,
     PointResult,
@@ -352,15 +353,15 @@ class Session:
         """Evaluate many design points, optionally across processes.
 
         Results come back in input order.  With ``workers`` > 1 the
-        points fan out over a ``multiprocessing`` pool; every worker
-        process holds one session whose cache is shared across all the
-        points that worker receives (per-process caches — the workers
-        do not share memory with each other or with this session,
-        although a session opened with ``cache_dir`` shares its
-        persistent store with the workers).  Each worker ships its
-        hit/miss accounting back with its results, and the merged
-        counters land in ``self.stats`` — parallel sweeps report the
-        same real numbers a serial run would.
+        points fan out over :meth:`fan_out`'s pool, one contiguous
+        chunk per process; every worker process holds one session
+        whose cache is shared across all the points that worker
+        receives (per-process caches — the workers do not share memory
+        with each other or with this session, although a session
+        opened with ``cache_dir`` shares its persistent store with the
+        workers).  The merged hit/miss counters land in ``self.stats``
+        — parallel sweeps report the same real numbers a serial run
+        would.
 
         Failure contract (identical for the serial and parallel
         paths):
@@ -410,49 +411,20 @@ class Session:
     def _explore_parallel(self, points, workers, on_error, on_result):
         processes = min(workers, len(points))
         # Contiguous chunks, one pool task each: a worker evaluates a
-        # whole chunk and ships the chunk's new store entries back as
-        # one delta (workers never write shards — the parent is the
-        # store's only writer), so persistence costs one export per
-        # chunk instead of one per point.
+        # whole chunk and ships its new store entries back as one
+        # delta, so persistence costs one export per chunk instead of
+        # one per point.
         chunksize = max(1, (len(points) + processes - 1) // processes)
         chunks = [points[start:start + chunksize]
                   for start in range(0, len(points), chunksize)]
-        cache_dir = None if self.store is None else self.store.root
-        # Spill first so workers hydrate whatever this session already
-        # computed instead of starting from the store's last state.
-        self.save_store()
-        slots = [None] * len(chunks)
-        pool = multiprocessing.Pool(processes=processes,
-                                    initializer=_worker_init,
-                                    initargs=(self.library, cache_dir))
-        try:
-            # imap_unordered: each chunk's results, accounting and
-            # store delta are absorbed the moment the chunk finishes,
-            # so an interrupt (or a fail-fast raise) loses only the
-            # chunks still in flight — never completed work.
-            outcomes = pool.imap_unordered(_worker_point_chunk,
-                                           list(enumerate(chunks)))
-            for index, chunk_results, stats_delta, store_delta \
-                    in outcomes:
-                self.stats.merge(stats_delta)
-                if self.store is not None and store_delta:
-                    self.store.absorb_delta(store_delta)
-                slots[index] = chunk_results
-                if on_result is not None:
-                    for result in chunk_results:
-                        on_result(result)
-            pool.close()
-            pool.join()
-        except BaseException:
-            # KeyboardInterrupt (or a broken pool): kill the workers
-            # quietly instead of leaving them to die noisily at
-            # interpreter teardown; the finally-flush keeps whatever
-            # already came back.
-            pool.terminate()
-            pool.join()
-            raise
-        finally:
-            self.save_store()
+
+        def stream(chunk_results):
+            for result in chunk_results:
+                on_result(result)
+
+        slots = self.fan_out(chunks, _explore_chunk, processes,
+                             on_value=None if on_result is None
+                             else stream)
         results = [result for chunk_results in slots
                    for result in chunk_results]
         if on_error == "raise":
@@ -462,6 +434,53 @@ class Session:
                 raise ReproError("design point %r failed: %s"
                                  % (failed.point, failed.error))
         return results
+
+    def fan_out(self, tasks, run, processes, on_value=None, setup=None,
+                setup_args=()):
+        """Run ``run(context, task)`` for every task on a process pool.
+
+        The one home of the batch worker-delta protocol.  Each worker
+        process opens a session on this session's library and store;
+        ``setup(worker_session, *setup_args)``, when given, builds the
+        worker's ``context`` once, else the context is that session.
+        What cannot travel with a task (a ``multiprocessing.Value``)
+        goes through ``setup_args``; ``run`` and ``setup`` must be
+        module-level functions, which a pool can pickle.  This session
+        spills to the store first, so workers hydrate what it already
+        computed; each task's value comes home with the worker's
+        hit/miss delta and new store entries, which this session (the
+        store's one writer) absorbs as the task completes, before
+        ``on_value(value)`` sees it.  An interrupt or a failing task
+        terminates the pool and still flushes everything absorbed, so
+        only the tasks in flight are lost.  Returns the values in task
+        order.
+        """
+        cache_dir = None if self.store is None else self.store.root
+        self.save_store()
+        values = [None] * len(tasks)
+        pool = multiprocessing.Pool(
+            processes=processes, initializer=_pool_init,
+            initargs=(self.library, cache_dir, run, setup, setup_args))
+        try:
+            for index, value, stats_delta, store_delta in \
+                    pool.imap_unordered(_pool_task, list(enumerate(tasks))):
+                self.stats.merge(stats_delta)
+                if self.store is not None and store_delta:
+                    self.store.absorb_delta(store_delta)
+                values[index] = value
+                if on_value is not None:
+                    on_value(value)
+            pool.close()
+            pool.join()
+        except BaseException:
+            # Kill the workers quietly instead of leaving them to die
+            # noisily at interpreter teardown.
+            pool.terminate()
+            pool.join()
+            raise
+        finally:
+            self.save_store()
+        return values
 
     def explore_grid(self, apps, areas=(None,), policies=(None,),
                      quanta=(150,), workers=1):
@@ -505,41 +524,38 @@ def explore_grid(apps, areas=(None,), policies=(None,), quanta=(150,),
 
 
 # ----------------------------------------------------------------------
-# Worker-process plumbing for Session.explore
+# Worker-process plumbing for Session.fan_out
 # ----------------------------------------------------------------------
-_WORKER_SESSION = None
+#: (worker session, run, context) of this pool worker process.
+_WORKER = None
 
 
-def _worker_init(library, cache_dir=None):
-    global _WORKER_SESSION
-    _WORKER_SESSION = Session(library=library, cache_dir=cache_dir)
+def _pool_init(library, cache_dir, run, setup, setup_args):
+    global _WORKER
+    session = Session(library=library, cache_dir=cache_dir)
+    context = session if setup is None else setup(session, *setup_args)
+    _WORKER = (session, run, context)
 
 
-def _worker_point_chunk(task):
-    """Evaluate one indexed chunk of points; ships results + accounting.
+def _pool_task(indexed_task):
+    """Run one task; ship its value, hit/miss delta and store delta."""
+    index, task = indexed_task
+    session, run, context = _WORKER
+    before = session.stats.snapshot()
+    value = run(context, task)
+    store_delta = None if session.store is None \
+        else session.store.export_delta(session.cache)
+    return (index, value,
+            CacheStats.delta(before, session.stats.snapshot()),
+            store_delta)
 
-    The worker's cache never leaves its process, but its accounting
-    does: the parent merges the per-chunk hit/miss delta so
-    ``session.stats`` reflects the pool's real cache behaviour.  With a
-    persistent store, the chunk's *new* cache entries travel back too
-    (as they are: content-keyed), so the parent — the store's one
-    writer — spills everything in a single final flush instead of every
-    worker racing shard rewrites of its own.
 
-    Every point is evaluated with its error *captured*: a bad point
-    must not abort the chunk (which would discard its siblings' results
-    and store deltas), so failures travel back as
+def _explore_chunk(session, points):
+    """Evaluate one chunk of points with every error *captured*.
+
+    A bad point must not abort the chunk (which would discard its
+    siblings' results and store deltas), so failures travel back as
     :class:`~repro.engine.design_point.PointError` payloads and the
     parent decides whether to raise.
     """
-    index, points = task
-    session = _WORKER_SESSION
-    before = session.stats.snapshot()
-    results = [session.evaluate_point_safe(point) for point in points]
-    store_delta = None if session.store is None \
-        else session.store.export_delta(session.cache)
-    from repro.engine.cache import CacheStats
-
-    return (index, results,
-            CacheStats.delta(before, session.stats.snapshot()),
-            store_delta)
+    return [session.evaluate_point_safe(point) for point in points]

@@ -14,8 +14,7 @@ Layers (thinnest on top):
 * :mod:`repro.service.server` — :class:`ExplorationService`: the
   asyncio coordinator + scheduler draining the queue onto its engine
   roster over one shared :class:`~repro.engine.session.Session`
-  (single-writer engine thread, optional persistent
-  ``multiprocessing`` pool), plus the blocking :func:`serve` entry
+  (single-writer engine thread), plus the blocking :func:`serve` entry
   point.
 * :mod:`repro.service.worker` — :class:`EngineWorker`: the worker
   process behind ``serve --join``, contributing a remote engine to a

@@ -9,11 +9,10 @@ engine each scheduled unit lands on.
 
 Two engine kinds exist:
 
-* :class:`LocalEngine` — the PR 3/4 path behind the new interface:
-  points evaluate in the coordinator process (on the single engine
-  thread, or through its persistent ``multiprocessing`` pool).  A
-  default service is exactly one local engine — "engine count 1" is a
-  configuration, not an architecture.
+* :class:`LocalEngine` — points evaluate in the coordinator process,
+  one at a time, on its single engine thread.  A default service is
+  exactly one local engine — "engine count 1" is a configuration, not
+  an architecture.
 * :class:`RemoteEngine` — the coordinator-side proxy of a worker
   process that joined over the wire (``serve --join``).  Its lifetime
   is its connection's lifetime: the worker leases units, evaluates

@@ -510,7 +510,6 @@ class HttpGateway:
         info = {
             "protocol": protocol.PROTOCOL_VERSION,
             "transport": "http",
-            "workers": service.workers,
             "scheduler": queue.scheduler.name,
             "depth": queue.depth,
             "queue_cap": "unbounded" if cap is None else cap,
@@ -564,7 +563,6 @@ class HttpGateway:
             "ok": True,
             "protocol": protocol.PROTOCOL_VERSION,
             "transport": "http",
-            "workers": service.workers,
             "jobs": len(service.queue.jobs),
             "scheduler": service.queue.scheduler.name,
             "depth": service.queue.depth,

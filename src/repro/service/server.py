@@ -24,14 +24,14 @@ Concurrency model (the single-writer rule, unchanged in spirit):
 
 * The parent session, its cache and its store are only ever touched
   from one dedicated engine thread, so the plain-dict engine needs no
-  locks.  Local in-process evaluation, pool-delta absorption *and*
-  remote-delta absorption all funnel through it.
-* ``workers > 1`` keeps a persistent ``multiprocessing`` pool whose
-  processes each hold a session hydrated from the same ``cache_dir``;
-  dispatch threads block on the pool while the event loop stays
-  responsive.  Workers (pool *and* remote) never write shards — their
-  content-keyed store deltas travel back and are absorbed on the
-  engine thread, which remains the store's only writer.
+  locks.  Local in-process evaluation and remote-delta absorption both
+  funnel through it.
+* A service evaluates in one of two places: in process, on its local
+  engines (which all share that one thread), or on joined engines.
+  Joined workers never write shards — their content-keyed store deltas
+  travel back and are absorbed on the engine thread, which remains
+  the store's only writer.  More local parallelism is a ``serve
+  --join`` worker away; the service keeps no process pool of its own.
 
 Durability: the engine thread rate-limits flushes through
 :meth:`~repro.engine.store.CacheStore.maybe_flush` after every point
@@ -63,7 +63,6 @@ Operability (the ISSUE 4 hardening, unchanged):
 import asyncio
 import concurrent.futures
 import hmac
-import multiprocessing
 
 from repro.engine.cache import CacheStats
 from repro.engine.session import Session
@@ -97,22 +96,6 @@ DEFAULT_ENGINE_TIMEOUT = 60.0
 DEFAULT_STEAL_DELAY = 0.25
 
 
-def _pooled_point(point):
-    """Evaluate one point inside a pool worker; error captured.
-
-    Runs in a worker process initialised by
-    :func:`repro.engine.session._worker_init`; reuses the chunk
-    plumbing with a one-point chunk, so the result ships with the
-    worker's hit/miss delta and the content-keyed store delta for the
-    parent (the single writer) to absorb.
-    """
-    from repro.engine import session as session_module
-
-    _, results, stats_delta, store_delta = \
-        session_module._worker_point_chunk((0, [point]))
-    return results[0], stats_delta, store_delta
-
-
 class _Connection:
     """Per-connection protocol state: auth plus the joined engine."""
 
@@ -126,7 +109,7 @@ class _Connection:
 class ExplorationService:
     """One service instance: session + queue + engine roster + protocol."""
 
-    def __init__(self, session, workers=1, flush_interval=2.0,
+    def __init__(self, session, flush_interval=2.0,
                  token=None, scheduler="fifo", queue_cap=None,
                  retry_after=0.25, job_ttl=None, max_jobs=None,
                  local_engines=1, steal_delay=DEFAULT_STEAL_DELAY,
@@ -136,7 +119,6 @@ class ExplorationService:
             raise ReproError("local_engines must be >= 0, got %r"
                              % (local_engines,))
         self.session = session
-        self.workers = max(1, int(workers))
         self.flush_interval = float(flush_interval)
         self.token = token
         self.scheduler = scheduler
@@ -158,8 +140,6 @@ class ExplorationService:
         self._tasks = []
         self._connections = set()
         self._engine = None      # the single session/store thread
-        self._dispatch = None    # threads blocking on the mp pool
-        self._pool = None
         self._remote_counter = 0
         self._affinity_keys = {}
 
@@ -178,47 +158,17 @@ class ExplorationService:
         self._stopping = asyncio.Event()
         self._engine = concurrent.futures.ThreadPoolExecutor(
             max_workers=1, thread_name_prefix="lycos-engine")
-        if self.workers > 1 and self.local_engines > 0:
-            cache_dir = None if self.session.store is None \
-                else self.session.store.root
-            # Hand workers everything already computed here, then keep
-            # the pool for the service's whole life: its per-process
-            # caches stay warm across jobs and clients.
-            await self._on_engine(self.session.save_store)
-            from repro.engine.session import _worker_init
-
-            self._pool = multiprocessing.Pool(
-                processes=self.workers, initializer=_worker_init,
-                initargs=(self.session.library, cache_dir))
-            self._dispatch = concurrent.futures.ThreadPoolExecutor(
-                max_workers=self.workers,
-                thread_name_prefix="lycos-dispatch")
         self._tasks = [asyncio.ensure_future(self._dispatch_loop()),
                        asyncio.ensure_future(self._reap_loop())]
         for number in range(self.local_engines):
-            engine = LocalEngine("local-%d" % (number + 1),
-                                 slots=self._local_slots(number))
+            engine = LocalEngine("local-%d" % (number + 1))
             await self.roster.add(engine)
-            for _ in range(engine.slots):
-                self._tasks.append(
-                    asyncio.ensure_future(self._local_pump(engine)))
+            self._tasks.append(
+                asyncio.ensure_future(self._local_pump(engine)))
         self._server = await asyncio.start_server(
             self._handle, host, port, limit=protocol.MAX_LINE_BYTES)
         self.address = self._server.sockets[0].getsockname()[:2]
         return self
-
-    def _local_slots(self, number):
-        """Evaluation slots of the ``number``-th local engine.
-
-        ``workers`` is the total local parallelism; it is spread over
-        the local engines (remainder to the earliest), each engine
-        getting at least one slot.
-        """
-        share = self.workers // max(1, self.local_engines)
-        extra = 1 if number < self.workers % max(1,
-                                                 self.local_engines) \
-            else 0
-        return max(1, share + extra)
 
     async def run_until_shutdown(self):
         """Serve until a shutdown request (or cancellation) arrives."""
@@ -226,7 +176,11 @@ class ExplorationService:
         await self.stop()
 
     async def stop(self):
-        """Tear the service down; the store gets one final flush."""
+        """Tear the service down; the store gets one final flush.
+
+        The engine thread shuts down even when that flush fails; the
+        failure still reaches the caller.
+        """
         if self._server is not None:
             self._server.close()
             # Cancel the live connection handlers before waiting: an
@@ -242,25 +196,12 @@ class ExplorationService:
             task.cancel()
         await asyncio.gather(*self._tasks, return_exceptions=True)
         self._tasks = []
-        # Drain before destroy: a terminated pool never answers its
-        # outstanding ``apply`` calls, which would strand the dispatch
-        # threads (and with them, interpreter exit) forever.  close()
-        # lets in-flight evaluations finish, the dispatch threads
-        # return, and only then does the pool go away — so a shutdown
-        # during a busy job waits out the points in flight instead of
-        # hanging.
-        if self._pool is not None:
-            self._pool.close()
-        if self._dispatch is not None:
-            self._dispatch.shutdown(wait=True)
-            self._dispatch = None
-        if self._pool is not None:
-            self._pool.join()
-            self._pool = None
         if self._engine is not None:
-            await self._on_engine(self.session.save_store)
-            self._engine.shutdown(wait=True)
-            self._engine = None
+            try:
+                await self._on_engine(self.session.save_store)
+            finally:
+                self._engine.shutdown(wait=True)
+                self._engine = None
 
     def _on_engine(self, callable_, *args):
         """Run session/store work on the single engine thread."""
@@ -327,31 +268,13 @@ class ExplorationService:
 
     async def _run_unit(self, engine, job, index):
         point = job.points[index]
-        store_delta = None
         try:
-            if self._pool is None:
-                result, stats_delta = await self._on_engine(
-                    self._evaluate_local, point)
-            else:
-                loop = asyncio.get_running_loop()
-                result, stats_delta, store_delta = \
-                    await loop.run_in_executor(
-                        self._dispatch, self._pool.apply,
-                        _pooled_point, (point,))
+            result, stats_delta = await self._on_engine(
+                self._evaluate_local, point)
         except Exception as exc:
             from repro.engine.design_point import failed_point_result
 
             result, stats_delta = failed_point_result(point, exc), {}
-        # Bookkeeping failures (a full disk mid-flush, say) must not
-        # discard a result that was already computed: the per-point
-        # error field reports *design-point* failures, and the store
-        # retries unchanged entries on its next flush anyway.
-        try:
-            await self._on_engine(self._absorb_and_flush,
-                                  self._pool is not None, stats_delta,
-                                  store_delta)
-        except Exception:
-            pass
         await self._record(engine, job, index, result, stats_delta)
 
     async def _record(self, engine, job, index, result, stats_delta):
@@ -364,27 +287,39 @@ class ExplorationService:
         if job.finished:
             self.queue.collect_garbage()
             # A streamed "done" implies durability: force the flush the
-            # per-point path only performs on its time budget.
-            await self._on_engine(self.session.save_store)
+            # per-point path only performs on its time budget.  Its
+            # failure is bookkeeping, like the per-point flush's: the
+            # stream-end flush reports it to the clients.
+            try:
+                await self._on_engine(self.session.save_store)
+            except Exception:
+                pass
 
     def _evaluate_local(self, point):
-        """One in-process evaluation; runs on the engine thread."""
+        """One in-process evaluation, then the rate-limited flush;
+        runs on the engine thread."""
         stats = self.session.stats
         before = stats.snapshot()
         result = self.session.evaluate_point_safe(point)
-        return result, CacheStats.delta(before, stats.snapshot())
+        stats_delta = CacheStats.delta(before, stats.snapshot())
+        self._maybe_flush()
+        return result, stats_delta
 
-    def _absorb_and_flush(self, pooled, stats_delta, store_delta):
-        """Absorb a pooled point's deltas, then flush on the time
-        budget; runs on the engine thread.  In-process points only
-        flush (their stats landed in the parent during evaluation)."""
-        if pooled:
-            self.session.stats.merge(stats_delta)
-            if self.session.store is not None and store_delta:
-                self.session.store.absorb_delta(store_delta)
-        if self.session.store is not None:
+    def _maybe_flush(self):
+        """Flush on the time budget; runs on the engine thread.
+
+        A failure (a full disk, say) is bookkeeping: it must not
+        discard a result that was already computed — the per-point
+        error field reports *design-point* failures — and the store
+        retries unchanged entries on its next flush anyway.
+        """
+        if self.session.store is None:
+            return
+        try:
             self.session.store.maybe_flush(self.session.cache,
                                            self.flush_interval)
+        except Exception:
+            pass
 
     def _absorb_remote(self, stats_delta, store_delta):
         """Absorb one remote delta frame; runs on the engine thread.
@@ -399,9 +334,7 @@ class ExplorationService:
         absorbed = 0
         if self.session.store is not None and store_delta:
             absorbed = self.session.store.absorb_delta(store_delta)
-        if self.session.store is not None:
-            self.session.store.maybe_flush(self.session.cache,
-                                           self.flush_interval)
+        self._maybe_flush()
         return absorbed
 
     # ------------------------------------------------------------------
@@ -500,7 +433,7 @@ class ExplorationService:
         # -polled service trims itself before answering.
         self.queue.collect_garbage()
         if op == "ping":
-            # Program-store economy: compiles the engine (or its pool
+            # Program-store economy: compiles the engine (or its joined
             # workers — their deltas merge into the session stats)
             # actually paid vs compiles the persistent store absorbed.
             # A long-lived warm service shows hits climbing while
@@ -508,7 +441,7 @@ class ExplorationService:
             stats = self.session.stats
             writer.write(protocol.encode(protocol.ok(
                 protocol=protocol.PROTOCOL_VERSION,
-                workers=self.workers, jobs=len(self.queue.jobs),
+                jobs=len(self.queue.jobs),
                 scheduler=self.queue.scheduler.name,
                 depth=self.queue.depth,
                 queue_cap=self.queue.max_pending,
@@ -684,7 +617,9 @@ class ExplorationService:
 
         One line per terminal point, completion-ordered: ``index`` +
         either the serialised result or a ``cancelled`` marker; a final
-        ``done`` line carries the job's closing status.
+        ``done`` line carries the job's closing status.  When the
+        closing store flush fails, an error line naming the failure
+        takes the ``done`` line's place.
         """
         writer.write(protocol.encode(protocol.ok(
             job=job.id, total=len(job.points), streaming=True)))
@@ -712,13 +647,19 @@ class ExplorationService:
         # also flushes on completion, but that flush may still be in
         # flight when the last result streams out; this one is cheap —
         # a no-op when the engine thread already got there.)
-        await self._on_engine(self.session.save_store)
-        writer.write(protocol.encode(protocol.ok(
-            done=True, status=self.queue.status(job))))
+        try:
+            await self._on_engine(self.session.save_store)
+        except Exception as exc:
+            line = protocol.error(
+                "job %s finished but its store flush failed: %s"
+                % (job.id, exc))
+        else:
+            line = protocol.ok(done=True, status=self.queue.status(job))
+        writer.write(protocol.encode(line))
         await writer.drain()
 
 
-def serve(cache_dir=None, workers=1, host=DEFAULT_HOST,
+def serve(cache_dir=None, host=DEFAULT_HOST,
           port=DEFAULT_PORT, library=None, flush_interval=2.0,
           announce=print, token=None, scheduler="fifo", queue_cap=None,
           job_ttl=None, max_jobs=None, local_engines=1,
@@ -749,7 +690,7 @@ def serve(cache_dir=None, workers=1, host=DEFAULT_HOST,
     session = Session(library=library, cache_dir=cache_dir)
 
     async def _main():
-        service = ExplorationService(session, workers=workers,
+        service = ExplorationService(session,
                                      flush_interval=flush_interval,
                                      token=token, scheduler=scheduler,
                                      queue_cap=queue_cap,
@@ -765,10 +706,10 @@ def serve(cache_dir=None, workers=1, host=DEFAULT_HOST,
             gateway = HttpGateway(service, api_keys=api_keys)
             gateway.start(host=host, port=http_port)
         if announce is not None:
-            announce("serving on %s:%d (workers=%d, local engines=%d, "
+            announce("serving on %s:%d (local engines=%d, "
                      "scheduler=%s, cache_dir=%s, auth=%s)"
                      % (service.address[0], service.address[1],
-                        workers, local_engines, scheduler,
+                        local_engines, scheduler,
                         cache_dir or "none",
                         "token" if token else "none"))
             if gateway is not None:

@@ -1,18 +1,24 @@
-"""Regression tests for ``Session.explore``'s failure paths.
+"""Regression tests for the failure paths of ``Session.explore`` and
+the parallel exhaustive scan, which share ``Session.fan_out``'s pool.
 
-The bugs these pin down (ISSUE 3): a bad point used to abort the whole
-batch — the serial path skipped the trailing ``save_store()`` on
-exception and the pool path aborted ``pool.map``, dropping every
-finished chunk's results *and* its store deltas — and an interrupt
-mid-sweep left the pool to die noisily without a final flush.
+The bugs these pin down: a bad point used to abort the whole batch —
+the serial path skipped the trailing ``save_store()`` on exception and
+the pool path aborted ``pool.map``, dropping every finished chunk's
+results *and* its store deltas — and an interrupt mid-sweep (or
+mid-search) left the pool to die noisily without a final flush.
 """
 
 import pytest
 
+from repro.apps.registry import load_application
+from repro.core.exhaustive import exhaustive_best_allocation
 from repro.engine import DesignPoint, PointError, Session
 from repro.engine import session as session_module
 from repro.engine.design_point import failed_point_result
+from repro.engine.store import CacheStore
 from repro.errors import ReproError
+from repro.hwlib.library import default_library
+from repro.partition.model import TargetArchitecture
 
 #: A grid with one poisoned point among valid ones; 'nope' is not a
 #: registered application, so only evaluation (not submission or
@@ -155,8 +161,8 @@ class TestKeyboardInterrupt:
         monkeypatch.setattr(session_module.multiprocessing, "Pool",
                             _InterruptingPool)
         # The stub runs chunks in-process via the real worker plumbing,
-        # so the parent-global worker session must be restored.
-        monkeypatch.setattr(session_module, "_WORKER_SESSION", None)
+        # so the parent-global worker state must be restored.
+        monkeypatch.setattr(session_module, "_WORKER", None)
         _InterruptingPool.instances = []
         session = Session(cache_dir=cache_dir)
         with pytest.raises(KeyboardInterrupt):
@@ -169,3 +175,24 @@ class TestKeyboardInterrupt:
         assert warm.stats.hit_count("eval") == 1
         # ... and its accounting reached the parent session.
         assert session.stats.miss_count("eval") >= 1
+
+    def test_interrupted_scan_keeps_completed_chunks(self, tmp_path,
+                                                     monkeypatch):
+        cache_dir = str(tmp_path / "store")
+        monkeypatch.setattr(session_module.multiprocessing, "Pool",
+                            _InterruptingPool)
+        monkeypatch.setattr(session_module, "_WORKER", None)
+        _InterruptingPool.instances = []
+        library = default_library()
+        bsbs = load_application("hal").bsbs
+        architecture = TargetArchitecture(library=library,
+                                          total_area=20000.0)
+        with pytest.raises(KeyboardInterrupt):
+            exhaustive_best_allocation(
+                bsbs, architecture, workers=2,
+                session=Session(library=library, cache_dir=cache_dir))
+        pool = _InterruptingPool.instances[0]
+        assert pool.terminated and pool.joined
+        # The first chunk's PACE results were absorbed and flushed.
+        entries, _ = CacheStore(cache_dir).info()["partitions"]
+        assert entries > 0

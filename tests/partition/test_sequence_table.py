@@ -171,15 +171,24 @@ LIBRARY = default_library()
 
 
 def tie_heavy_instance(rng, count):
-    """Integer times, areas and communication, so savings tie exactly."""
+    """Integer times, areas and communication, so savings tie exactly.
+
+    A BSB takes hardware time 0 only when its software time is 0 too,
+    as in the pipeline: only an empty DFG schedules in zero steps.  A
+    zero-time hardware BSB with positive software time would let PACE
+    reach a hybrid time of 0, where no speed-up is defined.
+    """
     variables = "pqr"
-    costs = [
-        make_cost("r%d" % index, rng.randint(0, 8),
-                  rng.randint(0, 4) if rng.random() < 0.9 else None,
-                  rng.randint(1, 4), profile=rng.randint(1, 3),
-                  reads=rng.sample(variables, rng.randint(0, 2)),
-                  writes=rng.sample(variables, rng.randint(0, 2)))
-        for index in range(count)]
+    costs = []
+    for index in range(count):
+        software = rng.randint(0, 8)
+        hardware = rng.randint(min(software, 1), 4) \
+            if rng.random() < 0.9 else None
+        costs.append(make_cost(
+            "r%d" % index, software, hardware, rng.randint(1, 4),
+            profile=rng.randint(1, 3),
+            reads=rng.sample(variables, rng.randint(0, 2)),
+            writes=rng.sample(variables, rng.randint(0, 2))))
     architecture = TargetArchitecture(
         library=LIBRARY, total_area=10000.0,
         comm_cycles_per_word=float(rng.randint(0, 1)))

@@ -4,9 +4,10 @@ One real :class:`ExplorationService` (real sockets on an ephemeral
 loopback port, real session, tmp-path store) on a background thread,
 driven by real :class:`ServiceClient` instances — the same path the
 CLI takes.  ``make_harness`` accepts every service knob (token,
-scheduler, queue_cap, job_ttl, max_jobs, a service subclass), so the
-auth / backpressure / fairness / GC suites all drive the genuine
-article.
+scheduler, queue_cap, job_ttl, max_jobs, local_engines, a service
+subclass), so the auth / backpressure / fairness / GC / fabric suites
+all drive the genuine article.  Points evaluate in process on the
+service's local engines, or on engines joined to it.
 """
 
 import asyncio
@@ -22,7 +23,7 @@ from repro.service.server import ExplorationService
 class ServiceHarness:
     """One live service on a background thread."""
 
-    def __init__(self, cache_dir, workers=1, flush_interval=0.2,
+    def __init__(self, cache_dir, flush_interval=0.2,
                  service_class=ExplorationService, token=None,
                  **service_kwargs):
         self.session = Session(cache_dir=cache_dir)
@@ -31,7 +32,6 @@ class ServiceHarness:
         self.token = token
         self._gateway = None
         self._ready = threading.Event()
-        self._workers = workers
         self._flush_interval = flush_interval
         self._service_class = service_class
         self._service_kwargs = service_kwargs
@@ -42,9 +42,8 @@ class ServiceHarness:
     def _run(self):
         async def main():
             service = self._service_class(
-                self.session, workers=self._workers,
-                flush_interval=self._flush_interval, token=self.token,
-                **self._service_kwargs)
+                self.session, flush_interval=self._flush_interval,
+                token=self.token, **self._service_kwargs)
             self.service = service
             await service.start(port=0)
             self.port = service.address[1]

@@ -20,6 +20,7 @@ import pytest
 
 from repro.engine import DesignPoint
 from repro.service import protocol
+from repro.service.client import ServiceError
 from repro.service.server import ExplorationService
 from repro.service.worker import EngineWorker
 
@@ -27,6 +28,7 @@ from tests.service.test_service import (
     GRID_A,
     POISON,
     assert_matches_serial,
+    failing_flush,
     serial_results,
 )
 
@@ -158,7 +160,7 @@ class TestRemoteParity:
         worker.join()
 
     def test_multiple_local_engines(self, make_harness):
-        harness = make_harness(local_engines=3, workers=3)
+        harness = make_harness(local_engines=3)
         client = harness.client()
         engines = client.ping()["engines"]
         assert [engine["engine"] for engine in engines] == \
@@ -237,6 +239,39 @@ class TestFaultInjection:
         assert roster["survivor"]["done"] == len(FABRIC_GRID)
         harness.stop()
         survivor.join()
+
+    def test_shutdown_with_leased_work_in_flight(self, make_harness):
+        """Stopping a coordinator waits neither for a joined engine's
+        leases nor for the engine timeout."""
+        harness = make_harness(local_engines=0, engine_timeout=30.0)
+        client = harness.client()
+        client.submit(FABRIC_GRID)
+        worker = WorkerThread(harness, "w", slots=2)
+        deadline = time.monotonic() + 10.0
+        while not any(engine["in_flight"]
+                      for engine in client.ping()["engines"]):
+            assert time.monotonic() < deadline, "nothing was leased"
+            time.sleep(0.01)
+        started = time.monotonic()
+        harness.stop()
+        assert not harness._thread.is_alive()
+        assert time.monotonic() - started < 5.0
+        worker.join()
+
+    def test_failing_flush_keeps_the_worker(self, make_harness):
+        harness = make_harness(local_engines=0)
+        worker = WorkerThread(harness, "w")
+        client = harness.client()
+        wait_for_engines(client, 1, kind="remote")
+        with failing_flush():
+            for finished in (1, 2):
+                with pytest.raises(ServiceError, match="No space"):
+                    client.collect(client.submit(FABRIC_GRID))
+                (engine,) = client.ping()["engines"]
+                assert engine["alive"] is True
+                assert engine["done"] == finished * len(FABRIC_GRID)
+        harness.stop()
+        worker.join()
 
     def test_silent_worker_is_reaped(self, make_harness):
         # A hung worker keeps its socket open and sends nothing: only
@@ -363,9 +398,9 @@ class TestFaultInjection:
 class TestRosterObservability:
     def test_single_engine_ping_is_backward_compatible(self, harness):
         info = harness.client().ping()
-        # Every pre-fabric field survives with its old meaning...
-        for field in ("protocol", "workers", "jobs", "scheduler",
-                      "depth", "queue_cap", "program_compiles",
+        # The service-level fields keep their meaning...
+        for field in ("protocol", "jobs", "scheduler", "depth",
+                      "queue_cap", "program_compiles",
                       "program_store_hits"):
             assert field in info
         # ...and the roster rides alongside: one default local engine.

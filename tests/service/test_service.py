@@ -9,16 +9,22 @@ clients sharing one store get results bit-identical to a serial
 per-job.
 """
 
+import asyncio
+import errno
 import json
+import os
 import socket
 import threading
+from unittest import mock
 
 import pytest
 
 from repro.engine import DesignPoint, Session
+from repro.engine.store import CacheStore
 from repro.io.serialize import design_point_to_dict
 from repro.service import protocol
 from repro.service.client import ServiceError
+from repro.service.server import ExplorationService
 
 #: Small, fast grids (straight is the cheapest benchmark; quanta kept
 #: low).  GRID_A and GRID_B overlap on two points — the sharing the
@@ -30,6 +36,13 @@ GRID_B = (DesignPoint(app="straight", area=5000.0, quanta=80),
           DesignPoint(app="straight", area=7500.0, quanta=80),
           DesignPoint(app="straight", area=15000.0, quanta=80))
 POISON = DesignPoint(app="nope", quanta=80)
+
+
+def failing_flush():
+    """Patch every store flush to fail the way a full disk does."""
+    return mock.patch.object(
+        CacheStore, "flush",
+        side_effect=OSError(errno.ENOSPC, os.strerror(errno.ENOSPC)))
 
 
 def serial_results(points):
@@ -116,21 +129,6 @@ class TestConcurrentClients:
         assert_matches_serial(outcomes["a"], GRID_A)
         assert_matches_serial(outcomes["b"], GRID_B)
 
-    def test_pooled_workers_match_serial(self, make_harness):
-        harness = make_harness(workers=2)
-        client = harness.client(timeout=120.0)
-        results = client.collect(client.submit(GRID_A))
-        assert_matches_serial(results, GRID_A)
-
-    def test_shutdown_with_pooled_work_in_flight(self, make_harness):
-        """Regression: terminating the pool under live ``apply`` calls
-        stranded the dispatch threads; shutdown must drain instead."""
-        harness = make_harness(workers=2)
-        client = harness.client()
-        client.submit(GRID_A + GRID_B)  # keep both workers busy
-        harness.stop()
-        assert not harness._thread.is_alive()
-
     def test_shutdown_with_idle_connection(self, make_harness):
         """Regression: an idle client parked in readline() must not
         hold the server teardown open (Python 3.12's wait_closed()
@@ -165,6 +163,40 @@ class TestFailureContainment:
         for point in (GRID_A[0], GRID_A[1]):
             warm.evaluate_point(point)
         assert warm.stats.hit_count("eval") == 2
+
+
+class TestFlushFailure:
+    """A failing store flush is bookkeeping: it never costs a computed
+    result, a connection or the service, but a stream whose entries did
+    not reach the disk must not end with ``done``."""
+
+    def test_stream_ends_with_an_error_naming_the_flush(self, harness):
+        client = harness.client()
+        with failing_flush():
+            for grid in (GRID_A, GRID_B):
+                job = client.submit(grid)
+                with pytest.raises(ServiceError,
+                                   match="store flush failed.*No space"):
+                    client.collect(job)
+                status = client.status(job)
+                assert status["state"] == "done"
+                assert status["done"] == len(grid)
+
+    def test_stop_shuts_the_engine_thread_down(self, tmp_path):
+        before = set(threading.enumerate())
+
+        async def start_and_stop():
+            service = ExplorationService(
+                Session(cache_dir=str(tmp_path / "store")))
+            await service.start(port=0)
+            with pytest.raises(OSError):
+                await service.stop()
+
+        with failing_flush():
+            asyncio.run(start_and_stop())
+        assert not [thread for thread in threading.enumerate()
+                    if thread not in before
+                    and thread.name.startswith("lycos-engine")]
 
 
 class TestCancel:

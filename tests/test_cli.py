@@ -248,18 +248,20 @@ class TestServiceParser:
     def test_serve_defaults(self):
         args = build_parser().parse_args(["serve"])
         assert args.cache_dir is None
-        assert args.workers == 1
+        assert args.slots == 1
         assert args.host == "127.0.0.1"
         assert args.port == 7421
         assert args.flush_interval == 2.0
 
     def test_serve_args(self):
         args = build_parser().parse_args(
-            ["serve", "--cache-dir", "/tmp/store", "--workers", "3",
-             "--port", "7500"])
+            ["serve", "--cache-dir", "/tmp/store", "--port", "7500"])
         assert args.cache_dir == "/tmp/store"
-        assert args.workers == 3
         assert args.port == 7500
+
+    def test_serve_has_no_workers_option(self):
+        with pytest.raises(SystemExit):
+            build_parser().parse_args(["serve", "--workers", "2"])
 
     def test_submit_defaults(self):
         args = build_parser().parse_args(["submit"])
