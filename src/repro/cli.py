@@ -14,7 +14,7 @@ Usage (after ``pip install -e .``)::
     lycos-repro sweep --apps hal --cache-dir .lycos-cache
                                     # persistent store: reruns are warm
     lycos-repro cache info --cache-dir .lycos-cache
-                                    # inspect / clear the store
+                                    # inspect / clear the store file
     lycos-repro cache compact --cache-dir .lycos-cache --max-bytes 2000000
                                     # LRU-evict down to a size budget
     lycos-repro serve --cache-dir .lycos-cache
@@ -42,7 +42,7 @@ accepts ``--cache-dir`` (table1, fig3, s51, iterate, allocate,
 multiasic, sweep, serve): point them at one directory and they share a
 persistent warm store — compiled programs included, so a second
 process's ``table1``/``sweep`` performs zero frontend compiles
-(``cache info`` lists the ``programs`` shard; the store-backed
+(``cache info`` lists the ``programs`` stage; the store-backed
 commands print a ``frontend compiles`` line the CI asserts on).
 """
 
@@ -323,7 +323,7 @@ def build_parser():
     cache.add_argument("action", choices=["info", "compact", "clear"],
                        help="info: per-stage entry counts and sizes; "
                             "compact: LRU-evict to a size/age budget; "
-                            "clear: delete every shard")
+                            "clear: delete the store file")
     cache.add_argument("--cache-dir", required=True,
                        help="store directory to operate on")
     cache.add_argument("--max-bytes", type=int, default=None,
@@ -753,7 +753,7 @@ def cmd_cache(args):
         return
     if args.action == "clear":
         removed = store.clear()
-        print("cleared %d shard(s) from %s" % (removed, store.root))
+        print("cleared %d entries from %s" % (removed, store.root))
         return
     if args.action == "compact":
         report = store.compact(max_bytes=args.max_bytes,

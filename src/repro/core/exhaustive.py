@@ -670,7 +670,7 @@ def exhaustive_best_allocation(bsbs, architecture, restrictions=None,
     # Persist what this search learned (worker deltas included) right
     # away — searches are long and a crash should not lose them.  For a
     # fully warm search the flush skips itself; callers batching many
-    # searches on one session pay one shard rewrite per search that
+    # searches on one session pay one transaction per search that
     # actually computed something new.
     session.save_store()
 

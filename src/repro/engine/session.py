@@ -109,8 +109,8 @@ class Session:
 
         Resolution order: the in-process memo, then the persistent
         program store (a hydrated program gets fresh uids but identical
-        fingerprints, so the stage shards key onto it unchanged), then a
-        cold frontend compile — whose result is
+        fingerprints, so the stored stage entries key onto it
+        unchanged), then a cold frontend compile — whose result is
         queued for the store, making the *next* process warm.  The
         ``compile`` stage counters are the scoreboard: a miss is an
         actual frontend compile, a hit is a compile the store absorbed.
@@ -180,7 +180,7 @@ class Session:
         """Rebuild a stored program; None when the entry is damaged.
 
         A corrupt document degrades to a cold compile — exactly the
-        graceful story corrupt stage shards already have — never to an
+        graceful story a corrupt store file already has — never to an
         error surfaced at the caller.
         """
         from repro.io.serialize import program_from_dict

@@ -36,9 +36,10 @@ __all__ = [
 def store_analytics(store):
     """Reduce a :class:`~repro.engine.store.CacheStore` to report data.
 
-    Returns ``{"root", "stages", "deltas", "compactions"}`` — shard
-    census, absorbed-delta compression accounting and the bounded
-    compaction history — or ``None`` for store-less sessions.
+    Returns ``{"root", "stages", "deltas", "compactions"}`` — per-stage
+    entry counts and payload bytes, absorbed-delta compression
+    accounting and the bounded compaction history — or ``None`` for
+    store-less sessions.
     """
     if store is None:
         return None
@@ -473,7 +474,7 @@ def _store_section(store):
                                 for entry in stages.values()),
                      "%d" % sum(entry["bytes"]
                                 for entry in stages.values())])
-        parts.append(_table(["Shard", "Entries", "Bytes"], rows,
+        parts.append(_table(["Stage", "Entries", "Bytes"], rows,
                             numeric=(1, 2)))
     else:
         parts.append('<p class="note">Empty store.</p>')

@@ -49,10 +49,10 @@ worker's one persistent connection:
 results plus an optional cache-store delta.  Store deltas are the
 content-keyed entry mappings of
 :meth:`~repro.engine.store.CacheStore.export_delta` — the exact
-structures the store pickles to its shards — so the wire form is a
+structures the store pickles into its rows — so the wire form is a
 zlib-compressed pickle in base64 (:func:`encode_store_delta`), split
 into line-budget frames by :func:`store_delta_frames`.  The same
-trust boundary as the shards applies: deltas are only ever decoded
+trust boundary as the store file applies: deltas are only ever decoded
 from *joined* (hence authenticated) engines, and a malformed blob is
 rejected as a whole frame before any of it touches coordinator state.
 """
@@ -341,7 +341,7 @@ def decode_store_delta(blob):
     structure — rejects the frame.  Only call this for blobs received
     from a *joined* engine: decoding is unpickling, and the join
     handshake (behind auth) is the trust boundary, exactly as it is
-    for the store's own shard files.
+    for the store's own file.
     """
     delta, _, _ = decode_store_delta_sized(blob)
     return delta

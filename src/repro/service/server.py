@@ -28,18 +28,21 @@ Concurrency model (the single-writer rule, unchanged in spirit):
   funnel through it.
 * A service evaluates in one of two places: in process, on its local
   engines (which all share that one thread), or on joined engines.
-  Joined workers never write shards — their content-keyed store deltas
+  Joined workers never write the store — their content-keyed deltas
   travel back and are absorbed on the engine thread, which remains
   the store's only writer.  More local parallelism is a ``serve
   --join`` worker away; the service keeps no process pool of its own.
 
 Durability: the engine thread rate-limits flushes through
 :meth:`~repro.engine.store.CacheStore.maybe_flush` after every point
-and forces a full flush whenever a job drains, so a crash loses at
-most ``flush_interval`` seconds of cache growth and a streamed "done"
+and forces a flush whenever a job drains, so a crash loses at most
+``flush_interval`` seconds of cache growth and a streamed "done"
 implies the job's entries — including every absorbed remote delta —
 are on disk.  That ordering (absorb before record, flush before
-"done") is the per-job durability barrier of the fabric.
+"done") is the per-job durability barrier of the fabric.  A flush is
+one sqlite transaction that inserts only the entries added since the
+previous one, so the barrier costs the job's new work, not the size
+of the store.
 
 Failure containment: every point is evaluated through
 ``Session.evaluate_point_safe`` — an unknown app or infeasible point
@@ -588,7 +591,7 @@ class ExplorationService:
             # Compression accounting: what crossed the wire vs the
             # pickled payload it stood for, per engine — surfaced by
             # ``ping``/``status`` rosters and ``cache info``, and
-            # persisted alongside the store's shards.
+            # persisted in the store's own ``deltas`` table.
             engine.delta_raw_bytes += delta_raw
             engine.delta_compressed_bytes += delta_compressed
             if self.session.store is not None:

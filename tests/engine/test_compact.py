@@ -1,50 +1,69 @@
 """Tests for store LRU stamping and compaction (ISSUE 4).
 
-The contract: every shard entry carries a last-used stamp (refreshed
-when a flush writes it *or* a hydrate replays it — so a warm run that
-computes nothing still protects its entries), and
+The contract: every stored row carries a last-used stamp (set when a
+flush inserts it and refreshed when a hydrate replays its owner — so a
+warm run that computes nothing still protects its entries), and
 :meth:`CacheStore.compact` evicts by age and/or down to a byte budget,
 oldest first.  Compaction must leave survivors fully warm (>90% hit
-rate), must never corrupt a shard — even racing a concurrent flush on
-the ``O_EXCL`` lock-file fallback path — and evicted entries simply
-recompute cold.
+rate), must never corrupt the store — even racing a concurrent flush
+on sqlite's locks — and evicted entries simply recompute cold.
 """
 
+import contextlib
 import os
 import pickle
-import sys
+import sqlite3
 import threading
 import time
 
 import pytest
 
-from repro.engine import CacheStore, DesignPoint, Session
-from repro.engine.store import ALL_SHARD_KINDS, STORE_VERSION
+from repro.engine import CacheStore, DesignPoint, EvalCache, Session
+from repro.engine.store import STORE_VERSION
 from repro.errors import ReproError
 
 STRAIGHT = DesignPoint(app="straight", area=4000.0, quanta=100)
 HAL = DesignPoint(app="hal", area=5000.0, quanta=100)
 
 
-def lru_path(root):
-    return os.path.join(root, "lru.v%d.meta" % STORE_VERSION)
+def store_path(root):
+    return os.path.join(root, "store.v%d.sqlite" % STORE_VERSION)
+
+
+@contextlib.contextmanager
+def connect(root):
+    """A plain sqlite connection to the store file (tests read the
+    layout directly, behind the store's back)."""
+    db = sqlite3.connect(store_path(root), isolation_level=None)
+    try:
+        yield db
+    finally:
+        db.close()
+
+
+def read_rows(root):
+    """[(rowid, stage, owner, keys, last_used)] of every stored row."""
+    if not os.path.exists(store_path(root)):
+        return []
+    with connect(root) as db:
+        return [(rowid, stage, owner, set(pickle.loads(payload)), stamp)
+                for rowid, stage, owner, payload, stamp in db.execute(
+                    "SELECT rowid, stage, owner, payload, last_used "
+                    "FROM spills ORDER BY rowid")]
 
 
 def read_stamps(root):
-    with open(lru_path(root), "rb") as handle:
-        return pickle.load(handle)
+    """{rowid: last_used} of every stored row."""
+    return {row[0]: row[4] for row in read_rows(root)}
 
 
-def shard_keys(root):
-    """{stage: set of stable keys} of every shard on disk (the
-    compiled-program shard included — its entries are stamped and
-    compacted like any stage entry)."""
-    store = CacheStore(root)
+def stored_keys(root):
+    """{stage: set of keys} of every stored row (the compiled-program
+    rows included — they are stamped and compacted like any stage
+    entry)."""
     keys = {}
-    for stage in ALL_SHARD_KINDS:
-        data = store._load_shard(stage)
-        if data:
-            keys[stage] = set(data)
+    for _, stage, _, row_keys, _ in read_rows(root):
+        keys.setdefault(stage, set()).update(row_keys)
     return keys
 
 
@@ -58,11 +77,13 @@ def run_point(root, point):
 class TestLruStamps:
     def test_flush_stamps_every_written_entry(self, tmp_path):
         root = str(tmp_path / "store")
+        before = time.time()
         run_point(root, STRAIGHT)
-        stamps = read_stamps(root)
-        for stage, keys in shard_keys(root).items():
-            assert keys <= set(stamps.get(stage, {})), \
-                "stage %s has unstamped entries" % stage
+        rows = read_rows(root)
+        assert rows
+        for _, stage, _, _, stamp in rows:
+            assert before <= stamp <= time.time(), \
+                "stage %s has a row stamped outside its flush" % stage
 
     def test_warm_replay_refreshes_stamps(self, tmp_path):
         """A warm run computes nothing new, yet its hydrated entries
@@ -74,32 +95,33 @@ class TestLruStamps:
         time.sleep(0.05)
         run_point(root, STRAIGHT)  # pure replay
         after = read_stamps(root)
-        refreshed = sum(
-            1 for stage, bucket in after.items()
-            for key, stamp in bucket.items()
-            if stamp > before.get(stage, {}).get(key, stamp))
+        assert set(after) == set(before), "a replay inserts no rows"
+        refreshed = sum(1 for rowid, stamp in after.items()
+                        if stamp > before[rowid])
         assert refreshed > 0
 
     def test_clear_removes_the_stamp_file(self, tmp_path):
+        # The stamps are columns of the store file: clear() deletes the
+        # file and its journal, so no stamp outlives its entry.
         root = str(tmp_path / "store")
         run_point(root, STRAIGHT)
-        assert os.path.exists(lru_path(root))
+        assert read_stamps(root)
         CacheStore(root).clear()
-        assert not os.path.exists(lru_path(root))
+        assert not os.path.exists(store_path(root))
+        assert not os.path.exists(store_path(root) + "-journal")
+        assert read_stamps(root) == {}
 
 
 class TestCompactByAge:
     def stamp_by_app(self, root, fresh_keys, now):
-        """Rewrite the stamp file: ``fresh_keys`` stamped now, every
-        other entry a thousand seconds stale."""
-        stamps = {}
-        for stage, keys in shard_keys(root).items():
-            stamps[stage] = {
-                key: (now if key in fresh_keys.get(stage, set())
-                      else now - 1000.0)
-                for key in keys}
-        with open(lru_path(root), "wb") as handle:
-            pickle.dump(stamps, handle)
+        """Restamp every row: rows holding only ``fresh_keys`` now,
+        every other row a thousand seconds stale."""
+        with connect(root) as db:
+            for rowid, stage, _, keys, _ in read_rows(root):
+                fresh = keys <= fresh_keys.get(stage, set())
+                db.execute("UPDATE spills SET last_used = ? "
+                           "WHERE rowid = ?",
+                           (now if fresh else now - 1000.0, rowid))
 
     def test_evicts_stale_keeps_fresh_and_survivors_stay_warm(
             self, tmp_path):
@@ -107,7 +129,7 @@ class TestCompactByAge:
         # (the pipeline is deterministic, so stable keys match).
         reference = str(tmp_path / "reference")
         run_point(reference, HAL)
-        hal_keys = shard_keys(reference)
+        hal_keys = stored_keys(reference)
 
         root = str(tmp_path / "store")
         run_point(root, STRAIGHT)
@@ -118,7 +140,7 @@ class TestCompactByAge:
         assert report["dropped"] > 0
         assert report["bytes_after"] < report["bytes_before"]
         # Exactly the stale (straight) entries went; hal survived.
-        assert shard_keys(root) == hal_keys
+        assert stored_keys(root) == hal_keys
 
         # Survivors are fully warm: the hal rerun replays everything
         # the store covers — since PR 5 that includes the compiled
@@ -155,41 +177,46 @@ class TestCompactByAge:
 
 
 class TestCompactByBytes:
-    def synthetic_store(self, tmp_path, entries=40, payload=200):
-        """One 'evals' shard of opaque entries with ascending stamps —
-        entry i is strictly more recently used than entry i-1."""
+    def synthetic_store(self, tmp_path, entries=40, payload=4000):
+        """40 one-entry 'evals' rows of opaque entries with ascending
+        stamps — entry i is strictly more recently used than entry
+        i-1.  The payloads dwarf the empty schema's few pages, so half
+        the file is a budget the survivors can meet."""
         root = str(tmp_path / "store")
         store = CacheStore(root)
         data = {("key-%03d" % index,): "x" * payload
                 for index in range(entries)}
-        store._write_shard("evals", data)
-        stamps = {"evals": {("key-%03d" % index,): 1000.0 + index
-                            for index in range(entries)}}
-        with open(lru_path(root), "wb") as handle:
-            pickle.dump(stamps, handle)
+        store.absorb_delta({"evals": data})
+        assert store.flush(EvalCache()) == entries
+        with connect(root) as db:
+            for index in range(entries):
+                db.execute("UPDATE spills SET last_used = ? "
+                           "WHERE owner = ?",
+                           (1000.0 + index, "key-%03d" % index))
         return root, data
 
     def test_evicts_oldest_first_down_to_the_budget(self, tmp_path):
         root, data = self.synthetic_store(tmp_path)
-        size = os.path.getsize(
-            os.path.join(root, "evals.v%d.pkl" % STORE_VERSION))
+        size = os.path.getsize(store_path(root))
         report = CacheStore(root).compact(max_bytes=size // 2)
         assert 0 < report["kept"] < len(data)
         assert report["bytes_after"] <= size // 2
-        survivors = shard_keys(root)["evals"]
+        assert os.path.getsize(store_path(root)) == report["bytes_after"]
+        survivors = stored_keys(root)["evals"]
         # LRU: the survivors are exactly the most recent suffix.
         expected = {("key-%03d" % index,)
                     for index in range(len(data) - len(survivors),
                                        len(data))}
         assert survivors == expected
-        # Stamps of the victims are pruned with them.
-        assert set(read_stamps(root)["evals"]) == expected
+        # Stamps of the victims are pruned with them: one row, one
+        # stamp, per survivor.
+        assert len(read_stamps(root)) == len(expected)
 
     def test_generous_budget_drops_nothing(self, tmp_path):
         root, data = self.synthetic_store(tmp_path)
         report = CacheStore(root).compact(max_bytes=1 << 30)
         assert report["dropped"] == 0
-        assert set(shard_keys(root)["evals"]) == set(data)
+        assert set(stored_keys(root)["evals"]) == set(data)
 
 
 class TestCompactEdges:
@@ -204,14 +231,12 @@ class TestCompactEdges:
                           "bytes_after": 0, "stages": {}}
         assert not os.path.exists(root)
 
-    def test_compact_racing_a_flush_never_corrupts(self, tmp_path,
-                                                   monkeypatch):
-        """Compaction and flushes share the store lock; on platforms
-        without ``fcntl`` that is the O_EXCL lock-file path — force it
-        and hammer both sides concurrently.  Whatever interleaving
-        wins, every shard must stay a readable dict and a fresh warm
-        session must still match a storeless run bit-for-bit."""
-        monkeypatch.setitem(sys.modules, "fcntl", None)
+    def test_compact_racing_a_flush_never_corrupts(self, tmp_path):
+        """Compaction and flushes serialise on sqlite's locks: hammer
+        both sides concurrently from two connections.  Whatever
+        interleaving wins, the file must pass an integrity check, every
+        row must unpickle to a dict, and a fresh warm session must
+        still match a storeless run bit-for-bit."""
         root = str(tmp_path / "store")
         run_point(root, STRAIGHT)
         failures = []
@@ -235,10 +260,11 @@ class TestCompactEdges:
         thread.join(60)
         assert not thread.is_alive()
         assert not failures, failures
-        # Every shard on disk is a healthy dict...
-        checker = CacheStore(root)
-        for stage in ALL_SHARD_KINDS:
-            assert isinstance(checker._load_shard(stage), dict)
+        # The file is healthy and every row reads as a dict...
+        with connect(root) as db:
+            assert db.execute("PRAGMA integrity_check").fetchone() \
+                == ("ok",)
+        assert read_rows(root)
         # ...and the store still serves bit-identical results.
         warm = Session(cache_dir=root)
         plain = Session()
@@ -251,30 +277,13 @@ class TestCompactEdges:
 class TestCompactLiveSession:
     """Compaction of a store some live session still holds entries from.
 
-    flush() re-encodes the *whole* live cache whenever a stage grows,
-    so without the evicted-key bookkeeping a non-quiescent session's
-    next flush would write every victim straight back to disk and the
-    compact would silently not stick.
+    A flush inserts only the entries new since the session's last
+    flush, so a live session never writes a compacted row back — no
+    matter which store object ran the compaction.
     """
 
-    def test_live_session_flush_does_not_resurrect_victims(self,
-                                                           tmp_path):
-        root = str(tmp_path / "store")
-        session = Session(cache_dir=root)
-        session.evaluate_point(STRAIGHT)
-        session.save_store()
-        victims = shard_keys(root)
-        assert victims
-
-        report = session.store.compact(max_age_seconds=0.0)
-        assert report["dropped"] > 0
-        assert not shard_keys(root)
-
-        # New work dirties the stages; the rewrite must skip the
-        # victims even though the session's cache still holds them.
-        session.evaluate_point(HAL)
-        session.save_store()
-        after = shard_keys(root)
+    def assert_not_resurrected(self, root, victims):
+        after = stored_keys(root)
         assert after, "the new work itself must still persist"
         for stage, keys in victims.items():
             resurrected = keys & after.get(stage, set())
@@ -282,15 +291,51 @@ class TestCompactLiveSession:
                 "stage %s resurrected %d evicted entries" \
                 % (stage, len(resurrected))
 
+    def test_live_session_flush_does_not_resurrect_victims(self,
+                                                           tmp_path):
+        root = str(tmp_path / "store")
+        session = Session(cache_dir=root)
+        session.evaluate_point(STRAIGHT)
+        session.save_store()
+        victims = stored_keys(root)
+        assert victims
+
+        report = session.store.compact(max_age_seconds=0.0)
+        assert report["dropped"] > 0
+        assert not stored_keys(root)
+
+        # New work grows the stages; the flush must leave the victims
+        # out even though the session's cache still holds them.
+        session.evaluate_point(HAL)
+        session.save_store()
+        self.assert_not_resurrected(root, victims)
+
+    def test_compaction_by_another_store_sticks(self, tmp_path):
+        """The ``cache compact`` case: a second store object (another
+        process, in real use) compacts while the session is live."""
+        root = str(tmp_path / "store")
+        session = Session(cache_dir=root)
+        session.evaluate_point(STRAIGHT)
+        session.save_store()
+        victims = stored_keys(root)
+        report = CacheStore(root).compact(max_age_seconds=0.0)
+        assert report["dropped"] == sum(len(keys)
+                                        for keys in victims.values())
+        assert not stored_keys(root)
+
+        session.evaluate_point(HAL)
+        assert session.save_store() > 0
+        self.assert_not_resurrected(root, victims)
+
     def test_cold_recompute_re_persists_evicted_entries(self, tmp_path):
         # Eviction is per live store object, not a permanent ban: a
         # fresh process that recomputes the work persists it again.
         root = str(tmp_path / "store")
         run_point(root, STRAIGHT)
         CacheStore(root).compact(max_age_seconds=0.0)
-        assert not shard_keys(root)
+        assert not stored_keys(root)
         run_point(root, STRAIGHT)
-        assert shard_keys(root)
+        assert stored_keys(root)
 
     def test_absorbed_worker_delta_unevicts(self, tmp_path):
         # A worker delta carrying an evicted key is *new computed work*
@@ -300,7 +345,7 @@ class TestCompactLiveSession:
         parent.evaluate_point(STRAIGHT)
         parent.save_store()
         parent.store.compact(max_age_seconds=0.0)
-        assert not shard_keys(root)
+        assert not stored_keys(root)
 
         worker = Session(cache_dir=root)  # hydrates nothing: disk empty
         worker.evaluate_point(STRAIGHT)
@@ -309,7 +354,7 @@ class TestCompactLiveSession:
 
         parent.store.absorb_delta(delta)
         parent.save_store()
-        after = shard_keys(root)
+        after = stored_keys(root)
         assert any(after.get(stage) for stage in delta), \
             "absorbed recomputation must reach the disk again"
 
@@ -352,9 +397,10 @@ class TestCompactionHistory:
         assert store.compaction_history() == []
         run_point(root, STRAIGHT)
         store.compact(max_age_seconds=0.0)
-        with open(store._compactions_path(), "wb") as handle:
-            handle.write(b"not a pickle")
-        assert store.compaction_history() == []
+        assert store.compaction_history()
+        with open(store_path(root), "wb") as handle:
+            handle.write(b"not a database")
+        assert CacheStore(root).compaction_history() == []
 
     def test_clear_removes_the_history(self, tmp_path):
         root = str(tmp_path / "store")
@@ -364,4 +410,4 @@ class TestCompactionHistory:
         assert store.compaction_history()
         store.clear()
         assert store.compaction_history() == []
-        assert not os.path.exists(store._compactions_path())
+        assert not os.path.exists(store_path(root))

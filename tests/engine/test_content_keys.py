@@ -23,9 +23,9 @@ from repro.partition.model import TargetArchitecture
 from tests.engine.test_compact import (
     HAL,
     STRAIGHT,
-    read_stamps,
+    read_rows,
     run_point,
-    shard_keys,
+    stored_keys,
 )
 from tests.engine.test_regression import assert_same_evaluation
 
@@ -35,25 +35,25 @@ def test_warm_session_stamps_only_its_own_programs(tmp_path):
     # deterministic, so content keys match across stores).
     reference = str(tmp_path / "reference")
     run_point(reference, HAL)
-    hal_keys = shard_keys(reference)
+    hal_keys = stored_keys(reference)
 
     root = str(tmp_path / "store")
     run_point(root, STRAIGHT)
     run_point(root, HAL)
-    before = read_stamps(root)
+    before = read_rows(root)
     time.sleep(0.05)
     run_point(root, HAL)  # warm: replays hal, never adopts straight
-    after = read_stamps(root)
+    after = {row[0]: row[4] for row in read_rows(root)}
 
     restamped = kept = 0
-    for stage, bucket in before.items():
-        for key, stamp in bucket.items():
-            if key in hal_keys.get(stage, ()):
-                assert after[stage][key] > stamp, (stage, key)
-                restamped += 1
-            else:
-                assert after[stage][key] == stamp, (stage, key)
-                kept += 1
+    for rowid, stage, _, keys, stamp in before:
+        if keys <= hal_keys.get(stage, set()):
+            assert after[rowid] > stamp, (stage, keys)
+            restamped += len(keys)
+        else:
+            assert not keys & hal_keys.get(stage, set()), (stage, keys)
+            assert after[rowid] == stamp, (stage, keys)
+            kept += len(keys)
     assert restamped == sum(len(keys) for keys in hal_keys.values())
     assert kept > 0
 

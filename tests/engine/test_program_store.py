@@ -10,8 +10,8 @@ they would across a real process boundary) must
   process-wide builder counter and the session's ``compile`` stage),
 * produce output bit-identical to the cold run for Table 1 and
   Figure 3 rows,
-* degrade to a cold compile — never an error — when the program shard
-  (or an individual entry) is corrupt, and
+* degrade to a cold compile — never an error — when the store file or
+  a program row is corrupt, and
 * fail loudly at flush time when a registered library or BSB was
   mutated after registration (the ROADMAP mutation nuance).
 """
@@ -26,7 +26,6 @@ from repro.cdfg.builder import frontend_compile_count
 from repro.engine import DesignPoint, Session
 from repro.engine.store import (
     PROGRAMS_STAGE,
-    STORE_VERSION,
     CacheStore,
     bsb_fingerprint,
     program_fingerprint,
@@ -42,10 +41,21 @@ from repro.report.experiments import (
     table1_rows,
 )
 
+from tests.engine.test_compact import connect, store_path
 
-def programs_shard_path(store_dir):
-    return os.path.join(store_dir,
-                        "%s.v%d.pkl" % (PROGRAMS_STAGE, STORE_VERSION))
+
+def program_rows(store_dir):
+    """The raw payloads of the stored program rows, oldest first."""
+    with connect(store_dir) as db:
+        return [payload for (payload,) in db.execute(
+            "SELECT payload FROM spills WHERE stage = ? ORDER BY rowid",
+            (PROGRAMS_STAGE,))]
+
+
+def replace_program_payloads(store_dir, payload):
+    with connect(store_dir) as db:
+        db.execute("UPDATE spills SET payload = ? WHERE stage = ?",
+                   (payload, PROGRAMS_STAGE))
 
 
 class TestProgramFingerprint:
@@ -225,29 +235,32 @@ class TestProgramShardRobustness:
             self, tmp_path):
         store_dir = str(tmp_path / "store")
         cold = self._warm_store(store_dir)
-        with open(programs_shard_path(store_dir), "wb") as handle:
-            handle.write(b"not a pickle at all")
+        replace_program_payloads(store_dir, b"not a pickle at all")
         session = Session(cache_dir=store_dir)
         before = frontend_compile_count()
         warm = session.evaluate_point(DesignPoint(app="hal"))
         assert frontend_compile_count() == before + 1  # cold fallback
         assert warm.speedup == cold.speedup
         assert warm.allocation == cold.allocation
-        # The fallback compile repairs the shard for the next session.
+        # The fallback compile repairs the store for the next session:
+        # a fresh row follows the damaged one.
         session.save_store()
-        with open(programs_shard_path(store_dir), "rb") as handle:
-            assert len(pickle.load(handle)) == 1
+        damaged, repaired = program_rows(store_dir)
+        assert damaged == b"not a pickle at all"
+        assert len(pickle.loads(repaired)) == 1
+        fresh = Session(cache_dir=store_dir)
+        before = frontend_compile_count()
+        fresh.program("hal")
+        assert frontend_compile_count() == before
 
     def test_damaged_program_entry_degrades_to_cold_compile(
             self, tmp_path):
         store_dir = str(tmp_path / "store")
         cold = self._warm_store(store_dir)
-        path = programs_shard_path(store_dir)
-        with open(path, "rb") as handle:
-            shard = pickle.load(handle)
-        poisoned = {key: {"kind": "garbage"} for key in shard}
-        with open(path, "wb") as handle:
-            pickle.dump(poisoned, handle)
+        (payload,) = program_rows(store_dir)
+        poisoned = {key: {"kind": "garbage"}
+                    for key in pickle.loads(payload)}
+        replace_program_payloads(store_dir, pickle.dumps(poisoned))
         session = Session(cache_dir=store_dir)
         before = frontend_compile_count()
         warm = session.evaluate_point(DesignPoint(app="hal"))
@@ -257,7 +270,7 @@ class TestProgramShardRobustness:
     def test_truncated_program_shard_recovers(self, tmp_path):
         store_dir = str(tmp_path / "store")
         cold = self._warm_store(store_dir)
-        path = programs_shard_path(store_dir)
+        path = store_path(store_dir)
         size = os.path.getsize(path)
         with open(path, "rb+") as handle:
             handle.truncate(max(1, size // 2))
@@ -301,7 +314,7 @@ class TestCompaction:
         report = CacheStore(store_dir).compact(max_bytes=0)
         kept, dropped = report["stages"][PROGRAMS_STAGE]
         assert (kept, dropped) == (0, 1)
-        assert not os.path.exists(programs_shard_path(store_dir))
+        assert program_rows(store_dir) == []
         # Compacted-away program: the next session cold-compiles.
         fresh = Session(cache_dir=store_dir)
         before = frontend_compile_count()

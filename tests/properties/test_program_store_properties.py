@@ -97,7 +97,7 @@ def test_synthetic_array_round_trip(seed, bsb_count, ops):
        ops=st.integers(min_value=1, max_value=30))
 def test_payloads_are_plain_json_data(seed, ops):
     """Neutral means neutral: no live objects, no uids, JSON round-trip
-    clean — what the shard pickles is pure data."""
+    clean — what the store pickles is pure data."""
     bsb = synthetic_bsb(ops, seed=seed, name="json%d" % seed)
     payload = bsb_to_dict(bsb)
     rebuilt = bsb_from_dict(json.loads(json.dumps(payload)))

@@ -201,8 +201,7 @@ class TestCacheStoreCommands:
                      "--cache-dir", store_dir]) == 0
         capsys.readouterr()
         before = sum(os.path.getsize(os.path.join(store_dir, name))
-                     for name in os.listdir(store_dir)
-                     if name.endswith(".pkl"))
+                     for name in os.listdir(store_dir))
         assert main(["cache", "compact", "--cache-dir", store_dir,
                      "--max-bytes", str(before // 2)]) == 0
         output = capsys.readouterr().out
