@@ -14,8 +14,8 @@ import pytest
 from repro.apps.registry import application_spec
 from repro.core.exhaustive import space_size
 from repro.engine.cache import EvalCache
-from repro.partition.evaluate import evaluate_allocation
-from repro.partition.model import BSBCost, TargetArchitecture, bsb_costs
+from repro.partition.evaluate import bsb_costs, evaluate_allocation
+from repro.partition.model import BSBCost, TargetArchitecture
 from repro.partition.pace import pace_partition
 
 

@@ -468,6 +468,8 @@ def build_parser():
 def cmd_table1(args):
     if args.workers < 1:
         raise SystemExit("--workers must be >= 1")
+    if args.budget is not None and args.budget < 1:
+        raise SystemExit("--budget must be >= 1")
     session = _session(args) if args.cache_dir is not None else None
     rows = table1_rows(names=args.apps, max_evaluations=args.budget,
                        workers=args.workers, session=session,

@@ -269,6 +269,8 @@ def _scan_candidates(candidates, bsbs, architecture, area_quanta,
     # session — a warm restart replays them from disk — and dropped
     # otherwise.
     remember = "partitions" if (session.store is not None) else False
+    scan = EvaluationScan(bsbs, architecture, area_quanta=area_quanta,
+                          cache=session.cache, remember=remember)
     front = objective.new_front() if hasattr(objective, "new_front") \
         else None
     best_eval = None
@@ -281,10 +283,7 @@ def _scan_candidates(candidates, bsbs, architecture, area_quanta,
                 allocation.area_from(unit_areas) > architecture.total_area:
             skipped_infeasible += 1
             continue
-        evaluation = evaluate_allocation(bsbs, allocation, architecture,
-                                         area_quanta=area_quanta,
-                                         cache=session.cache,
-                                         remember=remember)
+        evaluation = scan.evaluate(allocation)
         evaluations += 1
         if keep_history:
             history.append((allocation, evaluation.speedup))
@@ -611,6 +610,9 @@ def exhaustive_best_allocation(bsbs, architecture, restrictions=None,
         session = Session(library=architecture.library)
     if workers < 1:
         raise AllocationError("workers must be >= 1, got %r" % (workers,))
+    if max_evaluations is not None and max_evaluations < 1:
+        raise AllocationError("max_evaluations must be >= 1, got %r"
+                              % (max_evaluations,))
     if search not in SEARCH_MODES:
         raise AllocationError("search must be one of %r, got %r"
                               % (SEARCH_MODES, search))

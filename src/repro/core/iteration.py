@@ -18,7 +18,9 @@ from dataclasses import dataclass, field
 
 from repro.core.objective import as_objective
 from repro.core.rmap import RMap
-from repro.partition.evaluate import evaluate_allocation
+# evaluate_allocation stays importable here: perfbench's tracer wraps it.
+from repro.partition.evaluate import (  # noqa: F401
+    EvaluationScan, evaluate_allocation)
 
 
 @dataclass
@@ -89,11 +91,11 @@ def design_iteration(bsbs, allocation, architecture, max_steps=None,
         session = Session(library=architecture.library)
     objective = as_objective(objective)
     library = architecture.library
-    cache = session.cache
+    scan = EvaluationScan(bsbs, architecture, area_quanta=area_quanta,
+                          cache=session.cache, remember=True,
+                          overhead_model=overhead_model)
     allocation = RMap._coerce(allocation)
-    current_eval = evaluate_allocation(bsbs, allocation, architecture,
-                                       area_quanta=area_quanta, cache=cache,
-                                       overhead_model=overhead_model)
+    current_eval = scan.evaluate(allocation)
     initial_eval = current_eval
     steps = []
 
@@ -102,10 +104,7 @@ def design_iteration(bsbs, allocation, architecture, max_steps=None,
         best_eval = None
         for name in allocation.names():
             candidate = allocation.incremented(name, -1)
-            evaluation = evaluate_allocation(bsbs, candidate, architecture,
-                                             area_quanta=area_quanta,
-                                             cache=cache,
-                                             overhead_model=overhead_model)
+            evaluation = scan.evaluate(candidate)
             if not objective.improves(evaluation, current_eval, library):
                 continue
             if best_eval is None or \

@@ -6,7 +6,7 @@ hardware time estimators.  Edges point from a producer operation to the
 consumer that uses its result; the graph must stay acyclic.
 """
 
-import networkx as nx
+import heapq
 
 from repro.errors import CdfgError
 from repro.ir.ops import Operation, OpType, make_op
@@ -15,15 +15,16 @@ from repro.ir.ops import Operation, OpType, make_op
 class DFG:
     """A data-flow graph of :class:`~repro.ir.ops.Operation` nodes.
 
-    The graph is backed by a :class:`networkx.DiGraph` keyed by operation
-    uid, which keeps hashing cheap while letting callers retrieve the full
-    :class:`Operation` dataclass via :meth:`operation`.
+    Edges are kept as per-uid successor and predecessor sets keyed by
+    operation uid, which keeps hashing cheap while letting callers
+    retrieve the full :class:`Operation` dataclass via :meth:`operation`.
     """
 
     def __init__(self, name=""):
         self.name = name
-        self._graph = nx.DiGraph()
         self._ops = {}
+        self._succ = {}
+        self._pred = {}
         self._topo_cache = None
         self._pred_cache = {}
         self._succ_cache = {}
@@ -41,7 +42,8 @@ class DFG:
             raise CdfgError("duplicate operation uid %d in DFG %r"
                             % (operation.uid, self.name))
         self._ops[operation.uid] = operation
-        self._graph.add_node(operation.uid)
+        self._succ[operation.uid] = set()
+        self._pred[operation.uid] = set()
         self._invalidate_query_caches()
         return operation
 
@@ -61,12 +63,23 @@ class DFG:
                                 % (op, self.name))
         if producer.uid == consumer.uid:
             raise CdfgError("self-dependency on %s" % producer)
-        self._graph.add_edge(producer.uid, consumer.uid)
-        if not nx.is_directed_acyclic_graph(self._graph):
-            self._graph.remove_edge(producer.uid, consumer.uid)
+        # The graph is acyclic, so the new edge closes a cycle exactly
+        # when the producer is reachable from the consumer.
+        if producer.uid in _reachable(consumer.uid, self._succ):
             raise CdfgError("dependency %s -> %s creates a cycle"
                             % (producer, consumer))
+        self._link(producer.uid, consumer.uid)
         self._invalidate_query_caches()
+
+    def _link(self, producer_uid, consumer_uid):
+        self._succ[producer_uid].add(consumer_uid)
+        self._pred[consumer_uid].add(producer_uid)
+
+    def _edges(self):
+        """(producer uid, consumer uid) pairs, in no particular order."""
+        return [(producer, consumer)
+                for producer, consumers in self._succ.items()
+                for consumer in consumers]
 
     def _invalidate_query_caches(self):
         self._topo_cache = None
@@ -107,8 +120,7 @@ class DFG:
         uid = operation.uid
         cached = self._pred_cache.get(uid)
         if cached is None:
-            cached = [self._ops[each] for each in
-                      sorted(self._graph.predecessors(uid))]
+            cached = [self._ops[each] for each in sorted(self._pred[uid])]
             self._pred_cache[uid] = cached
         return cached
 
@@ -120,43 +132,56 @@ class DFG:
         uid = operation.uid
         cached = self._succ_cache.get(uid)
         if cached is None:
-            cached = [self._ops[each] for each in
-                      sorted(self._graph.successors(uid))]
+            cached = [self._ops[each] for each in sorted(self._succ[uid])]
             self._succ_cache[uid] = cached
         return cached
 
     def transitive_successors(self, operation):
         """All operations reachable from ``operation`` (Succ(i) in Def. 2)."""
         return {self._ops[uid] for uid in
-                nx.descendants(self._graph, operation.uid)}
+                _reachable(operation.uid, self._succ)}
 
     def transitive_predecessors(self, operation):
         """All operations that reach ``operation``."""
         return {self._ops[uid] for uid in
-                nx.ancestors(self._graph, operation.uid)}
+                _reachable(operation.uid, self._pred)}
 
     def sources(self):
         """Operations with no predecessors."""
-        return [self._ops[uid] for uid in sorted(self._graph.nodes)
-                if self._graph.in_degree(uid) == 0]
+        return [self._ops[uid] for uid in sorted(self._ops)
+                if not self._pred[uid]]
 
     def sinks(self):
         """Operations with no successors."""
-        return [self._ops[uid] for uid in sorted(self._graph.nodes)
-                if self._graph.out_degree(uid) == 0]
+        return [self._ops[uid] for uid in sorted(self._ops)
+                if not self._succ[uid]]
 
     def topological_order(self):
         """Operations in a deterministic topological order.
 
-        The order is memoised (and invalidated by mutation): every
-        scheduler walk starts here, and the graphs are immutable once
-        the frontend built them.  Callers must not mutate the returned
-        list.
+        Kahn's walk that always takes the smallest ready uid, so the
+        order is the lexicographically smallest one.  On a graph with a
+        cycle the walk comes up short: the operations on and behind the
+        cycle are missing.  The order is memoised (and invalidated by
+        mutation): every scheduler walk starts here, and the graphs are
+        immutable once the frontend built them.  Callers must not
+        mutate the returned list.
         """
         if self._topo_cache is None:
-            self._topo_cache = [
-                self._ops[uid] for uid in
-                nx.lexicographical_topological_sort(self._graph)]
+            waiting = {uid: len(preds) for uid, preds in self._pred.items()
+                       if preds}
+            ready = [uid for uid in self._ops if uid not in waiting]
+            heapq.heapify(ready)
+            order = []
+            while ready:
+                uid = heapq.heappop(ready)
+                order.append(self._ops[uid])
+                for successor in self._succ[uid]:
+                    waiting[successor] -= 1
+                    if not waiting[successor]:
+                        del waiting[successor]
+                        heapq.heappush(ready, successor)
+            self._topo_cache = order
         return self._topo_cache
 
     def op_types(self):
@@ -193,7 +218,7 @@ class DFG:
                           for op in self.operations())
             edges = tuple(sorted((index_of[producer], index_of[consumer])
                                  for producer, consumer
-                                 in self._graph.edges))
+                                 in self._edges()))
             self._signature_cache = (self.name, nodes, edges)
         return self._signature_cache
 
@@ -217,7 +242,7 @@ class DFG:
             "ops": [[op.optype.value, op.label, op.value]
                     for op in operations],
             "edges": sorted([index_of[producer], index_of[consumer]]
-                            for producer, consumer in self._graph.edges),
+                            for producer, consumer in self._edges()),
         }
 
     @classmethod
@@ -269,13 +294,13 @@ class DFG:
                 raise CdfgError("bad DFG payload edge %r" % (row,))
             if producer_index == consumer_index:
                 raise CdfgError("self-dependency in DFG payload")
-            dfg._graph.add_edge(operations[producer_index].uid,
-                                operations[consumer_index].uid)
+            dfg._link(operations[producer_index].uid,
+                      operations[consumer_index].uid)
         # Edges went in unchecked for speed (loading is the warm path);
-        # one acyclicity check at the end keeps the DAG contract.
-        if not nx.is_directed_acyclic_graph(dfg._graph):
-            raise CdfgError("DFG payload %r contains a cycle" % (name,))
+        # one topological walk at the end keeps the DAG contract.
         dfg._invalidate_query_caches()
+        if len(dfg.topological_order()) < len(operations):
+            raise CdfgError("DFG payload %r contains a cycle" % (name,))
         return dfg
 
     # ------------------------------------------------------------------
@@ -286,17 +311,26 @@ class DFG:
         clone = DFG(name=self.name if name is None else name)
         for op in self.operations():
             clone.add_operation(op)
-        for producer_uid, consumer_uid in self._graph.edges:
-            clone._graph.add_edge(producer_uid, consumer_uid)
+        for producer_uid, consumer_uid in self._edges():
+            clone._link(producer_uid, consumer_uid)
         return clone
-
-    def nx_graph(self):
-        """A read-only view of the underlying networkx graph."""
-        return self._graph.copy(as_view=True)
 
     def __repr__(self):
         return "DFG(name=%r, ops=%d, edges=%d)" % (
-            self.name, len(self._ops), self._graph.number_of_edges())
+            self.name, len(self._ops),
+            sum(len(consumers) for consumers in self._succ.values()))
+
+
+def _reachable(start, edges):
+    """Uids reachable from ``start`` along ``edges`` (uid -> uid set)."""
+    seen = set()
+    stack = [start]
+    while stack:
+        for uid in edges[stack.pop()]:
+            if uid not in seen:
+                seen.add(uid)
+                stack.append(uid)
+    return seen
 
 
 def chain(dfg, operations):

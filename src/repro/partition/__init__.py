@@ -9,7 +9,7 @@ so that total execution time (software + hardware + HW/SW communication)
 is minimised under the remaining-area constraint for controllers.
 """
 
-from repro.partition.model import TargetArchitecture, BSBCost, bsb_costs
+from repro.partition.model import TargetArchitecture, BSBCost
 from repro.partition.communication import sequence_communication_time
 from repro.partition.pace import (
     pace_partition,
@@ -17,7 +17,7 @@ from repro.partition.pace import (
     SequenceTable,
 )
 from repro.partition.speedup import speedup_percent
-from repro.partition.evaluate import evaluate_allocation
+from repro.partition.evaluate import bsb_costs, evaluate_allocation
 
 __all__ = [
     "TargetArchitecture",

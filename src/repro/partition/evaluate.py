@@ -1,16 +1,21 @@
 """Evaluate an allocation: build BSB costs, run PACE, report the result.
 
 This is the paper's evaluation loop (section 5): the quality of an
-allocation *is* the speed-up PACE achieves with it.  Both the heuristic
-allocation and every allocation visited by the exhaustive search go
-through this same function, so comparisons are consistent.
+allocation *is* the speed-up PACE achieves with it.  There is one
+evaluator, :class:`EvaluationScan`: the heuristic allocation, every
+candidate of the exhaustive (brute, sampled and pruned) searches, the
+design iteration's decrements and the multi-ASIC rounds' cost arrays
+all go through it, so comparisons are consistent.
+:func:`evaluate_allocation` and :func:`bsb_costs` are its one-shot uses.
 
 The :class:`~repro.engine.cache.EvalCache` (the engine
 :class:`~repro.engine.session.Session`'s, or a fresh one) memoises at
 four levels:
 
-* whole evaluations, keyed by (BSBs, architecture, allocation, quanta);
-* per-BSB cost objects (see :mod:`repro.partition.model`);
+* whole evaluations, keyed by (BSBs, architecture, allocation, quanta,
+  overhead model);
+* per-BSB cost objects, keyed by (BSB, allocation signature,
+  architecture) — see :func:`~repro.partition.model._group_signature`;
 * PACE :class:`~repro.partition.pace.SequenceTable` instances, keyed by
   the identity of the cost array — allocations that differ only in
   resources no BSB can use share one table;
@@ -28,7 +33,6 @@ from repro.partition.model import (
     _compute_bsb_cost,
     _cost_plan,
     _group_signature,
-    bsb_costs,
     bsb_energy_pairs,
     partition_energy,
 )
@@ -74,63 +78,13 @@ class AllocationEvaluation:
         return self.datapath_area / used
 
 
-def _evaluation_key(bsbs, allocation, architecture, area_quanta,
-                    overhead_model, cache):
-    return (cache.array_key(bsbs),
-            fingerprint(architecture.library),
-            fingerprint(architecture.processor),
-            architecture.total_area,
-            architecture.comm_cycles_per_word,
-            architecture.hw_cycle_ratio,
-            allocation,
-            area_quanta,
-            overhead_model)
-
-
-def _partition(costs, content, architecture, available, area_quanta,
-               cache, remember):
-    """PACE result of one cost array, through the table and DP memos.
-
-    Tables are keyed by cost-object identity (cost objects are
-    memoised, hence live as long as the cache).  A PartitionResult
-    depends on nothing but the cost array's ``content`` (see
-    :class:`~repro.partition.model.CostArray`), the communication
-    cost, the available area and the quanta, so allocations that differ
-    only in resources no BSB uses while their data-path areas coincide
-    share one DP run.  Each table keeps its array's content as (array
-    fingerprints, digest of the rest): one short string per key instead
-    of a nested signature tuple per cost group, both in memory and on
-    disk.
-    """
-    comm = architecture.comm_cycles_per_word
-    table_key = (tuple(map(id, costs)), comm)
-    entry = cache.tables.get(table_key)
-    if entry is None:
-        cache.stats.miss("table")
-        entry = cache.tables[table_key] = (
-            SequenceTable(costs, architecture),
-            (content[0], data_digest(content[1:])))
-    else:
-        cache.stats.hit("table")
-    sequence_table, content_key = entry
-    partition_key = content_key + (comm, available, area_quanta)
-    partition = cache.partitions.get(partition_key)
-    if partition is not None:
-        cache.stats.hit("partition")
-        return partition
-    cache.stats.miss("partition")
-    partition = pace_partition(costs, architecture, available,
-                               area_quanta=area_quanta,
-                               sequence_table=sequence_table)
-    if remember:
-        cache.partitions[partition_key] = partition
-    return partition
-
-
 def evaluate_allocation(bsbs, allocation, architecture, area_quanta=400,
                         cache=None, overhead_model=None,
                         remember=True):
     """Partition ``bsbs`` under ``allocation`` and return the evaluation.
+
+    A one-shot :class:`EvaluationScan`: nothing to diff against, so
+    every cost group is signed and every BSB probed.
 
     Args:
         bsbs: The application's leaf-BSB array.
@@ -163,81 +117,54 @@ def evaluate_allocation(bsbs, allocation, architecture, area_quanta=400,
     resolution for throughput over many candidates).  Results are only
     comparable across calls made at one resolution.
     """
-    if cache is None:
-        cache = EvalCache()
-    allocation = RMap._coerce(allocation)
-    key = _evaluation_key(bsbs, allocation, architecture, area_quanta,
-                          overhead_model, cache)
-    evaluation = cache.evals.get(key)
-    if evaluation is not None:
-        cache.stats.hit("eval")
-        return evaluation
-    cache.stats.miss("eval")
+    scan = EvaluationScan(bsbs, architecture, area_quanta=area_quanta,
+                          cache=cache, remember=remember,
+                          overhead_model=overhead_model)
+    # Not the public evaluate(): perfbench's tracer wraps both names as
+    # one layer, and this call must count once.
+    return scan._evaluate(RMap._coerce(allocation))
 
-    datapath_area = allocation.area(architecture.library)
-    if datapath_area > architecture.total_area:
-        raise PartitionError(
-            "allocation area %.1f exceeds total ASIC area %.1f"
-            % (datapath_area, architecture.total_area))
-    overhead_area = 0.0
-    if overhead_model is not None:
-        from repro.hwlib.overheads import total_overhead_area
 
-        overhead_area = total_overhead_area(
-            allocation, bsbs, architecture.library, model=overhead_model)
-    # Overheads may leave no controller room at all — that is a valid
-    # (terrible) design point, not an error: PACE then moves nothing.
-    available = architecture.total_area - datapath_area - overhead_area
-    costs = bsb_costs(bsbs, allocation, architecture, cache=cache)
-    partition = _partition(costs, costs.content, architecture, available,
-                           area_quanta, cache, remember)
-    evaluation = AllocationEvaluation(
-        allocation=allocation,
-        datapath_area=datapath_area,
-        available_controller_area=available,
-        partition=partition,
-        overhead_area=overhead_area,
-        energy=partition_energy(
-            bsb_energy_pairs(bsbs, architecture, cache=cache),
-            partition.hw_sequences),
-    )
-    if remember is True:
-        cache.evals[key] = evaluation
-    return evaluation
+def bsb_costs(bsbs, allocation, architecture, cache=None):
+    """Per-BSB costs for the whole application, in array order.
+
+    A one-shot :class:`EvaluationScan` cost build: one signature per
+    cost group, one memo probe per BSB.
+    """
+    scan = EvaluationScan(bsbs, architecture, cache=cache)
+    return list(scan._costs_for(RMap._coerce(allocation)))
 
 
 class EvaluationScan:
-    """Neighbour-aware evaluator for enumeration-order candidate scans.
+    """The evaluator of one (BSB array, architecture, quanta, overhead
+    model), carrying cost groups from one candidate to the next.
 
-    :func:`evaluate_allocation` rebuilds every stage key and probes
-    every memo from scratch per candidate; on a warm scan that
-    key-building dominates the wall clock.  Consecutive candidates of a
-    lexicographic (or branch-and-bound) scan differ in a handful of
-    resource counts, so a scan-scoped evaluator can *diff* the
-    allocation against the previous candidate and carry the unchanged
-    cost groups — signatures, cost objects and thereby the sequence
-    table identity — forward without touching their memos.
+    Consecutive candidates of a scan (an enumeration, a branch-and-bound
+    walk, the design iteration's decrements) differ in a handful of
+    resource counts.  The scan therefore diffs each candidate against
+    the previous *computed* one and re-signs only the cost groups whose
+    dependency names — designated demand plus every capable unit —
+    include a moved resource; the other groups keep their signatures
+    and cost objects, and thereby the sequence table identity, without
+    touching their memos.  A one-shot evaluation builds no dependency
+    sets at all: they are built on the first diff.
 
-    The results are bit-identical to :func:`evaluate_allocation` with
-    the same cache: a cost group whose relevant counts did not change
-    has, by construction, the same signature, hence the same memo key,
-    hence the same (memoised, hence identical) cost object a fresh
-    probe would return.  The hit/miss accounting matches too — the cost
-    memo stores unconditionally, so a carried group's probe would have
-    been a hit.
-
-    One scan instance serves one (BSB array, architecture, quanta)
-    triple; ``overhead_model`` evaluations are out of scope (the
-    searches this serves never charge overheads).
+    The results are bit-identical whatever was evaluated before: a cost
+    group none of whose dependency counts changed has, by construction,
+    the same signature, hence the same memo key, hence the same
+    (memoised, hence identical) cost object a fresh probe would return.
+    The hit/miss accounting matches a fresh probe too — the cost memo
+    stores unconditionally, so a carried group's probe would have been
+    a hit.
     """
 
     __slots__ = ("_bsbs", "_architecture", "_area_quanta", "_cache",
-                 "_remember", "_members", "_groups", "_deps", "_arch_key",
-                 "_key_prefix", "_array_key", "_prev", "_signatures",
-                 "_costs")
+                 "_remember", "_overhead_model", "_key_prefix",
+                 "_array_key", "_arch_key", "_members", "_groups",
+                 "_deps", "_positions", "_prev", "_signatures", "_costs")
 
     def __init__(self, bsbs, architecture, area_quanta=400, cache=None,
-                 remember=False):
+                 remember=False, overhead_model=None):
         if cache is None:
             cache = EvalCache()
         self._bsbs = bsbs
@@ -245,44 +172,39 @@ class EvaluationScan:
         self._area_quanta = area_quanta
         self._cache = cache
         self._remember = remember
-        members, group_list = _cost_plan(bsbs, architecture.library, cache)
-        self._members = members
-        self._groups = group_list
-        # Per group, the resource names its signature can depend on:
-        # designated demand plus every module-selection-capable unit.
-        # A candidate step that changes none of these counts provably
-        # leaves the group's signature (and cost objects) unchanged.
-        deps = []
-        for identity in group_list:
-            if identity is None:
-                deps.append(())
-            else:
-                ops, capable, _ = identity
-                deps.append(tuple(sorted(
-                    {name for name, _ in ops} | set(capable))))
-        self._deps = deps
-        self._arch_key = _arch_cost_key(architecture)
-        self._key_prefix = _evaluation_key(bsbs, None, architecture, None,
-                                           None, cache)[:6]
+        self._overhead_model = overhead_model
         self._array_key = cache.array_key(bsbs)
+        self._key_prefix = (self._array_key,
+                            fingerprint(architecture.library),
+                            fingerprint(architecture.processor),
+                            architecture.total_area,
+                            architecture.comm_cycles_per_word,
+                            architecture.hw_cycle_ratio)
+        self._arch_key = _arch_cost_key(architecture)
+        # The cost plan is read on the first evaluation miss, the
+        # dependency sets are built on the first diff.
+        self._groups = None
+        self._deps = None
         self._prev = None
-        self._signatures = [None] * len(group_list)
-        self._costs = [None] * len(bsbs)
 
     def evaluate(self, allocation):
-        """Evaluate one candidate; same contract as
-        :func:`evaluate_allocation` (including the
-        :class:`PartitionError` on an allocation over the ASIC area and
-        the per-stage hit/miss accounting)."""
-        allocation = RMap._coerce(allocation)
+        """Evaluate one candidate (RMap or dict) and return its
+        :class:`AllocationEvaluation`; see :func:`evaluate_allocation`.
+
+        Raises :class:`PartitionError` when the allocation's data-path
+        alone exceeds the ASIC area.
+        """
+        return self._evaluate(RMap._coerce(allocation))
+
+    def _evaluate(self, allocation):
         cache = self._cache
         architecture = self._architecture
-        key = self._key_prefix + (allocation, self._area_quanta, None)
+        key = self._key_prefix + (allocation, self._area_quanta,
+                                  self._overhead_model)
         evaluation = cache.evals.get(key)
         if evaluation is not None:
-            # Early return leaves the carried state pointing at the
-            # last *computed* candidate, which is exactly what the next
-            # diff must compare against.
+            # The carried state still describes the last *computed*
+            # candidate, which is what the next diff compares against.
             cache.stats.hit("eval")
             return evaluation
         cache.stats.miss("eval")
@@ -291,18 +213,23 @@ class EvaluationScan:
             raise PartitionError(
                 "allocation area %.1f exceeds total ASIC area %.1f"
                 % (datapath_area, architecture.total_area))
-        available = architecture.total_area - datapath_area
-        costs = self._costs_for(allocation)
-        # The content key bsb_costs would attach to the same array.
-        content = (self._array_key, self._arch_key,
-                   tuple(self._signatures))
-        partition = _partition(costs, content, architecture, available,
-                               self._area_quanta, cache, self._remember)
+        overhead_area = 0.0
+        if self._overhead_model is not None:
+            from repro.hwlib.overheads import total_overhead_area
+
+            overhead_area = total_overhead_area(
+                allocation, self._bsbs, architecture.library,
+                model=self._overhead_model)
+        # Overheads may leave no controller room at all — that is a valid
+        # (terrible) design point, not an error: PACE then moves nothing.
+        available = architecture.total_area - datapath_area - overhead_area
+        partition = self._partition(self._costs_for(allocation), available)
         evaluation = AllocationEvaluation(
             allocation=allocation,
             datapath_area=datapath_area,
             available_controller_area=available,
             partition=partition,
+            overhead_area=overhead_area,
             energy=partition_energy(
                 bsb_energy_pairs(self._bsbs, architecture, cache=cache),
                 partition.hw_sequences),
@@ -314,40 +241,49 @@ class EvaluationScan:
     def _costs_for(self, allocation):
         """The candidate's cost array, diffed against the previous one.
 
-        Mirrors :func:`~repro.partition.model.bsb_costs`, but only
-        re-keys the groups whose dependency counts changed.
+        The returned list is rewritten in place by the next call.
         """
         cache = self._cache
-        prev = self._prev
-        get = allocation.get
-        signatures = self._signatures
-        if prev is None:
-            changed = range(len(self._groups))
-        else:
-            prev_get = prev.get
+        bsbs = self._bsbs
+        # Cleared until the array is complete: a build that raises
+        # leaves the next call a full one.
+        prev, self._prev = self._prev, None
+        if self._groups is None:
+            self._members, self._groups = _cost_plan(
+                bsbs, self._architecture.library, cache)
+            self._signatures = [None] * len(self._groups)
+            self._costs = [None] * len(bsbs)
+        groups = self._groups
+        changed = range(len(groups))
+        positions = range(len(bsbs))
+        if prev is not None:
+            if self._deps is None:
+                self._index_groups()
+            moved = allocation.changed_names(prev)
             changed = [index for index, deps in enumerate(self._deps)
-                       if any(get(name, 0) != prev_get(name, 0)
-                              for name in deps)]
+                       if not deps.isdisjoint(moved)]
+            if len(changed) < len(groups):
+                positions = sorted(position for index in changed
+                                   for position in self._positions[index])
+        signatures = self._signatures
         for index in changed:
-            signatures[index] = _group_signature(self._groups[index],
-                                                 allocation)
-        stale = frozenset(changed)
+            signatures[index] = _group_signature(groups[index], allocation)
         costs_memo = cache.costs
         arch_key = self._arch_key
+        array_key = self._array_key
+        members = self._members
         result = self._costs
-        hits = 0
+        # A carried BSB counts as a hit: a fresh probe would have hit.
+        hits = len(bsbs) - len(positions)
         misses = 0
-        for position, (bsb, fp, index) in enumerate(zip(
-                self._bsbs, self._array_key, self._members)):
-            if prev is not None and index not in stale:
-                hits += 1  # carried: a fresh probe would have hit
-                continue
-            cost_key = (fp, signatures[index], arch_key)
+        for position in positions:
+            signature = signatures[members[position]]
+            cost_key = (array_key[position], signature, arch_key)
             cost = costs_memo.get(cost_key)
             if cost is None:
                 misses += 1
                 cost = costs_memo[cost_key] = _compute_bsb_cost(
-                    bsb, allocation, self._architecture, cache)
+                    bsbs[position], signature, self._architecture, cache)
             else:
                 hits += 1
             result[position] = cost
@@ -358,3 +294,58 @@ class EvaluationScan:
             stats.misses["cost"] = stats.misses.get("cost", 0) + misses
         self._prev = allocation
         return result
+
+    def _index_groups(self):
+        """Per group, the resource names its signature can depend on
+        (designated demand plus every capable unit) and its array
+        positions."""
+        self._deps = [frozenset() if identity is None
+                      else frozenset(name for name, _ in identity[0])
+                      | identity[1]
+                      for identity in self._groups]
+        positions = [[] for _ in self._groups]
+        for position, index in enumerate(self._members):
+            positions[index].append(position)
+        self._positions = positions
+
+    def _partition(self, costs, available):
+        """PACE result of one cost array, through the table and DP memos.
+
+        Tables are keyed by cost-object identity (cost objects are
+        memoised, hence live as long as the cache).  A PartitionResult
+        depends on nothing but the cost array's content — the array's
+        fingerprints, the architecture's cost knobs and one signature
+        per cost group — the communication cost, the available area and
+        the quanta, so allocations that differ only in resources no BSB
+        uses while their data-path areas coincide share one DP run.
+        Each table keeps its array's content as (array fingerprints,
+        digest of the rest): one short string per key instead of a
+        nested signature tuple per cost group, both in memory and on
+        disk.
+        """
+        cache = self._cache
+        architecture = self._architecture
+        comm = architecture.comm_cycles_per_word
+        table_key = (tuple(map(id, costs)), comm)
+        entry = cache.tables.get(table_key)
+        if entry is None:
+            cache.stats.miss("table")
+            entry = cache.tables[table_key] = (
+                SequenceTable(costs, architecture),
+                (self._array_key, data_digest(
+                    (self._arch_key, tuple(self._signatures)))))
+        else:
+            cache.stats.hit("table")
+        sequence_table, content_key = entry
+        partition_key = content_key + (comm, available, self._area_quanta)
+        partition = cache.partitions.get(partition_key)
+        if partition is not None:
+            cache.stats.hit("partition")
+            return partition
+        cache.stats.miss("partition")
+        partition = pace_partition(costs, architecture, available,
+                                   area_quanta=self._area_quanta,
+                                   sequence_table=sequence_table)
+        if self._remember:
+            cache.partitions[partition_key] = partition
+        return partition

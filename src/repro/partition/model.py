@@ -97,18 +97,6 @@ def _ops_per_resource(bsb, library, cache):
     return ops
 
 
-def _relevant_counts(bsb, allocation, library, cache):
-    """The allocation as seen by one BSB, capped at useful counts.
-
-    A BSB with three multiplications schedules identically under four or
-    forty multipliers; capping the counts makes the cache key collapse
-    across allocations that differ only in irrelevant resources.
-    """
-    get = allocation.get
-    return tuple((name, min(get(name, 0), need))
-                 for name, need in _ops_per_resource(bsb, library, cache))
-
-
 def _capability(bsb, library, cache):
     """(capable resource names, per-optype capable names) of one BSB.
 
@@ -134,27 +122,40 @@ def hardware_steps(bsb, allocation, architecture, cache=None):
     cannot execute in hardware.  ``cache`` (an
     :class:`~repro.engine.cache.EvalCache`, a fresh one when omitted)
     memoises schedule lengths across the many allocations an exhaustive
-    search evaluates.
-
-    Allocations where some type is covered only by a non-designated
-    unit (module-selection mixes) are scheduled with the heterogeneous
-    scheduler; the common homogeneous case keeps its fast path.
+    search evaluates, keyed by the BSB's allocation signature (see
+    :func:`_group_signature`).
     """
-    library = architecture.library
-    if not len(bsb.dfg):
-        return 0
     if cache is None:
         cache = EvalCache()
-    counts = _relevant_counts(bsb, allocation, library, cache)
-    if not all(count >= 1 for _, count in counts):
-        return _hetero_hardware_steps(bsb, allocation, library, cache)
-    key = (fingerprint(bsb), counts, fingerprint(library))
+    library = architecture.library
+    signature = _group_signature(_group_identity(bsb, library, cache),
+                                 allocation)
+    return _signature_steps(bsb, signature, library, cache)
+
+
+def _signature_steps(bsb, signature, library, cache):
+    """Schedule length of ``bsb`` under an allocation signature, or
+    ``None`` when the signature leaves it in software.  A
+    module-selection mix takes the heterogeneous scheduler."""
+    if signature[0] == "empty":
+        return 0
+    kind, counts = signature
+    if counts is None:
+        return None
+    homo = kind == "homo"
+    key = (fingerprint(bsb), counts, fingerprint(library)) if homo \
+        else (fingerprint(bsb), "hetero", counts, fingerprint(library))
     steps = cache.sched.get(key)
     if steps is None:
-        priority, latencies = _schedule_inputs(bsb, library, cache)
-        steps = cache.sched[key] = list_schedule(
-            bsb.dfg, dict(counts), library, priority=priority,
-            latencies=latencies).length
+        if homo:
+            priority, latencies = _schedule_inputs(bsb, library, cache)
+            schedule = list_schedule(bsb.dfg, dict(counts), library,
+                                     priority=priority, latencies=latencies)
+        else:
+            from repro.sched.hetero_scheduler import hetero_list_schedule
+
+            schedule = hetero_list_schedule(bsb.dfg, dict(counts), library)
+        steps = cache.sched[key] = schedule.length
     return steps
 
 
@@ -180,33 +181,6 @@ def _schedule_inputs(bsb, library, cache):
     return inputs
 
 
-def _hetero_relevant(bsb, allocation, library, cache):
-    """Allocation restricted to units capable of the BSB's types, or
-    ``None`` when some type has no allocated capable unit."""
-    capable, per_type = _capability(bsb, library, cache)
-    for names in per_type.values():
-        if not any(allocation.get(name, 0) for name in names):
-            return None
-    return tuple(sorted((name, count)
-                        for name, count in allocation.items()
-                        if count and name in capable))
-
-
-def _hetero_hardware_steps(bsb, allocation, library, cache):
-    """Schedule length under a module-selection mix, or ``None``."""
-    from repro.sched.hetero_scheduler import hetero_list_schedule
-
-    relevant = _hetero_relevant(bsb, allocation, library, cache)
-    if relevant is None:
-        return None
-    key = (fingerprint(bsb), "hetero", relevant, fingerprint(library))
-    steps = cache.sched.get(key)
-    if steps is None:
-        steps = cache.sched[key] = hetero_list_schedule(
-            bsb.dfg, dict(relevant), library).length
-    return steps
-
-
 def _arch_cost_key(architecture):
     """The architecture knobs a BSBCost depends on, as one key part."""
     return (fingerprint(architecture.library),
@@ -214,29 +188,14 @@ def _arch_cost_key(architecture):
             architecture.hw_cycle_ratio)
 
 
-def _allocation_signature(bsb, allocation, library, cache):
-    """The slice of ``allocation`` the BSB's cost actually depends on.
-
-    Two allocations with equal signatures yield bit-identical BSBCosts,
-    which is what makes the per-BSB cost memo below exact.
-    :func:`_group_signature` computes the same signatures for a whole
-    cost group at once — keep the two in sync.
-    """
-    if not len(bsb.dfg):
-        return ("empty",)
-    counts = _relevant_counts(bsb, allocation, library, cache)
-    if all(count >= 1 for _, count in counts):
-        return ("homo", counts)
-    return ("hetero", _hetero_relevant(bsb, allocation, library, cache))
-
-
 def _group_signature(identity, allocation):
-    """The allocation signature shared by one cost-plan group.
+    """The slice of ``allocation`` a :func:`_cost_plan` group depends on.
 
-    ``identity`` is a group of :func:`_cost_plan`; an unexecutable group
-    gets ``("hetero", None)``, so every allocation that leaves it in
-    software shares one signature (and thus one cost object), exactly
-    like :func:`_hetero_relevant`'s ``None`` case.
+    Equal signatures yield bit-identical BSBCosts and schedules, which
+    makes their memos exact.  Counts are capped at the group's demand (a
+    BSB with three multiplications schedules identically under four or
+    forty multipliers); an unexecutable group gets ``("hetero", None)``,
+    so every allocation that leaves it in software shares one signature.
     """
     if identity is None:
         return ("empty",)
@@ -323,9 +282,10 @@ def partition_energy(pairs, hw_sequences):
     return total
 
 
-def _compute_bsb_cost(bsb, allocation, architecture, cache):
+def _compute_bsb_cost(bsb, signature, architecture, cache):
+    """The :class:`BSBCost` of one BSB under an allocation signature."""
     sw_time = _software_time(bsb, architecture.processor, cache)
-    steps = hardware_steps(bsb, allocation, architecture, cache=cache)
+    steps = _signature_steps(bsb, signature, architecture.library, cache)
     if steps is None:
         hw_time = None
         controller_area = float("inf")
@@ -344,31 +304,16 @@ def _compute_bsb_cost(bsb, allocation, architecture, cache):
     )
 
 
-def bsb_cost(bsb, allocation, architecture, cache=None):
-    """Compute the :class:`BSBCost` of one BSB under ``allocation``.
-
-    The cost object is memoised by its true inputs — the BSB, the
-    allocation counts the BSB can use, and the architecture knobs
-    entering the cost — so the exhaustive search's thousands of
-    allocations collapse onto a few distinct cost signatures per BSB.
-    """
-    if cache is None:
-        cache = EvalCache()
-    # Same key shape as bsb_costs (and _allocation_signature computes
-    # the same signatures as _group_signature), so both entry points
-    # share one memo entry per logical cost.
-    key = (fingerprint(bsb),
-           _allocation_signature(bsb, allocation, architecture.library,
-                                 cache),
-           _arch_cost_key(architecture))
-    cost = cache.costs.get(key)
-    if cost is not None:
-        cache.stats.hit("cost")
-        return cost
-    cache.stats.miss("cost")
-    cost = cache.costs[key] = _compute_bsb_cost(bsb, allocation,
-                                                architecture, cache)
-    return cost
+def _group_identity(bsb, library, cache):
+    """What one BSB's signature depends on: ``None`` for an empty DFG,
+    else (designated demand, capable names, per-type capable names)."""
+    if not len(bsb.dfg):
+        return None
+    ops = _ops_per_resource(bsb, library, cache)
+    capable, per_type = _capability(bsb, library, cache)
+    type_sets = tuple(names for _, names in sorted(
+        per_type.items(), key=lambda item: item[0].value))
+    return (ops, capable, type_sets)
 
 
 def _cost_plan(bsbs, library, cache):
@@ -388,14 +333,7 @@ def _cost_plan(bsbs, library, cache):
     group_list = []
     members = []
     for bsb in bsbs:
-        if not len(bsb.dfg):
-            identity = None
-        else:
-            ops = _ops_per_resource(bsb, library, cache)
-            capable, per_type = _capability(bsb, library, cache)
-            type_sets = tuple(names for _, names in sorted(
-                per_type.items(), key=lambda item: item[0].value))
-            identity = (ops, capable, type_sets)
+        identity = _group_identity(bsb, library, cache)
         index = group_index.get(identity)
         if index is None:
             index = len(group_list)
@@ -405,53 +343,3 @@ def _cost_plan(bsbs, library, cache):
     plan = (members, group_list)
     cache.cost_plans[plan_key] = plan
     return plan
-
-
-class CostArray(list):
-    """A BSB cost array that knows its content key.
-
-    ``content`` is (array fingerprints, arch, per-cost-group
-    signatures): the cost memo keys each BSB by (fingerprint,
-    signature, arch), and this carries the same information for the
-    whole array with one arch part and one signature per group.  PACE
-    results are memoised under it (see
-    :func:`repro.partition.evaluate._partition`).
-    """
-
-    __slots__ = ("content",)
-
-
-def bsb_costs(bsbs, allocation, architecture, cache=None):
-    """Per-BSB costs for the whole application, in array order.
-
-    One signature per cost group, one memo probe per BSB; returns a
-    :class:`CostArray`.
-    """
-    if cache is None:
-        cache = EvalCache()
-    members, group_list = _cost_plan(bsbs, architecture.library, cache)
-    array_key = cache.array_key(bsbs)
-    arch_key = _arch_cost_key(architecture)
-    signatures = tuple(_group_signature(identity, allocation)
-                       for identity in group_list)
-    costs_memo = cache.costs
-    hits = 0
-    misses = 0
-    result = CostArray()
-    result.content = (array_key, arch_key, signatures)
-    for bsb, fp, index in zip(bsbs, array_key, members):
-        key = (fp, signatures[index], arch_key)
-        cost = costs_memo.get(key)
-        if cost is None:
-            misses += 1
-            cost = costs_memo[key] = _compute_bsb_cost(
-                bsb, allocation, architecture, cache)
-        else:
-            hits += 1
-        result.append(cost)
-    stats = cache.stats
-    if hits:
-        stats.hits["cost"] = stats.hits.get("cost", 0) + hits
-    if misses:
-        stats.misses["cost"] = stats.misses.get("cost", 0) + misses
-    return result

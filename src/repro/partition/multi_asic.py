@@ -26,7 +26,8 @@ from dataclasses import dataclass, field
 from repro.core.allocator import allocate
 from repro.core.rmap import RMap
 from repro.errors import PartitionError
-from repro.partition.model import TargetArchitecture, bsb_costs
+from repro.partition.evaluate import bsb_costs
+from repro.partition.model import TargetArchitecture
 from repro.partition.pace import pace_partition
 from repro.partition.speedup import speedup_percent
 

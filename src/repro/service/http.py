@@ -502,22 +502,13 @@ class HttpGateway:
         """
         from repro.report.html import dashboard_document, render_html
 
-        service = self.service
-        queue = service.queue
+        queue = self.service.queue
         queue.collect_garbage()
-        stats = service.session.stats
-        cap = queue.max_pending
-        info = {
-            "protocol": protocol.PROTOCOL_VERSION,
-            "transport": "http",
-            "scheduler": queue.scheduler.name,
-            "depth": queue.depth,
-            "queue_cap": "unbounded" if cap is None else cap,
-            "program_compiles": stats.miss_count("compile"),
-            "program_store_hits": stats.hit_count("compile"),
-            "local_engines": service.local_engines,
-            "engines": service.roster.status(),
-        }
+        info = self.service.info()
+        del info["jobs"]  # the page lists the jobs themselves
+        cap = info["queue_cap"]
+        info.update(transport="http",
+                    queue_cap="unbounded" if cap is None else cap)
         jobs = [self._status_projection(queue.jobs[name])
                 for name in sorted(queue.jobs)]
         body = render_html(dashboard_document(info, jobs))
@@ -557,23 +548,10 @@ class HttpGateway:
                      for name in sorted(queue.jobs)]})
 
     async def ping(self):
-        service = self.service
-        stats = service.session.stats
-        return canonical_json({
-            "ok": True,
-            "protocol": protocol.PROTOCOL_VERSION,
-            "transport": "http",
-            "jobs": len(service.queue.jobs),
-            "scheduler": service.queue.scheduler.name,
-            "depth": service.queue.depth,
-            "queue_cap": service.queue.max_pending,
-            "program_compiles": stats.miss_count("compile"),
-            "program_store_hits": stats.hit_count("compile"),
-            "local_engines": service.local_engines,
-            "engines": service.roster.status(),
-            "http_requests": self.requests,
-            "http_not_modified": self.not_modified,
-        })
+        return canonical_json(dict(
+            self.service.info(), ok=True, transport="http",
+            http_requests=self.requests,
+            http_not_modified=self.not_modified))
 
     # Counter updates come from handler threads.
     def count_request(self):

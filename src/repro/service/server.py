@@ -406,6 +406,29 @@ class ExplorationService:
                     pass
             writer.close()
 
+    def info(self):
+        """The service fields every ping and the dashboard report.
+
+        ``program_compiles`` vs ``program_store_hits`` is the program
+        store's economy: compiles the engine (or its joined workers —
+        their deltas merge into the session stats) actually paid vs
+        compiles the persistent store absorbed.  A long-lived warm
+        service shows hits climbing while compiles stay flat across
+        jobs and restarts.  Call it on the service loop.
+        """
+        stats = self.session.stats
+        return {
+            "protocol": protocol.PROTOCOL_VERSION,
+            "jobs": len(self.queue.jobs),
+            "scheduler": self.queue.scheduler.name,
+            "depth": self.queue.depth,
+            "queue_cap": self.queue.max_pending,
+            "program_compiles": stats.miss_count("compile"),
+            "program_store_hits": stats.hit_count("compile"),
+            "local_engines": self.local_engines,
+            "engines": self.roster.status(),
+        }
+
     def _check_token(self, request):
         """Constant-time shared-token check of one auth request."""
         supplied = protocol.auth_token(request)
@@ -436,22 +459,7 @@ class ExplorationService:
         # -polled service trims itself before answering.
         self.queue.collect_garbage()
         if op == "ping":
-            # Program-store economy: compiles the engine (or its joined
-            # workers — their deltas merge into the session stats)
-            # actually paid vs compiles the persistent store absorbed.
-            # A long-lived warm service shows hits climbing while
-            # compiles stay flat across jobs and restarts.
-            stats = self.session.stats
-            writer.write(protocol.encode(protocol.ok(
-                protocol=protocol.PROTOCOL_VERSION,
-                jobs=len(self.queue.jobs),
-                scheduler=self.queue.scheduler.name,
-                depth=self.queue.depth,
-                queue_cap=self.queue.max_pending,
-                program_compiles=stats.miss_count("compile"),
-                program_store_hits=stats.hit_count("compile"),
-                local_engines=self.local_engines,
-                engines=self.roster.status())))
+            writer.write(protocol.encode(protocol.ok(**self.info())))
         elif op == "submit":
             points = protocol.submission_points(request)
             client, weight = protocol.submission_meta(request)

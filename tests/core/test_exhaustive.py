@@ -155,6 +155,18 @@ class TestSearch:
         assert result.sampled
         assert result.evaluations <= 5
 
+    @pytest.mark.parametrize("budget", [0, -1])
+    def test_budget_below_one_is_rejected(self, library, small_app,
+                                          budget):
+        """Regression: a budget below 1 drew zero samples and then
+        reported that no feasible allocation fits the ASIC area."""
+        architecture = TargetArchitecture(library=library,
+                                          total_area=6000.0)
+        with pytest.raises(AllocationError, match="max_evaluations"):
+            exhaustive_best_allocation(small_app, architecture,
+                                       max_evaluations=budget,
+                                       area_quanta=100)
+
     def test_sampled_budget_is_met_despite_infeasible_draws(self,
                                                             library,
                                                             small_app):

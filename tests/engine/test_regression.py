@@ -82,11 +82,13 @@ class TestEvaluateParity:
 
 
 class TestCostSignatureParity:
-    """bsb_cost and _cached_bsb_costs must share one memo key space.
+    """A carried cost array is the one a fresh build returns.
 
-    Both write ``cache.costs`` under (uid, signature, arch key); this
-    pins their independently-implemented signature computations
-    together — if either drifts, the shared-entry assertions fail.
+    The evaluator diffs each candidate against the previous one and
+    carries the cost groups no moved resource can affect, while a
+    one-shot :func:`bsb_costs` signs and probes every group.  Whatever
+    the previous candidate, both must land on the same memoised cost
+    objects, write no new memo entries and count every BSB as a hit.
     """
 
     @pytest.mark.parametrize("allocation", [
@@ -98,22 +100,25 @@ class TestCostSignatureParity:
     def test_both_paths_share_cache_entries(self, library, small_app,
                                             allocation):
         from repro.engine import EvalCache
-        from repro.partition.model import bsb_cost, bsb_costs
+        from repro.partition.evaluate import EvaluationScan, bsb_costs
 
         allocation = RMap(allocation)
         architecture = TargetArchitecture(library=library,
                                           total_area=6000.0)
         cache = EvalCache()
-        grouped = bsb_costs(small_app, allocation, architecture,
-                            cache=cache)
-        entries = len(cache.costs)
-        singles = [bsb_cost(bsb, allocation, architecture, cache=cache)
-                   for bsb in small_app]
-        # The single-BSB path must hit the grouped path's entries:
-        # same objects back, no new keys written.
-        assert len(cache.costs) == entries
-        for one, other in zip(grouped, singles):
-            assert one is other
+        fresh = bsb_costs(small_app, allocation, architecture,
+                          cache=cache)
+        scan = EvaluationScan(small_app, architecture, cache=cache)
+        for previous in ({"multiplier": 3, "adder": 4}, {"adder": 2},
+                         {"multiplier": 1}, {}):
+            scan._costs_for(RMap(previous))
+            entries = len(cache.costs)
+            hits = cache.stats.hit_count("cost")
+            carried = scan._costs_for(allocation)
+            assert len(cache.costs) == entries
+            assert cache.stats.hit_count("cost") == hits + len(small_app)
+            for one, other in zip(carried, fresh):
+                assert one is other
 
 
 class TestDriverParity:

@@ -6,12 +6,8 @@ from repro.core.rmap import RMap
 from repro.engine.cache import EvalCache
 from repro.errors import PartitionError
 from repro.ir.ops import OpType
-from repro.partition.model import (
-    TargetArchitecture,
-    bsb_cost,
-    bsb_costs,
-    hardware_steps,
-)
+from repro.partition.evaluate import bsb_costs
+from repro.partition.model import TargetArchitecture, hardware_steps
 
 from tests.conftest import make_diamond_dfg, make_leaf, make_parallel_dfg
 
@@ -81,8 +77,8 @@ class TestBsbCost:
     def test_movable_cost(self, architecture):
         bsb = make_leaf(make_diamond_dfg(), profile=10, name="d",
                         reads={"x", "y"}, writes={"z"})
-        cost = bsb_cost(bsb, RMap({"multiplier": 2, "adder": 1}),
-                        architecture)
+        cost = bsb_costs([bsb], RMap({"multiplier": 2, "adder": 1}),
+                         architecture)[0]
         assert cost.movable
         assert cost.sw_time > cost.hw_time > 0
         assert cost.controller_area > 0
@@ -90,7 +86,7 @@ class TestBsbCost:
 
     def test_unmovable_cost(self, architecture):
         bsb = make_leaf(make_diamond_dfg(), profile=10)
-        cost = bsb_cost(bsb, RMap({"adder": 1}), architecture)
+        cost = bsb_costs([bsb], RMap({"adder": 1}), architecture)[0]
         assert not cost.movable
         assert cost.gain == 0.0
         assert cost.controller_area == float("inf")
@@ -102,23 +98,23 @@ class TestBsbCost:
                                      hw_cycle_ratio=1.0)
         bsb = make_leaf(make_diamond_dfg(), profile=10)
         allocation = RMap({"multiplier": 2, "adder": 1})
-        slow = bsb_cost(bsb, allocation, slow_hw)
-        fast = bsb_cost(bsb, allocation, fast_hw)
+        slow = bsb_costs([bsb], allocation, slow_hw)[0]
+        fast = bsb_costs([bsb], allocation, fast_hw)[0]
         assert slow.hw_time == pytest.approx(2 * fast.hw_time)
 
     def test_sw_time_matches_estimator(self, architecture, processor):
         from repro.swmodel.estimator import bsb_software_time
 
         bsb = make_leaf(make_diamond_dfg(), profile=7)
-        cost = bsb_cost(bsb, RMap({"multiplier": 1, "adder": 1}),
-                        architecture)
+        cost = bsb_costs([bsb], RMap({"multiplier": 1, "adder": 1}),
+                         architecture)[0]
         assert cost.sw_time == bsb_software_time(bsb, processor)
 
     def test_controller_area_uses_actual_schedule(self, architecture):
         # Fewer units -> longer schedule -> larger controller.
         bsb = make_leaf(make_parallel_dfg(OpType.ADD, 6))
-        tight = bsb_cost(bsb, RMap({"adder": 1}), architecture)
-        wide = bsb_cost(bsb, RMap({"adder": 6}), architecture)
+        tight = bsb_costs([bsb], RMap({"adder": 1}), architecture)[0]
+        wide = bsb_costs([bsb], RMap({"adder": 6}), architecture)[0]
         assert tight.controller_area > wide.controller_area
 
     def test_bsb_costs_order_preserved(self, architecture):

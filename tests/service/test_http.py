@@ -72,6 +72,19 @@ class TestByteIdentity:
                      for result in web.collect(job_web)]
         assert lines_tcp == lines_web
 
+    def test_tcp_and_http_ping_agree_on_shared_fields(self, harness):
+        tcp = harness.client()
+        web = harness.http_client()
+        tcp.collect(tcp.submit(GRID))
+        over_tcp = tcp.ping()
+        over_http = web.ping()
+        assert set(over_http) - set(over_tcp) == {
+            "transport", "http_requests", "http_not_modified"}
+        assert set(over_tcp) <= set(over_http)
+        assert {"jobs", "engines", "program_compiles"} <= set(over_tcp)
+        for field in over_tcp:
+            assert over_http[field] == over_tcp[field], field
+
     def test_http_results_stream_is_completion_ordered_and_total(
             self, harness):
         web = harness.http_client(poll_wait=0.2)

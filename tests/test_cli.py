@@ -242,6 +242,10 @@ class TestCacheStoreCommands:
         with pytest.raises(SystemExit):
             main(["table1", "--apps", "hal", "--workers", "0"])
 
+    def test_table1_rejects_budget_below_one(self):
+        with pytest.raises(SystemExit, match="--budget must be >= 1"):
+            main(["table1", "--apps", "hal", "--budget", "0"])
+
 
 class TestServiceParser:
     def test_serve_defaults(self):
