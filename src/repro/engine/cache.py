@@ -253,7 +253,9 @@ class EvalCache:
         eca: (bsb, library, technology) -> estimated area.
         restrictions: (array, library) -> restriction RMap.
         tables: (cost object ids, comm cost) -> (SequenceTable, the
-            cost array's content key); process-local.
+            cost array's content key); process-local.  A table holds
+            only its cost list until a DP run first queries it, so the
+            entries of arrays whose partitions all hit stay small.
         partitions: (array, digest of the cost array's content, comm
             cost, available area, quanta) -> PartitionResult —
             distinct allocations whose cost arrays and available

@@ -18,7 +18,8 @@ four levels:
   architecture) — see :func:`~repro.partition.model._group_signature`;
 * PACE :class:`~repro.partition.pace.SequenceTable` instances, keyed by
   the identity of the cost array — allocations that differ only in
-  resources no BSB can use share one table;
+  resources no BSB can use share one table, and a table is built out
+  only when a DP first reads it;
 * PACE results, keyed by the cost array's content plus the available
   area and quanta, so such allocations also share one DP run.
 """

@@ -76,32 +76,24 @@ class SequenceTable:
     Sequences containing an unmovable BSB are absent.  A table must
     only be queried with the exact ``costs`` and ``architecture`` it was
     built from.
+
+    Until it is first queried above area 0, a table holds only its copy
+    of the cost list, so one whose DP results are all memoised (a warm
+    store replaying them) costs nothing more.
     """
 
     __slots__ = ("_costs", "_architecture", "_horizon", "_resume",
                  "_positive", "_fields")
 
     def __init__(self, costs, architecture):
+        # Copied now, not on the first query: a caller may rewrite its
+        # list in place for the next cost array before then.
         self._costs = list(costs)
         self._architecture = architecture
         self._positive = []
         self._horizon = 0.0
-        # Cost attributes unpacked once into parallel tuples: the build
-        # loop below touches each many times per row and dataclass
-        # attribute loads dominate it otherwise.
-        self._fields = tuple(
-            (cost.movable, cost.controller_area, cost.reads, cost.writes,
-             cost.profile_count,
-             (cost.sw_time - cost.hw_time) if cost.movable else 0.0)
-            for cost in self._costs)
-        # Per-first continuation: first -> (next last index, area, live-in
-        # set, defined set, min profile count, gain sum) — the incremental
-        # state from which appending one more BSB extends the row in O(1)
-        # set-delta work instead of re-walking the whole segment.  A row
-        # leaves the map once it hits an unmovable BSB or the array end.
-        self._resume = {first: (first, 0.0, set(), set(), float("inf"), 0.0)
-                        for first, cost in enumerate(self._costs)
-                        if cost.movable}
+        self._fields = None
+        self._resume = None
 
     @property
     def horizon(self):
@@ -123,6 +115,25 @@ class SequenceTable:
                 if entry[3] <= available_area]
 
     def _extend(self, horizon):
+        if self._fields is None:
+            # Cost attributes unpacked once into parallel tuples: the
+            # build loop below touches each many times per row and
+            # dataclass attribute loads dominate it otherwise.
+            self._fields = tuple(
+                (cost.movable, cost.controller_area, cost.reads,
+                 cost.writes, cost.profile_count,
+                 (cost.sw_time - cost.hw_time) if cost.movable else 0.0)
+                for cost in self._costs)
+            # Per-first continuation: first -> (next last index, area,
+            # live-in set, defined set, min profile count, gain sum) —
+            # the incremental state from which appending one more BSB
+            # extends the row in O(1) set-delta work instead of
+            # re-walking the whole segment.  A row leaves the map once
+            # it hits an unmovable BSB or the array end.
+            self._resume = {
+                first: (first, 0.0, set(), set(), float("inf"), 0.0)
+                for first, cost in enumerate(self._costs)
+                if cost.movable}
         # The incremental state mirrors sequence_communication_time /
         # sequence_live_in / sequence_live_out exactly: live-in grows by
         # the reads not yet defined, the defined set (== live-out, every
@@ -329,7 +340,7 @@ def pace_partition(costs, architecture, available_area, area_quanta=400,
         available_area: Area left for controllers (total ASIC area minus
             the pre-allocated data-path).
         area_quanta: Resolution of the DP's area axis.
-        sequence_table: Optional pre-built :class:`SequenceTable` for
+        sequence_table: Optional shared :class:`SequenceTable` for
             exactly these ``costs`` under exactly this communication
             model; reused across calls with different available areas.
     """

@@ -13,7 +13,7 @@ from repro.core.eca import actual_controller_area, estimated_controller_area
 from repro.core.exhaustive import space_size
 from repro.core.rmap import RMap
 from repro.engine.session import Session
-from repro.errors import ReproError
+from repro.errors import ReproError, SchedulingError
 from repro.partition.model import TargetArchitecture
 from repro.report.tables import render_table
 
@@ -321,7 +321,7 @@ def s51_controller_rows(name, library=None, area_fraction=0.6,
         try:
             actual = actual_controller_area(bsb.dfg, result.allocation,
                                             library)
-        except Exception:
+        except SchedulingError:
             continue  # BSB not executable under this allocation
         rows.append({
             "bsb": bsb.name,

@@ -9,6 +9,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import repro.partition.pace as pace_module
+from repro.apps.registry import application_spec
+from repro.engine.session import Session
 from repro.hwlib.library import default_library
 from repro.partition.communication import sequence_communication_time
 from repro.partition.model import BSBCost, TargetArchitecture
@@ -123,6 +125,61 @@ class TestSequenceTable:
             assert table.positive_entries(available) == \
                 SequenceTable(costs, architecture).positive_entries(
                     available)
+
+
+class CountingCost:
+    """A cost that logs every attribute read it forwards."""
+
+    def __init__(self, cost, log):
+        self._cost = cost
+        self._log = log
+
+    def __getattr__(self, name):
+        self._log.append(name)
+        return getattr(self._cost, name)
+
+
+class TestLazyTable:
+    def test_construction_reads_no_cost(self, costs, architecture):
+        reads = []
+        table = SequenceTable([CountingCost(cost, reads) for cost in costs],
+                              architecture)
+        assert table.positive_entries(0.0) == []
+        assert reads == []
+        assert table.positive_entries(500.0) == \
+            reference_positive(costs, architecture, 500.0)
+        assert reads
+
+    def test_caller_rewriting_its_list_changes_nothing(self, costs,
+                                                       architecture):
+        # The evaluator rewrites the list it passed, position by
+        # position, for its next candidate before this table is read.
+        work = list(costs)
+        table = SequenceTable(work, architecture)
+        for position, cost in enumerate(reversed(costs)):
+            work[position] = cost
+        for available in (90.0, 1000.0, 50.0):
+            assert table.positive_entries(available) == \
+                SequenceTable(costs, architecture).positive_entries(
+                    available)
+
+    def test_warm_session_prepares_no_table(self, tmp_path):
+        spec = application_spec("man")
+        store_dir = str(tmp_path / "store")
+        for attempt in range(2):
+            session = Session(cache_dir=store_dir)
+            program = session.program("man")
+            architecture = TargetArchitecture(
+                library=session.library, total_area=spec.total_area)
+            session.exhaustive(program.bsbs, architecture,
+                               max_evaluations=60, area_quanta=100)
+            session.save_store()
+        # Every partition replays from the store, so no DP reads the
+        # tables the evaluator keyed them by.
+        assert session.stats.miss_count("partition") == 0
+        tables = [table for table, _ in session.cache.tables.values()]
+        assert tables
+        assert all(table._fields is None for table in tables)
 
 
 class TestQuantize:

@@ -5,8 +5,11 @@ exercised on its smallest benchmark to validate plumbing and the
 qualitative claims that are cheap to check.
 """
 
+from unittest import mock
+
 import pytest
 
+from repro.errors import SchedulingError
 from repro.report.experiments import (
     design_iteration_report,
     fig3_sweep,
@@ -89,6 +92,17 @@ class TestS51:
 
     def test_render(self, rows):
         assert "5.1" in render_s51(rows, "hal")
+
+    def test_unexecutable_bsbs_are_skipped(self):
+        with mock.patch("repro.report.experiments.actual_controller_area",
+                        side_effect=SchedulingError("no multiplier")):
+            assert s51_controller_rows("hal") == []
+
+    def test_other_errors_propagate(self):
+        with mock.patch("repro.report.experiments.actual_controller_area",
+                        side_effect=TypeError("broken")):
+            with pytest.raises(TypeError, match="broken"):
+                s51_controller_rows("hal")
 
 
 class TestDesignIteration:
