@@ -47,12 +47,14 @@ commands print a ``frontend compiles`` line the CI asserts on).
 """
 
 import argparse
+import math
 import sys
 
 from repro.apps.registry import application_names, application_spec
 from repro.core.allocator import allocate
 from repro.core.exhaustive import SEARCH_MODES
 from repro.core.objective import OBJECTIVE_NAMES
+from repro.engine.design_point import MAX_QUANTA
 from repro.hwlib.library import default_library
 from repro.report.experiments import (
     design_iteration_report,
@@ -172,12 +174,12 @@ def _grid_points(apps, fractions, policies, quanta):
 
 
 def _check_grid_args(args):
-    if args.quanta < 1:
-        raise SystemExit("--quanta must be >= 1")
+    if not 1 <= args.quanta <= MAX_QUANTA:
+        raise SystemExit("--quanta must be in 1..%d" % MAX_QUANTA)
     if not args.fractions:
         raise SystemExit("--fractions needs at least one value")
-    if any(fraction <= 0 for fraction in args.fractions):
-        raise SystemExit("--fractions must be positive")
+    if not all(0 < fraction < math.inf for fraction in args.fractions):
+        raise SystemExit("--fractions must be positive and finite")
     if not args.policies:
         raise SystemExit("--policies needs at least one value")
 

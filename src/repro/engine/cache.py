@@ -23,7 +23,8 @@ Four stages hold values that embed operation uids, BSB uids or live
 objects — ``intervals``, ``sched_inputs``, ``urgency`` and ``tables``.
 They stay keyed by BSB uid (or cost-object identity) and process-local:
 a content key would hand one DFG's uid maps to a structurally equal
-twin with different uids.
+twin with different uids.  ``interned`` is process-local too: it only
+gives equal cost objects one identity.
 
 The store is deliberately dumb — plain dicts plus hit/miss accounting.
 The stage logic that decides what the true inputs are lives next to
@@ -252,11 +253,13 @@ class EvalCache:
         urgency: (bsb uids, library) -> UrgencyState; process-local.
         eca: (bsb, library, technology) -> estimated area.
         restrictions: (array, library) -> restriction RMap.
-        tables: (cost object ids, comm cost) -> (SequenceTable, the
-            cost array's content key); process-local.  A table holds
-            only its cost list until a DP run first queries it, so the
-            entries of arrays whose partitions all hit stay small.
-        partitions: (array, digest of the cost array's content, comm
+        tables: (cost object ids, comm cost) -> (SequenceTable or
+            None, the cost array's content key); process-local.  Cost
+            objects are interned, so one entry stands for one content.
+            The table is built on the entry's first partition miss, so
+            arrays whose partitions all hit hold only their key.
+        partitions: (array, digest of the architecture's cost knobs
+            and each BSB's hardware time and controller area, comm
             cost, available area, quanta) -> PartitionResult —
             distinct allocations whose cost arrays and available
             controller areas coincide share one PACE DP run.
@@ -279,13 +282,17 @@ class EvalCache:
             (software energy, hardware energy) pairs; never persisted
             (two multiplications per BSB to rebuild) and deliberately
             outside the hit/miss accounting.
+        interned: BSBCost -> the one equal BSBCost every newly
+            computed cost is replaced by, so equal cost arrays are
+            equal id tuples; process-local and outside the hit/miss
+            accounting (the ``costs`` stage counts the lookups).
         stats: the :class:`CacheStats` counters.
     """
 
     _STAGES = ("sched", "ops", "capable", "sw_times", "costs",
                "intervals", "furo", "urgency", "eca", "restrictions",
                "tables", "partitions", "evals", "allocs", "sched_inputs",
-               "cost_plans", "bounds", "energies")
+               "cost_plans", "bounds", "energies", "interned")
 
     __slots__ = _STAGES + ("stats", "_array_keys")
 

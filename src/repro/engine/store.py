@@ -4,7 +4,7 @@ The :class:`~repro.engine.cache.EvalCache` keys its persisted stage
 dicts by *content fingerprints*, so its keys mean the same thing in
 every process.  A :class:`CacheStore` spills those entries, as they
 are, into one stdlib ``sqlite3`` file under a ``--cache-dir``
-(``store.v4.sqlite``), and a fresh session merges them back — so
+(``store.v5.sqlite``), and a fresh session merges them back — so
 sweeps survive restarts and a store can be shared across machines.
 
 Every persisted key starts with its *owner*: one BSB fingerprint, or
@@ -54,8 +54,9 @@ from repro.errors import ReproError, StoreIntegrityError
 #: Bumped whenever fingerprinting or the store layout changes shape;
 #: files of other versions are ignored.  v2: energy fields; v3: the
 #: cache's own content keys; v4: one sqlite file replaces the pickle
-#: shards and their LRU, delta and compaction sidecars.
-STORE_VERSION = 4
+#: shards and their LRU, delta and compaction sidecars; v5: partition
+#: keys name the cost array's content, not its allocation signatures.
+STORE_VERSION = 5
 
 #: The EvalCache stages the store persists.
 PERSISTED_STAGES = ("ops", "capable", "sched", "sw_times", "furo", "eca",

@@ -15,13 +15,16 @@ four levels:
 * whole evaluations, keyed by (BSBs, architecture, allocation, quanta,
   overhead model);
 * per-BSB cost objects, keyed by (BSB, allocation signature,
-  architecture) — see :func:`~repro.partition.model._group_signature`;
+  architecture) — see :func:`~repro.partition.model._group_signature` —
+  and interned by value, so signatures that schedule alike share one
+  cost object;
 * PACE :class:`~repro.partition.pace.SequenceTable` instances, keyed by
-  the identity of the cost array — allocations that differ only in
-  resources no BSB can use share one table, and a table is built out
-  only when a DP first reads it;
+  the identity of the cost array, hence one per distinct content, and
+  built on the first DP run that needs one; each table also remembers
+  its DP outcomes by quantised input, so a repeated input runs no DP;
 * PACE results, keyed by the cost array's content plus the available
-  area and quanta, so such allocations also share one DP run.
+  area and quanta, so allocations with equal cost arrays and equal
+  available areas share one result.
 """
 
 from dataclasses import dataclass
@@ -270,6 +273,7 @@ class EvaluationScan:
         for index in changed:
             signatures[index] = _group_signature(groups[index], allocation)
         costs_memo = cache.costs
+        interned = cache.interned
         arch_key = self._arch_key
         array_key = self._array_key
         members = self._members
@@ -283,8 +287,10 @@ class EvaluationScan:
             cost = costs_memo.get(cost_key)
             if cost is None:
                 misses += 1
-                cost = costs_memo[cost_key] = _compute_bsb_cost(
-                    bsbs[position], signature, self._architecture, cache)
+                cost = _compute_bsb_cost(bsbs[position], signature,
+                                         self._architecture, cache)
+                cost = costs_memo[cost_key] = interned.setdefault(cost,
+                                                                  cost)
             else:
                 hits += 1
             result[position] = cost
@@ -312,17 +318,19 @@ class EvaluationScan:
     def _partition(self, costs, available):
         """PACE result of one cost array, through the table and DP memos.
 
-        Tables are keyed by cost-object identity (cost objects are
-        memoised, hence live as long as the cache).  A PartitionResult
-        depends on nothing but the cost array's content — the array's
-        fingerprints, the architecture's cost knobs and one signature
-        per cost group — the communication cost, the available area and
-        the quanta, so allocations that differ only in resources no BSB
-        uses while their data-path areas coincide share one DP run.
-        Each table keeps its array's content as (array fingerprints,
-        digest of the rest): one short string per key instead of a
-        nested signature tuple per cost group, both in memory and on
-        disk.
+        Tables are keyed by cost-object identity: cost objects are
+        memoised, hence live as long as the cache, and interned by
+        value, so equal cost arrays are one key.  A PartitionResult
+        depends on nothing but the cost array's content, the
+        communication cost, the available area and the quanta, so
+        allocations whose cost arrays coincide while their data-path
+        areas do too share one DP run.  The content is named by (array
+        fingerprints, digest of the architecture's cost knobs and each
+        BSB's hardware time and controller area): everything else in a
+        cost follows from its BSB and processor.  An entry holds the
+        content key from its first probe; it builds its
+        :class:`SequenceTable` only on a partition miss, so a pass whose
+        partitions all hit builds none.
         """
         cache = self._cache
         architecture = self._architecture
@@ -330,13 +338,10 @@ class EvaluationScan:
         table_key = (tuple(map(id, costs)), comm)
         entry = cache.tables.get(table_key)
         if entry is None:
-            cache.stats.miss("table")
-            entry = cache.tables[table_key] = (
-                SequenceTable(costs, architecture),
-                (self._array_key, data_digest(
-                    (self._arch_key, tuple(self._signatures)))))
-        else:
-            cache.stats.hit("table")
+            entry = cache.tables[table_key] = (None, (
+                self._array_key, data_digest((self._arch_key, tuple(
+                    (cost.hw_time, cost.controller_area)
+                    for cost in costs)))))
         sequence_table, content_key = entry
         partition_key = content_key + (comm, available, self._area_quanta)
         partition = cache.partitions.get(partition_key)
@@ -344,6 +349,12 @@ class EvaluationScan:
             cache.stats.hit("partition")
             return partition
         cache.stats.miss("partition")
+        if sequence_table is None:
+            cache.stats.miss("table")
+            sequence_table = SequenceTable(costs, architecture)
+            cache.tables[table_key] = (sequence_table, content_key)
+        else:
+            cache.stats.hit("table")
         partition = pace_partition(costs, architecture, available,
                                    area_quanta=self._area_quanta,
                                    sequence_table=sequence_table)

@@ -59,7 +59,8 @@ class PartitionResult:
 
 
 class SequenceTable:
-    """Gain and area of the positive-gain contiguous sequences, area-prunable.
+    """PACE over one cost array: its positive-gain contiguous sequences,
+    area-prunable, and the DP outcomes computed over them.
 
     A sequence's gain and area do not depend on the controller area
     available — only on its BSB costs and the communication model.  The
@@ -77,23 +78,47 @@ class SequenceTable:
     only be queried with the exact ``costs`` and ``architecture`` it was
     built from.
 
-    Until it is first queried above area 0, a table holds only its copy
-    of the cost list, so one whose DP results are all memoised (a warm
-    store replaying them) costs nothing more.
+    The table also remembers its DP outcomes.  For one table the DP's
+    whole input is the row width, the sequences that fit and their
+    quantised areas; the sequences with area <= A grow with A, so
+    their number names them.  A call whose (width, number, quantised
+    areas) repeat an earlier call's rebuilds that outcome's
+    :class:`PartitionResult` with its own available area and runs no
+    DP.  The all-software time and the static operation count are
+    computed once, at construction.
     """
 
     __slots__ = ("_costs", "_architecture", "_horizon", "_resume",
-                 "_positive", "_fields")
+                 "_positive", "_fields", "_outcomes", "_sw_time_all",
+                 "_total_static")
 
     def __init__(self, costs, architecture):
-        # Copied now, not on the first query: a caller may rewrite its
-        # list in place for the next cost array before then.
-        self._costs = list(costs)
+        # A copy: the evaluator rewrites its list in place for the next
+        # cost array while this table lives on.
+        self._costs = costs = list(costs)
         self._architecture = architecture
         self._positive = []
         self._horizon = 0.0
-        self._fields = None
-        self._resume = None
+        self._outcomes = {}
+        self._sw_time_all = sum(cost.sw_time for cost in costs)
+        self._total_static = sum(_op_count(cost) for cost in costs)
+        # Cost attributes unpacked once into parallel tuples: the build
+        # loop below touches each many times per row and dataclass
+        # attribute loads dominate it otherwise.
+        self._fields = tuple(
+            (cost.movable, cost.controller_area, cost.reads, cost.writes,
+             cost.profile_count,
+             (cost.sw_time - cost.hw_time) if cost.movable else 0.0)
+            for cost in costs)
+        # Per-first continuation: first -> (next last index, area,
+        # live-in set, defined set, min profile count, gain sum) — the
+        # incremental state from which appending one more BSB extends
+        # the row in O(1) set-delta work instead of re-walking the
+        # whole segment.  A row leaves the map once it hits an unmovable
+        # BSB or the array end.
+        self._resume = {
+            first: (first, 0.0, set(), set(), float("inf"), 0.0)
+            for first, fields in enumerate(self._fields) if fields[0]}
 
     @property
     def horizon(self):
@@ -115,25 +140,6 @@ class SequenceTable:
                 if entry[3] <= available_area]
 
     def _extend(self, horizon):
-        if self._fields is None:
-            # Cost attributes unpacked once into parallel tuples: the
-            # build loop below touches each many times per row and
-            # dataclass attribute loads dominate it otherwise.
-            self._fields = tuple(
-                (cost.movable, cost.controller_area, cost.reads,
-                 cost.writes, cost.profile_count,
-                 (cost.sw_time - cost.hw_time) if cost.movable else 0.0)
-                for cost in self._costs)
-            # Per-first continuation: first -> (next last index, area,
-            # live-in set, defined set, min profile count, gain sum) —
-            # the incremental state from which appending one more BSB
-            # extends the row in O(1) set-delta work instead of
-            # re-walking the whole segment.  A row leaves the map once
-            # it hits an unmovable BSB or the array end.
-            self._resume = {
-                first: (first, 0.0, set(), set(), float("inf"), 0.0)
-                for first, cost in enumerate(self._costs)
-                if cost.movable}
         # The incremental state mirrors sequence_communication_time /
         # sequence_live_in / sequence_live_out exactly: live-in grows by
         # the reads not yet defined, the defined set (== live-out, every
@@ -178,6 +184,82 @@ class SequenceTable:
         positive.sort()
         self._horizon = horizon
 
+    def partition(self, available_area, area_quanta):
+        """The :class:`PartitionResult` of this table's cost array under
+        ``available_area`` controller area; see :func:`pace_partition`.
+        """
+        sw_time_all = self._sw_time_all
+        count = len(self._costs)
+        if available_area <= 0 or count == 0:
+            return PartitionResult(
+                sw_time_all=sw_time_all, hybrid_time=sw_time_all,
+                speedup=0.0, available_area=max(0.0, available_area))
+
+        # best[j][w]: max saving considering BSBs[0..j-1] with w quanta.
+        # Ties on equal savings go to the earliest-relaxed sequence, so
+        # the ascending-first order of the entries is part of the DP's
+        # contract; both paths compute bit-identical savings and choices.
+        quantum = available_area / area_quanta
+        width = area_quanta + 1
+        positive = self.positive_entries(available_area)
+        if _np is not None:
+            columns = _np.fromiter(chain.from_iterable(positive), float,
+                                   4 * len(positive)).reshape(-1, 4).T
+            needed = _np.minimum(_quantize_array(columns[3], quantum),
+                                 width)
+            key = (width, len(positive), needed.tobytes())
+        else:
+            needed = _quantized_needs(positive, quantum, width)
+            key = (width, len(positive), tuple(needed))
+        outcome = self._outcomes.get(key)
+        if outcome is None:
+            if _np is not None:
+                total_saving, hw_sequences = _dp_vectorised(
+                    count, width, columns, needed)
+            else:
+                total_saving, hw_sequences = _dp_python(
+                    count, width, _by_last(positive, needed, count))
+            outcome = self._outcomes[key] = self._outcome(total_saving,
+                                                          hw_sequences)
+        (total_saving, hw_sequences, hw_names, controller_area_used,
+         hw_fraction) = outcome
+        hybrid_time = sw_time_all - total_saving
+        # Fresh lists: a caller may change its result, not the memo.
+        return PartitionResult(
+            hw_sequences=list(hw_sequences),
+            hw_names=list(hw_names),
+            sw_time_all=sw_time_all,
+            hybrid_time=hybrid_time,
+            speedup=speedup_percent(sw_time_all, hybrid_time),
+            controller_area_used=controller_area_used,
+            available_area=available_area,
+            hw_fraction=hw_fraction,
+        )
+
+    def _outcome(self, total_saving, hw_sequences):
+        """(total saving, hw sequences, hw names, controller area used,
+        hw fraction) of one DP result."""
+        costs = self._costs
+        hw_names = []
+        controller_area_used = 0.0
+        hw_weighted_ops = 0.0
+        for first, last in hw_sequences:
+            for index in range(first, last + 1):
+                cost = costs[index]
+                hw_names.append(cost.name)
+                controller_area_used += cost.controller_area
+                hw_weighted_ops += _op_count(cost)
+        # The paper's HW/SW column is a *static* measure of how much of
+        # the application moved to hardware (man moves only "8%" yet
+        # gets a 31x speed-up because that 8% dominates the runtime) —
+        # so weigh each BSB by its per-execution size, not by its
+        # profile count.
+        total_static = self._total_static
+        hw_fraction = hw_weighted_ops / total_static if total_static \
+            else 0.0
+        return (total_saving, hw_sequences, hw_names, controller_area_used,
+                hw_fraction)
+
 
 #: Relative slack tolerated when rounding an area up to whole quanta: a
 #: sequence whose area is a float-noise epsilon above a quantum boundary
@@ -194,25 +276,36 @@ def _quantize(area, quantum):
     return max(1, quanta)
 
 
-def _quantized_by_last(positive, quantum, count):
-    """Group positive sequences by last BSB with their quanta charge.
+def _quantized_needs(positive, quantum, width):
+    """Quanta each positive sequence needs, capped at ``width``.
 
-    Returns per-last lists of (first, gain, needed), ascending first —
-    the order the DP relaxes them in.  The quantization is _quantize
-    inlined (one call per worthwhile sequence per partition call is
-    where the function-call overhead shows); a unit test pins the two
-    implementations together.
+    The quantization is _quantize inlined (one call per worthwhile
+    sequence per partition call is where the function-call overhead
+    shows); a unit test pins the two implementations together.  A
+    sequence needing ``width`` or more quanta never fits, so the cap
+    changes no DP result.
     """
-    seq_by_last = [[] for _ in range(count)]
     ceil = math.ceil
     rtol = _QUANTIZE_RTOL
-    for last, first, gain, area in positive:
-        ratio = area / quantum
+    needs = []
+    for entry in positive:
+        ratio = entry[3] / quantum
         needed = ceil(ratio - rtol * (ratio if ratio > 1.0 else 1.0))
-        seq_by_last[last].append((first, gain,
-                                  needed if needed > 1 else 1))
-    for entries in seq_by_last:
-        entries.sort()
+        if needed < 1:
+            needed = 1
+        elif needed > width:
+            needed = width
+        needs.append(needed)
+    return needs
+
+
+def _by_last(positive, needs, count):
+    """Per-last lists of (first, gain, needed), ascending first — the
+    order the DP relaxes them in (``positive`` is sorted by (last,
+    first))."""
+    seq_by_last = [[] for _ in range(count)]
+    for (last, first, gain, _), needed in zip(positive, needs):
+        seq_by_last[last].append((first, gain, needed))
     return seq_by_last
 
 
@@ -267,26 +360,25 @@ def _quantize_array(areas, quantum):
     return _np.maximum(needed, 1.0).astype(_np.intp)
 
 
-def _dp_vectorised(count, width, positive, quantum):
+def _dp_vectorised(count, width, columns, needed):
     """The same DP over numpy rows, read straight from the sorted table.
 
-    The forward pass computes only the saving rows: row j relaxes every
-    sequence ending at BSB j-1 with one gather and one max.  Each
-    candidate is the float64 addition the Python path makes and max is
-    exact, so the rows are bit-identical to it.  The choices are then
-    recovered on the traceback by applying the Python path's tie-break
-    at the (at most ``count``) states it visits.
+    ``columns`` are the entries' (lasts, firsts, gains, areas) float64
+    rows, ``needed`` their quanta capped at ``width``.  The forward
+    pass computes only the saving rows: row j relaxes every sequence
+    ending at BSB j-1 with one gather and one max.  Each candidate is
+    the float64 addition the Python path makes and max is exact, so the
+    rows are bit-identical to it.  The choices are then recovered on
+    the traceback by applying the Python path's tie-break at the (at
+    most ``count``) states it visits.
     """
-    if not positive:
+    lasts, firsts, gains, _ = columns
+    if not len(lasts):
         return 0.0, []
-    lasts, firsts, gains, areas = _np.fromiter(
-        chain.from_iterable(positive), float,
-        4 * len(positive)).reshape(-1, 4).T
-    needed = _np.minimum(_quantize_array(areas, quantum), width)
     # Row j of ``best`` is ``width`` cells of -inf, then values[j].  The
     # width-long window of the flat array that starts ``needed`` cells
     # before values[first] thus holds a sequence's candidate base for
-    # every w, -inf wherever w < needed; one clamped to needed == width
+    # every w, -inf wherever w < needed; one capped at needed == width
     # reads only padding, which drops it as the Python path's
     # ``needed >= width`` test does.
     stride = 2 * width
@@ -342,65 +434,14 @@ def pace_partition(costs, architecture, available_area, area_quanta=400,
         area_quanta: Resolution of the DP's area axis.
         sequence_table: Optional shared :class:`SequenceTable` for
             exactly these ``costs`` under exactly this communication
-            model; reused across calls with different available areas.
+            model; reused across calls with different available areas,
+            and answering a repeated DP input from its outcome memo.
     """
     if area_quanta < 1:
         raise PartitionError("area_quanta must be >= 1")
-    costs = list(costs)
-    count = len(costs)
-    sw_time_all = sum(cost.sw_time for cost in costs)
-
-    if available_area <= 0 or count == 0:
-        return PartitionResult(
-            sw_time_all=sw_time_all, hybrid_time=sw_time_all,
-            speedup=0.0, available_area=max(0.0, available_area))
-
-    quantum = available_area / area_quanta
     if sequence_table is None:
         sequence_table = SequenceTable(costs, architecture)
-
-    # best[j][w]: max saving considering BSBs[0..j-1] with w quanta.  Ties
-    # on equal savings go to the earliest-relaxed sequence, so the
-    # ascending-first order of the table's entries is part of the DP's
-    # contract; both paths compute bit-identical savings and choices.
-    width = area_quanta + 1
-    positive = sequence_table.positive_entries(available_area)
-    if _np is not None:
-        total_saving, hw_sequences = _dp_vectorised(count, width,
-                                                    positive, quantum)
-    else:
-        total_saving, hw_sequences = _dp_python(
-            count, width, _quantized_by_last(positive, quantum, count))
-
-    hw_names = []
-    controller_area_used = 0.0
-    hw_weighted_ops = 0.0
-    for first, last in hw_sequences:
-        for index in range(first, last + 1):
-            hw_names.append(costs[index].name)
-            controller_area_used += costs[index].controller_area
-    hybrid_time = sw_time_all - total_saving
-
-    # The paper's HW/SW column is a *static* measure of how much of the
-    # application moved to hardware (man moves only "8%" yet gets a 31x
-    # speed-up because that 8% dominates the runtime) — so weigh each
-    # BSB by its per-execution size, not by its profile count.
-    total_static = sum(_op_count(cost) for cost in costs)
-    for first, last in hw_sequences:
-        for index in range(first, last + 1):
-            hw_weighted_ops += _op_count(costs[index])
-    hw_fraction = hw_weighted_ops / total_static if total_static else 0.0
-
-    return PartitionResult(
-        hw_sequences=hw_sequences,
-        hw_names=hw_names,
-        sw_time_all=sw_time_all,
-        hybrid_time=hybrid_time,
-        speedup=speedup_percent(sw_time_all, hybrid_time),
-        controller_area_used=controller_area_used,
-        available_area=available_area,
-        hw_fraction=hw_fraction,
-    )
+    return sequence_table.partition(available_area, area_quanta)
 
 
 def _op_count(cost):

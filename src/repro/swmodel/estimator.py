@@ -15,14 +15,3 @@ def bsb_software_time(bsb, processor):
 def application_software_time(bsbs, processor):
     """Cycles for the all-software implementation of the application."""
     return sum(bsb_software_time(bsb, processor) for bsb in bsbs)
-
-
-def bsb_software_energy(bsb, processor):
-    """Energy to execute ``bsb`` in software, over the whole run.
-
-    Priced as the serial cycle count times the processor's per-cycle
-    energy, so the software side of the energy model shares every
-    cycle-accounting decision (per-op tables, sequential overhead,
-    profile scaling) with the time estimate above.
-    """
-    return bsb_software_time(bsb, processor) * processor.energy_per_cycle

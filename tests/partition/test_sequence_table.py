@@ -1,5 +1,6 @@
 """Tests for the prunable SequenceTable and the PACE DP rewrite."""
 
+import contextlib
 import math
 import random
 from unittest import mock
@@ -10,16 +11,20 @@ from hypothesis import strategies as st
 
 import repro.partition.pace as pace_module
 from repro.apps.registry import application_spec
+from repro.engine.cache import EvalCache
 from repro.engine.session import Session
 from repro.hwlib.library import default_library
+from repro.ir.ops import OpType
 from repro.partition.communication import sequence_communication_time
+from repro.partition.evaluate import bsb_costs, evaluate_allocation
 from repro.partition.model import BSBCost, TargetArchitecture
 from repro.partition.pace import (
     SequenceTable,
     _quantize,
-    _quantized_by_last,
+    _quantized_needs,
     pace_partition,
 )
+from tests.conftest import make_chain_dfg, make_leaf, make_parallel_dfg
 
 needs_numpy = pytest.mark.skipif(pace_module._np is None,
                                  reason="numpy unavailable")
@@ -127,29 +132,7 @@ class TestSequenceTable:
                     available)
 
 
-class CountingCost:
-    """A cost that logs every attribute read it forwards."""
-
-    def __init__(self, cost, log):
-        self._cost = cost
-        self._log = log
-
-    def __getattr__(self, name):
-        self._log.append(name)
-        return getattr(self._cost, name)
-
-
 class TestLazyTable:
-    def test_construction_reads_no_cost(self, costs, architecture):
-        reads = []
-        table = SequenceTable([CountingCost(cost, reads) for cost in costs],
-                              architecture)
-        assert table.positive_entries(0.0) == []
-        assert reads == []
-        assert table.positive_entries(500.0) == \
-            reference_positive(costs, architecture, 500.0)
-        assert reads
-
     def test_caller_rewriting_its_list_changes_nothing(self, costs,
                                                        architecture):
         # The evaluator rewrites the list it passed, position by
@@ -174,12 +157,50 @@ class TestLazyTable:
             session.exhaustive(program.bsbs, architecture,
                                max_evaluations=60, area_quanta=100)
             session.save_store()
-        # Every partition replays from the store, so no DP reads the
-        # tables the evaluator keyed them by.
+        # Every partition replays from the store, so the evaluator
+        # probes by content key alone and constructs no table.
         assert session.stats.miss_count("partition") == 0
-        tables = [table for table, _ in session.cache.tables.values()]
-        assert tables
-        assert all(table._fields is None for table in tables)
+        assert "table" not in session.stats.stages()
+        entries = list(session.cache.tables.values())
+        assert entries
+        assert all(table is None for table, _ in entries)
+
+
+class TestContentSharing:
+    def test_equal_content_from_different_signatures_shares_one_entry(
+            self, library):
+        # Three chained multiplications schedule alike under one or two
+        # multipliers: two signatures, one cost.
+        bsbs = [make_leaf(make_chain_dfg([OpType.MUL] * 3), profile=50,
+                          name="chain", reads={"x"}, writes={"y"}),
+                make_leaf(make_parallel_dfg(OpType.ADD, 2), profile=5,
+                          name="adds", reads={"y"}, writes={"z"})]
+        architecture = TargetArchitecture(library=library,
+                                          total_area=20000.0)
+        one = {"multiplier": 1, "adder": 1}
+        two = {"multiplier": 2, "adder": 1}
+        cache = EvalCache()
+        for allocation in (one, two):
+            evaluate_allocation(bsbs, allocation, architecture,
+                                area_quanta=50, cache=cache)
+        assert len(cache.costs) == 3
+        assert len(cache.interned) == 2
+        assert all(first is second for first, second in zip(
+            bsb_costs(bsbs, one, architecture, cache=cache),
+            bsb_costs(bsbs, two, architecture, cache=cache)))
+        # One entry, one table built, one content key behind both
+        # partitions (their available areas differ).
+        (table, content_key), = cache.tables.values()
+        assert isinstance(table, SequenceTable)
+        assert cache.stats.snapshot()["table"] == (1, 1)
+        assert len(cache.partitions) == 2
+        assert {key[:2] for key in cache.partitions} == {content_key}
+        # The key names content, not history: a cache that saw only the
+        # second allocation derives the same one.
+        fresh = EvalCache()
+        evaluate_allocation(bsbs, two, architecture, area_quanta=50,
+                            cache=fresh)
+        assert [key for _, key in fresh.tables.values()] == [content_key]
 
 
 class TestQuantize:
@@ -207,14 +228,15 @@ class TestQuantize:
              300.0, 1234.5]
 
     def test_dp_grouping_inlines_the_same_quantization(self):
-        # _quantized_by_last inlines _quantize for speed; this pins the
+        # _quantized_needs inlines _quantize for speed; this pins the
         # two implementations together so they cannot drift.
         positive = [(0, index, 1.0, area)
                     for index, area in enumerate(self.AREAS)]
         for quantum in (0.5, 1.0, 100.0):
-            grouped = _quantized_by_last(positive, quantum, 1)
-            assert [needed for _, _, needed in grouped[0]] == \
-                [_quantize(area, quantum) for area in self.AREAS]
+            for width in (3, 10_000):
+                assert _quantized_needs(positive, quantum, width) == \
+                    [min(_quantize(area, quantum), width)
+                     for area in self.AREAS]
 
     @needs_numpy
     def test_vectorised_quantization_matches(self):
@@ -292,3 +314,77 @@ class TestDpPathEquality:
             fresh = pace_partition(costs, architecture, available,
                                    area_quanta=80)
             assert shared == fresh
+
+
+def dp_path(name):
+    """Context for one DP path: numpy as imported, or pure Python."""
+    if name == "python":
+        return mock.patch.object(pace_module, "_np", None)
+    if pace_module._np is None:
+        pytest.skip("numpy unavailable")
+    return contextlib.nullcontext()
+
+
+@st.composite
+def area_sequences(draw):
+    """(area, quanta) calls with repeats and areas that quantise alike."""
+    calls = []
+    for _ in range(draw(st.integers(1, 12))):
+        kind = draw(st.sampled_from(["fresh", "repeat", "alike"]))
+        if kind == "fresh" or not calls:
+            calls.append((float(draw(st.integers(0, 40))),
+                          draw(st.sampled_from([1, 2, 7, 57]))))
+            continue
+        area, quanta = draw(st.sampled_from(calls))
+        if kind == "alike":
+            # Scaling up by a hair scales the quantum alike: the same
+            # needs, another available area.
+            area *= 1.0 + draw(st.sampled_from([1e-12, 1e-10]))
+        calls.append((area, quanta))
+    return calls
+
+
+class TestOutcomeMemo:
+    @pytest.mark.parametrize("path", ["numpy", "python"])
+    @settings(max_examples=60, deadline=None)
+    @given(rng=st.randoms(use_true_random=False), count=st.integers(0, 30),
+           calls=area_sequences())
+    def test_shared_table_matches_fresh_table_per_call(self, path, rng,
+                                                       count, calls):
+        costs, architecture, _ = tie_heavy_instance(rng, count)
+        with dp_path(path):
+            table = SequenceTable(costs, architecture)
+            for area, quanta in calls:
+                shared = pace_partition(costs, architecture, area,
+                                        area_quanta=quanta,
+                                        sequence_table=table)
+                fresh = pace_partition(costs, architecture, area,
+                                       area_quanta=quanta)
+                assert shared == fresh
+
+    @pytest.mark.parametrize("path, dp", [("numpy", "_dp_vectorised"),
+                                          ("python", "_dp_python")])
+    def test_repeated_needs_run_one_dp(self, costs, architecture, path,
+                                       dp):
+        table = SequenceTable(costs, architecture)
+        with dp_path(path), mock.patch.object(
+                pace_module, dp, wraps=getattr(pace_module, dp)) as runs:
+            first = pace_partition(costs, architecture, 310.0,
+                                   area_quanta=80, sequence_table=table)
+            again = pace_partition(costs, architecture, 310.0 * (1 + 1e-12),
+                                   area_quanta=80, sequence_table=table)
+            assert runs.call_count == 1
+            # Every sequence needs one quantum at either width: equal
+            # needs, but one more quantum to spend.
+            narrow = pace_partition(costs, architecture, 1000.0,
+                                    area_quanta=1, sequence_table=table)
+            wide = pace_partition(costs, architecture, 1000.0,
+                                  area_quanta=2, sequence_table=table)
+            assert runs.call_count == 3
+        assert again.available_area == 310.0 * (1 + 1e-12)
+        assert again == pace_partition(costs, architecture,
+                                       310.0 * (1 + 1e-12), area_quanta=80)
+        assert first.hw_sequences and first.speedup == again.speedup
+        assert wide == pace_partition(costs, architecture, 1000.0,
+                                      area_quanta=2)
+        assert len(wide.hw_sequences) > len(narrow.hw_sequences)

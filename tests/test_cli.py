@@ -1,8 +1,11 @@
 """Tests for the command-line driver."""
 
+import re
+
 import pytest
 
-from repro.cli import build_parser, main
+from repro.cli import _check_grid_args, build_parser, main
+from repro.engine.design_point import MAX_QUANTA
 
 
 class TestParser:
@@ -142,6 +145,25 @@ class TestSweepCommand:
     def test_sweep_rejects_empty_policies(self):
         with pytest.raises(SystemExit):
             main(["sweep", "--apps", "hal", "--policies"])
+
+    @pytest.mark.parametrize("command", ["sweep", "submit", "report"])
+    @pytest.mark.parametrize("flags, message", [
+        (["--fractions", "nan"], "--fractions must be positive and finite"),
+        (["--fractions", "0.5", "inf"],
+         "--fractions must be positive and finite"),
+        (["--fractions", "1e400"], "--fractions must be positive and finite"),
+        (["--quanta", "10001"], "--quanta must be in 1..10000"),
+    ])
+    def test_grid_rejects_unusable_values(self, command, flags, message):
+        # Usage errors before any point is built, session opened or
+        # service dialled.
+        with pytest.raises(SystemExit, match=re.escape(message)):
+            main([command, "--apps", "hal"] + flags)
+
+    def test_grid_accepts_the_largest_quanta(self):
+        args = build_parser().parse_args(
+            ["sweep", "--fractions", "1.0", "--quanta", str(MAX_QUANTA)])
+        assert _check_grid_args(args) is None
 
     def test_sweep_reports_overall_hit_rate(self, capsys):
         assert main(["sweep", "--apps", "hal",
