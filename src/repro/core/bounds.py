@@ -20,6 +20,12 @@ iff no completion can beat the incumbent, which needs two *admissible*
   relaxation step only *raises* the bound, so it can never prune a
   subtree containing the true winner.
 
+The knapsack itself (:func:`~repro.partition.pace.fractional_knapsack`)
+and the ``_BOUND_RTOL`` inflation live beside the PACE DP, which they
+relax: :func:`~repro.partition.pace.speedup_bound` is the same
+relaxation at a single leaf, over the leaf's own cost array, and gates
+the leaves and scanned candidates that cannot beat the incumbent.
+
 The schedule-length floor is the part that needs care: list scheduling
 is not monotone in resource counts (Graham's anomaly), so "schedule
 under the caps" is *not* a valid floor.  The floor used here is the
@@ -39,16 +45,8 @@ from repro.core.eca import controller_area_for_states, min_latency_states
 from repro.core.restrictions import exclusive_type_load
 from repro.engine.cache import fingerprint
 from repro.partition.model import _capability, _software_time
+from repro.partition.pace import _BOUND_RTOL, fractional_knapsack
 from repro.partition.speedup import speedup_percent
-
-#: Relative inflation applied to every speed-up bound.  The bound and
-#: the evaluated speed-ups accumulate floating-point error in different
-#: summation orders; a mathematically-tied case could otherwise land an
-#: ulp *below* the true value and wrongly prune the brute winner.  The
-#: inflation is ~1e2 larger than the worst accumulated rounding error
-#: and ~1e7 smaller than any speed-up difference the tournament cares
-#: about, so admissibility is restored at ~zero pruning-power cost.
-_BOUND_RTOL = 1e-9
 
 
 class BoundEngine:
@@ -113,16 +111,10 @@ class BoundEngine:
         return (fingerprint(bsb), sw_time, bsb.profile_count, asap_lb,
                 tuple(requirements), tuple(loads), None)
 
-    def _steps_floor(self, bsb_key, asap_lb, loads, effective):
-        """Memoised admissible schedule-length floor of one BSB."""
-        capped = tuple(min(effective[axis], op_count)
-                       for axis, op_count, _ in loads)
-        key = (bsb_key, self._library_key, capped)
+    def _steps_floor(self, key, asap_lb, loads, capped):
+        """Admissible schedule-length floor of one BSB under ``capped``
+        counts, computed and memoised on a ``bounds`` miss."""
         cache = self._cache
-        entry = cache.bounds.get(key)
-        if entry is not None:
-            cache.stats.hit("bound")
-            return entry
         cache.stats.miss("bound")
         steps = asap_lb
         for (axis, op_count, latency), count in zip(loads, capped):
@@ -151,6 +143,10 @@ class BoundEngine:
         if capacity <= 0:
             return 0.0
         ratio = self._ratio
+        floors = self._cache.bounds
+        library_key = self._library_key
+        # Memo hits are counted here and added once per call.
+        hits = 0
         items = []
         for info in self._infos:
             if info is None:
@@ -168,23 +164,25 @@ class BoundEngine:
                     break
             if not movable:
                 continue
-            steps, eca_floor = self._steps_floor(bsb_key, asap_lb, loads,
-                                                 effective)
+            capped = tuple(min(effective[axis], op_count)
+                           for axis, op_count, _ in loads)
+            key = (bsb_key, library_key, capped)
+            entry = floors.get(key)
+            if entry is None:
+                entry = self._steps_floor(key, asap_lb, loads, capped)
+            else:
+                hits += 1
+            steps, eca_floor = entry
             gain = sw_time - profile * steps * ratio
             if gain > 0:
                 items.append((gain, eca_floor))
+        if hits:
+            stats = self._cache.stats
+            stats.hits["bound"] = stats.hits.get("bound", 0) + hits
         if not items:
             return 0.0
         items.sort(key=lambda item: item[0] / item[1], reverse=True)
-        saving = 0.0
-        remaining = capacity
-        for gain, weight in items:
-            if weight <= remaining:
-                saving += gain
-                remaining -= weight
-            else:
-                saving += gain * (remaining / weight)
-                break
+        saving = fractional_knapsack(items, capacity)
         if saving <= 0:
             return 0.0
         hybrid_floor = sw_all - saving

@@ -196,7 +196,12 @@ class ExhaustiveResult:
     Attributes:
         best_allocation: Allocation with the highest PACE speed-up.
         best_evaluation: Its full :class:`AllocationEvaluation`.
-        evaluations: Number of allocations actually evaluated.
+        evaluations: Number of candidates ranked: each was costed, and
+            either partitioned by PACE or discarded because its
+            admissible speed-up bound was below the incumbent's (the
+            gate of a speed-up search that keeps no history and no
+            front).  A gated and an ungated run of one search therefore
+            report the same count.
         space: Total size of the allocation space.
         sampled: True when the space exceeded the evaluation budget and
             seeded pseudo-random sampling (not full enumeration, and
@@ -257,8 +262,12 @@ def _scan_candidates(candidates, bsbs, architecture, area_quanta,
     Candidates are ranked by ``objective`` (the default objective's
     tournament is bit-identical to the historical :func:`_better`);
     a Pareto-style objective additionally accumulates its dominance
-    front over every evaluated candidate.  Returns (best allocation,
-    best evaluation, evaluations, skipped_infeasible, history, front).
+    front over every evaluated candidate.  Under the speed-up objective
+    with no history and no front, each candidate is gated by the
+    incumbent's speed-up (``EvaluationScan.evaluate``'s ``beat``): one
+    whose PACE bound is below it cannot win, so it is counted as ranked
+    and its partition is skipped.  Returns (best allocation, best
+    evaluation, evaluations, skipped_infeasible, history, front).
     """
     library = architecture.library
     # remember="partitions": each candidate is visited exactly once, so
@@ -273,6 +282,9 @@ def _scan_candidates(candidates, bsbs, architecture, area_quanta,
                           cache=session.cache, remember=remember)
     front = objective.new_front() if hasattr(objective, "new_front") \
         else None
+    gated = objective.name == "speedup" and not keep_history \
+        and front is None
+    beat = None
     best_eval = None
     best_allocation = None
     evaluations = 0
@@ -283,8 +295,10 @@ def _scan_candidates(candidates, bsbs, architecture, area_quanta,
                 allocation.area_from(unit_areas) > architecture.total_area:
             skipped_infeasible += 1
             continue
-        evaluation = scan.evaluate(allocation)
+        evaluation = scan.evaluate(allocation, beat=beat)
         evaluations += 1
+        if evaluation is None:
+            continue
         if keep_history:
             history.append((allocation, evaluation.speedup))
         if front is not None:
@@ -293,6 +307,8 @@ def _scan_candidates(candidates, bsbs, architecture, area_quanta,
                                                  library):
             best_eval = evaluation
             best_allocation = allocation
+            if gated:
+                beat = evaluation.speedup
     return (best_allocation, best_eval, evaluations, skipped_infeasible,
             history, front)
 
@@ -457,6 +473,9 @@ def _scan_pruned_range(bsbs, architecture, area_quanta, keep_history,
     total_area = architecture.total_area
 
     speedup_mode = objective.name == "speedup"
+    # A leaf below the incumbent's speed-up cannot win; without a
+    # history to fill, its partition is skipped (see _scan_candidates).
+    gated = speedup_mode and not keep_history
     energy_mode = objective.name == "energy"
     inc_allocation, inc_eval, warm_su = incumbent
     inc_su = inc_eval.speedup
@@ -475,8 +494,11 @@ def _scan_pruned_range(bsbs, architecture, area_quanta, keep_history,
             allocation = RMap._unchecked(
                 {name: digit for name, digit in zip(names, digits)
                  if digit})
-            evaluation = scan.evaluate(allocation)
+            evaluation = scan.evaluate(allocation,
+                                       beat=inc_su if gated else None)
             state["evaluations"] += 1
+            if evaluation is None:
+                return
             if keep_history:
                 history.append((allocation, evaluation.speedup))
             if objective.better(evaluation, inc_eval, library):

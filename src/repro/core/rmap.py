@@ -118,11 +118,6 @@ class RMap:
     def is_empty(self):
         return not self._counts
 
-    def changed_names(self, other):
-        """Names whose count differs from ``other``'s (absent is 0)."""
-        return {name for name, _ in
-                self._counts.items() ^ other._counts.items()}
-
     def area(self, library):
         """Total data-path area of this allocation under ``library``."""
         return sum(library.area_of(name) * count

@@ -25,6 +25,18 @@ four levels:
 * PACE results, keyed by the cost array's content plus the available
   area and quanta, so allocations with equal cost arrays and equal
   available areas share one result.
+
+Within one scan, each cost group also remembers its members' cost
+objects by the slice of the allocation its signature reads (see
+:class:`EvaluationScan`).
+
+A scan that only needs the candidates that can win (the exhaustive
+searches under the speed-up objective, keeping no history and no
+front) passes the incumbent's speed-up as ``beat``: once the cost
+array and the available area are known, an admissible bound on the
+PACE speed-up (:func:`~repro.partition.pace.speedup_bound`, a
+fractional knapsack over the array's own costs) settles most
+candidates without a partition lookup, a sequence table or a DP run.
 """
 
 from dataclasses import dataclass
@@ -40,8 +52,13 @@ from repro.partition.model import (
     bsb_energy_pairs,
     partition_energy,
 )
-from repro.partition.pace import SequenceTable, pace_partition, \
-    PartitionResult
+from repro.partition.pace import (
+    PartitionResult,
+    SequenceTable,
+    bound_gains,
+    pace_partition,
+    speedup_bound,
+)
 
 
 @dataclass
@@ -87,8 +104,8 @@ def evaluate_allocation(bsbs, allocation, architecture, area_quanta=400,
                         remember=True):
     """Partition ``bsbs`` under ``allocation`` and return the evaluation.
 
-    A one-shot :class:`EvaluationScan`: nothing to diff against, so
-    every cost group is signed and every BSB probed.
+    A one-shot :class:`EvaluationScan`: every cost group is signed and
+    every BSB probed, and no group memo is built.
 
     Args:
         bsbs: The application's leaf-BSB array.
@@ -141,31 +158,35 @@ def bsb_costs(bsbs, allocation, architecture, cache=None):
 
 class EvaluationScan:
     """The evaluator of one (BSB array, architecture, quanta, overhead
-    model), carrying cost groups from one candidate to the next.
+    model), remembering cost groups from one candidate to the next.
 
-    Consecutive candidates of a scan (an enumeration, a branch-and-bound
-    walk, the design iteration's decrements) differ in a handful of
-    resource counts.  The scan therefore diffs each candidate against
-    the previous *computed* one and re-signs only the cost groups whose
-    dependency names — designated demand plus every capable unit —
-    include a moved resource; the other groups keep their signatures
-    and cost objects, and thereby the sequence table identity, without
-    touching their memos.  A one-shot evaluation builds no dependency
-    sets at all: they are built on the first diff.
+    The candidates of a scan (an enumeration, a branch-and-bound walk,
+    the design iteration's decrements) revisit a few slices of the
+    allocation per cost group.  Each group keeps a scan-local memo from
+    its slice to its members' cost objects: the key is the group's
+    designated counts capped at its demand, which is all its signature
+    reads while every count is positive.  A key with a zero count is
+    the one shared key ``None`` when each of the group's operation
+    types has exactly one capable unit (the group is then unexecutable,
+    whatever the other counts), and the group's full signature
+    otherwise.  A memo miss signs the group and probes the cost memo
+    per member; a hit touches neither.  The memos are built on a scan's
+    second cost array, so a one-shot evaluation builds none.
 
-    The results are bit-identical whatever was evaluated before: a cost
-    group none of whose dependency counts changed has, by construction,
-    the same signature, hence the same memo key, hence the same
-    (memoised, hence identical) cost object a fresh probe would return.
-    The hit/miss accounting matches a fresh probe too — the cost memo
-    stores unconditionally, so a carried group's probe would have been
-    a hit.
+    The results are bit-identical whatever was evaluated before: equal
+    keys mean equal signatures, hence equal memo keys, hence the same
+    (memoised, hence identical) cost objects a fresh probe would
+    return.  The hit/miss accounting matches a fresh probe too: the
+    cost memo stores unconditionally, so a member served by its group's
+    memo counts as the hit its probe would have been.  A memo entry is
+    stored only once every member's cost exists, so a build that raises
+    leaves none behind.
     """
 
     __slots__ = ("_bsbs", "_architecture", "_area_quanta", "_cache",
                  "_remember", "_overhead_model", "_key_prefix",
                  "_array_key", "_arch_key", "_members", "_groups",
-                 "_deps", "_positions", "_prev", "_signatures", "_costs")
+                 "_memos", "_costs")
 
     def __init__(self, bsbs, architecture, area_quanta=400, cache=None,
                  remember=False, overhead_model=None):
@@ -185,30 +206,34 @@ class EvaluationScan:
                             architecture.comm_cycles_per_word,
                             architecture.hw_cycle_ratio)
         self._arch_key = _arch_cost_key(architecture)
-        # The cost plan is read on the first evaluation miss, the
-        # dependency sets are built on the first diff.
+        # The cost plan is read on the first evaluation miss, the group
+        # memos are built on the second.
         self._groups = None
-        self._deps = None
-        self._prev = None
+        self._memos = None
 
-    def evaluate(self, allocation):
+    def evaluate(self, allocation, beat=None):
         """Evaluate one candidate (RMap or dict) and return its
         :class:`AllocationEvaluation`; see :func:`evaluate_allocation`.
+
+        With ``beat``, a speed-up, the candidate is first costed and its
+        PACE speed-up bounded from above
+        (:func:`~repro.partition.pace.speedup_bound`); when the bound
+        is below ``beat`` the candidate cannot reach it, and ``None`` is
+        returned without a partition lookup, a sequence table or a DP
+        run.
 
         Raises :class:`PartitionError` when the allocation's data-path
         alone exceeds the ASIC area.
         """
-        return self._evaluate(RMap._coerce(allocation))
+        return self._evaluate(RMap._coerce(allocation), beat)
 
-    def _evaluate(self, allocation):
+    def _evaluate(self, allocation, beat=None):
         cache = self._cache
         architecture = self._architecture
         key = self._key_prefix + (allocation, self._area_quanta,
                                   self._overhead_model)
         evaluation = cache.evals.get(key)
         if evaluation is not None:
-            # The carried state still describes the last *computed*
-            # candidate, which is what the next diff compares against.
             cache.stats.hit("eval")
             return evaluation
         cache.stats.miss("eval")
@@ -227,7 +252,10 @@ class EvaluationScan:
         # Overheads may leave no controller room at all — that is a valid
         # (terrible) design point, not an error: PACE then moves nothing.
         available = architecture.total_area - datapath_area - overhead_area
-        partition = self._partition(self._costs_for(allocation), available)
+        partition = self._partition(self._costs_for(allocation), available,
+                                    beat)
+        if partition is None:
+            return None
         evaluation = AllocationEvaluation(
             allocation=allocation,
             datapath_area=datapath_area,
@@ -243,46 +271,58 @@ class EvaluationScan:
         return evaluation
 
     def _costs_for(self, allocation):
-        """The candidate's cost array, diffed against the previous one.
+        """The candidate's cost array, through the group memos.
 
         The returned list is rewritten in place by the next call.
         """
         cache = self._cache
         bsbs = self._bsbs
-        # Cleared until the array is complete: a build that raises
-        # leaves the next call a full one.
-        prev, self._prev = self._prev, None
-        if self._groups is None:
-            self._members, self._groups = _cost_plan(
-                bsbs, self._architecture.library, cache)
-            self._signatures = [None] * len(self._groups)
-            self._costs = [None] * len(bsbs)
-        groups = self._groups
-        changed = range(len(groups))
-        positions = range(len(bsbs))
-        if prev is not None:
-            if self._deps is None:
-                self._index_groups()
-            moved = allocation.changed_names(prev)
-            changed = [index for index, deps in enumerate(self._deps)
-                       if not deps.isdisjoint(moved)]
-            if len(changed) < len(groups):
-                positions = sorted(position for index in changed
-                                   for position in self._positions[index])
-        signatures = self._signatures
-        for index in changed:
-            signatures[index] = _group_signature(groups[index], allocation)
+        memos = self._memos
+        if memos is None:
+            if self._groups is not None:
+                memos = self._index_groups()
+            else:
+                self._members, self._groups = _cost_plan(
+                    bsbs, self._architecture.library, cache)
+                self._costs = [None] * len(bsbs)
+        result = self._costs
+        hits = misses = 0
+        if memos is None:
+            # One-shot: one signature per group, one probe per BSB.
+            signatures = [_group_signature(identity, allocation)
+                          for identity in self._groups]
+            pending = enumerate(self._members)
+            missed = ()
+        else:
+            signatures = {}
+            pending = []
+            missed = []
+            get = allocation.get
+            for index, (identity, demand, single, positions, memo) in \
+                    enumerate(memos):
+                # The counts capped at the demand (min() inlined).
+                key = tuple([need if (count := get(name, 0)) > need
+                             else count for name, need in demand])
+                if 0 in key:
+                    key = None if single \
+                        else _group_signature(identity, allocation)
+                costs = memo.get(key)
+                if costs is None:
+                    signatures[index] = _group_signature(identity,
+                                                         allocation)
+                    pending.extend((position, index)
+                                   for position in positions)
+                    missed.append((memo, key, positions))
+                else:
+                    hits += len(positions)
+                    for position, cost in zip(positions, costs):
+                        result[position] = cost
         costs_memo = cache.costs
         interned = cache.interned
         arch_key = self._arch_key
         array_key = self._array_key
-        members = self._members
-        result = self._costs
-        # A carried BSB counts as a hit: a fresh probe would have hit.
-        hits = len(bsbs) - len(positions)
-        misses = 0
-        for position in positions:
-            signature = signatures[members[position]]
+        for position, index in pending:
+            signature = signatures[index]
             cost_key = (array_key[position], signature, arch_key)
             cost = costs_memo.get(cost_key)
             if cost is None:
@@ -294,29 +334,38 @@ class EvaluationScan:
             else:
                 hits += 1
             result[position] = cost
+        # Stored only now that every member's cost exists.
+        for memo, key, positions in missed:
+            memo[key] = tuple([result[position] for position in positions])
         stats = cache.stats
         if hits:
             stats.hits["cost"] = stats.hits.get("cost", 0) + hits
         if misses:
             stats.misses["cost"] = stats.misses.get("cost", 0) + misses
-        self._prev = allocation
         return result
 
     def _index_groups(self):
-        """Per group, the resource names its signature can depend on
-        (designated demand plus every capable unit) and its array
-        positions."""
-        self._deps = [frozenset() if identity is None
-                      else frozenset(name for name, _ in identity[0])
-                      | identity[1]
-                      for identity in self._groups]
+        """Per group: (identity, designated demand, whether each
+        operation type has exactly one capable unit, array positions,
+        empty memo)."""
         positions = [[] for _ in self._groups]
         for position, index in enumerate(self._members):
             positions[index].append(position)
-        self._positions = positions
+        memos = []
+        for identity, members in zip(self._groups, positions):
+            if identity is None:
+                demand, single = (), True
+            else:
+                demand, _, type_sets = identity
+                single = all(len(names) == 1 for names in type_sets)
+            memos.append((identity, demand, single, tuple(members), {}))
+        self._memos = memos
+        return memos
 
-    def _partition(self, costs, available):
-        """PACE result of one cost array, through the table and DP memos.
+    def _partition(self, costs, available, beat=None):
+        """PACE result of one cost array, through the table and DP memos,
+        or ``None`` when ``beat`` is given and the array's speed-up bound
+        under ``available`` is below it.
 
         Tables are keyed by cost-object identity: cost objects are
         memoised, hence live as long as the cache, and interned by
@@ -328,9 +377,11 @@ class EvaluationScan:
         fingerprints, digest of the architecture's cost knobs and each
         BSB's hardware time and controller area): everything else in a
         cost follows from its BSB and processor.  An entry holds the
-        content key from its first probe; it builds its
-        :class:`SequenceTable` only on a partition miss, so a pass whose
-        partitions all hit builds none.
+        content key from its first probe, the array's
+        :func:`~repro.partition.pace.bound_gains` from its first gated
+        probe, and its :class:`SequenceTable` from its first partition
+        miss, so a pass whose partitions all hit builds no table and a
+        candidate the gate discards touches neither.
         """
         cache = self._cache
         architecture = self._architecture
@@ -341,8 +392,15 @@ class EvaluationScan:
             entry = cache.tables[table_key] = (None, (
                 self._array_key, data_digest((self._arch_key, tuple(
                     (cost.hw_time, cost.controller_area)
-                    for cost in costs)))))
-        sequence_table, content_key = entry
+                    for cost in costs)))), None)
+        sequence_table, content_key, gains = entry
+        if beat is not None:
+            if gains is None:
+                gains = bound_gains(costs)
+                cache.tables[table_key] = (sequence_table, content_key,
+                                           gains)
+            if speedup_bound(gains, available) < beat:
+                return None
         partition_key = content_key + (comm, available, self._area_quanta)
         partition = cache.partitions.get(partition_key)
         if partition is not None:
@@ -352,7 +410,7 @@ class EvaluationScan:
         if sequence_table is None:
             cache.stats.miss("table")
             sequence_table = SequenceTable(costs, architecture)
-            cache.tables[table_key] = (sequence_table, content_key)
+            cache.tables[table_key] = (sequence_table, content_key, gains)
         else:
             cache.stats.hit("table")
         partition = pace_partition(costs, architecture, available,

@@ -12,8 +12,13 @@ moved to hardware; a moved sequence
 PACE finds the time-optimal selection under the available controller
 area by dynamic programming over (BSB prefix, discretised area), the
 classic knapsack-with-sequences formulation.  Area is discretised into
-``area_quanta`` buckets (ceiling rounding, so the area constraint is
-never violated).
+``area_quanta`` buckets (ceiling rounding that forgives only float
+noise: the chosen areas add up to at most ``available_area / (1 -
+_QUANTIZE_RTOL)``, see :func:`speedup_bound`).
+
+:func:`speedup_bound` relaxes that DP into a fractional knapsack over
+single BSBs: an admissible upper bound on the speed-up, cheap enough to
+discard a candidate that cannot win before any sequence or DP work.
 """
 
 import math
@@ -268,6 +273,16 @@ class SequenceTable:
 #: the ratio — hence a relative, not absolute, tolerance.
 _QUANTIZE_RTOL = 1e-9
 
+#: Relative inflation applied to every speed-up bound (to its saving, in
+#: :func:`speedup_bound`).  The bound and the evaluated speed-ups
+#: accumulate floating-point error in different summation orders; a
+#: mathematically-tied case could otherwise land an ulp *below* the true
+#: value and wrongly discard the winner.  The inflation is ~1e2 larger
+#: than the worst accumulated rounding error and ~1e7 smaller than any
+#: speed-up difference the tournament cares about, so admissibility is
+#: restored at ~zero pruning-power cost.
+_BOUND_RTOL = 1e-9
+
 
 def _quantize(area, quantum):
     """Quanta covering ``area``: ceiling with a relative tolerance."""
@@ -442,6 +457,89 @@ def pace_partition(costs, architecture, available_area, area_quanta=400,
     if sequence_table is None:
         sequence_table = SequenceTable(costs, architecture)
     return sequence_table.partition(available_area, area_quanta)
+
+
+def bound_gains(costs):
+    """What :func:`speedup_bound` reads of one cost array.
+
+    Returns (all-software time, items): one (gain, controller area)
+    item per movable BSB whose software-minus-hardware time is
+    positive, best gain per area first.  The all-software time is the
+    sum :class:`SequenceTable` computes, in the same order.
+    """
+    items = []
+    for cost in costs:
+        if cost.movable:
+            gain = cost.sw_time - cost.hw_time
+            if gain > 0:
+                items.append((gain, cost.controller_area))
+    items.sort(key=lambda item: item[0] / item[1], reverse=True)
+    return sum(cost.sw_time for cost in costs), tuple(items)
+
+
+def fractional_knapsack(items, capacity):
+    """Fractional-knapsack value of (gain, weight) ``items``, taken in
+    the given order (best gain per weight first) into ``capacity``."""
+    saving = 0.0
+    remaining = capacity
+    for gain, weight in items:
+        if weight <= remaining:
+            saving += gain
+            remaining -= weight
+        else:
+            saving += gain * (remaining / weight)
+            break
+    return saving
+
+
+def speedup_bound(gains, available_area):
+    """An upper bound on the speed-up PACE reaches under
+    ``available_area``, at any ``area_quanta``, from the cost array's
+    :func:`bound_gains`.
+
+    Admissibility.  The DP moves disjoint contiguous sequences of
+    movable BSBs.  A sequence saves the sum of its BSBs'
+    software-minus-hardware times less a communication charge that is
+    never negative (``comm_cycles_per_word >= 0``), and it takes the
+    sum of their controller areas.  Dropping the charge and every BSB
+    whose time difference is not positive raises the saving and lowers
+    the area, so the DP's saving is at most that of a 0/1 choice of
+    the items whose areas add up to no more than the DP spent.  The
+    fractional knapsack, best gain per area first, is the optimum of
+    that choice's linear relaxation, hence at least as large at any
+    capacity the choice fits into.  The DP spends at most
+    ``area_quanta`` quanta of ``available_area / area_quanta`` each,
+    but :func:`_quantize` charges an area that lies up to
+    ``_QUANTIZE_RTOL`` of its own size above a quantum boundary one
+    quantum less: r quanta of area need at least r (1 - rtol) quanta,
+    so the chosen areas add up to at most ``available_area / (1 -
+    rtol)``, below the knapsack's capacity ``available_area (1 + 2
+    rtol)``.  No area at all (or no item) means no saving, which is
+    what PACE reports then too.
+
+    Floating point.  The DP and the knapsack add the same float time
+    differences in different orders.  The DP's sums may include
+    negative differences, but each lowers its exact saving by at least
+    its own size, so both errors stay below a few ulps of the
+    knapsack's value per BSB.  The knapsack's saving is inflated by
+    ``_BOUND_RTOL`` before the speed-up is computed from it by the
+    expression the partition uses, which is monotone in the saving even
+    under floating point.  Inflating the saving rather than the
+    speed-up keeps the margin relative to what was summed: near a
+    hybrid time of zero the speed-up moves by far more than its
+    saving's relative error.  A saving that covers the whole software
+    time bounds nothing (``inf``).
+    """
+    sw_time_all, items = gains
+    if available_area <= 0 or not items:
+        return 0.0
+    saving = fractional_knapsack(
+        items, available_area * (1.0 + 2.0 * _QUANTIZE_RTOL)) \
+        * (1.0 + _BOUND_RTOL)
+    hybrid_time = sw_time_all - saving
+    if hybrid_time <= 0:
+        return math.inf
+    return speedup_percent(sw_time_all, hybrid_time)
 
 
 def _op_count(cost):

@@ -130,6 +130,21 @@ class TestBoundAdmissibility:
                 "inadmissible bound %r < %r at %r" \
                 % (bound, speedup, allocation)
 
+    def test_every_floor_lookup_is_counted_once(self):
+        """Per call, each floor the bound reads is one ``bound`` hit or
+        miss: a repeated call reads them all again, as hits."""
+        session, bsbs, architecture = _design("hal")
+        names, ranges = allocation_space(bsbs, architecture.library)
+        caps = [len(counts) - 1 for counts in ranges]
+        engine = BoundEngine(bsbs, architecture, names, caps,
+                             session.cache)
+        first = engine.speedup_bound(list(caps), 0.0)
+        hits, misses = session.stats.snapshot()["bound"]
+        assert misses == len(session.cache.bounds) > 0
+        assert engine.speedup_bound(list(caps), 0.0) == first
+        assert session.stats.snapshot()["bound"] \
+            == (2 * hits + misses, misses)
+
 
 class TestSearchModeSurface:
     def test_unknown_search_mode_is_rejected(self):

@@ -1,15 +1,22 @@
 """Tests for allocation evaluation (the paper's evaluation loop)."""
 
+from unittest import mock
+
 import pytest
 
+import repro.partition.evaluate as evaluate_module
 from repro.core.rmap import RMap
 from repro.engine.cache import EvalCache
 from repro.errors import PartitionError
 from repro.ir.ops import OpType
-from repro.partition.evaluate import evaluate_allocation
+from repro.partition.evaluate import (
+    EvaluationScan,
+    bsb_costs,
+    evaluate_allocation,
+)
 from repro.partition.model import TargetArchitecture
 
-from tests.conftest import make_leaf, make_parallel_dfg
+from tests.conftest import make_chain_dfg, make_leaf, make_parallel_dfg
 
 
 @pytest.fixture
@@ -77,3 +84,76 @@ class TestEvaluate:
                                        "divider": 1}),
                             architecture, cache=cache)
         assert len(cache.sched) == populated  # divider is irrelevant
+
+
+class TestGroupMemo:
+    """A scan's per-group memos return what a fresh cost build does."""
+
+    @pytest.fixture
+    def twins(self):
+        # Two BSBs of one cost group (the same multiplier demand) and
+        # one of another.
+        return [make_leaf(make_parallel_dfg(OpType.MUL, 2, "left"),
+                          profile=100, name="left", reads={"a"},
+                          writes={"b"}),
+                make_leaf(make_parallel_dfg(OpType.ADD, 3, "adds"),
+                          profile=20, name="adds", reads={"b"},
+                          writes={"c"}),
+                make_leaf(make_parallel_dfg(OpType.MUL, 2, "right"),
+                          profile=40, name="right", reads={"c"},
+                          writes={"d"})]
+
+    def test_raising_cost_build_leaves_no_partial_entry(self, library,
+                                                        twins):
+        architecture = TargetArchitecture(library=library,
+                                          total_area=10000.0)
+        scan = EvaluationScan(twins, architecture, cache=EvalCache())
+        scan._costs_for(RMap({"multiplier": 1, "adder": 3}))
+        scan._costs_for(RMap({"multiplier": 1, "adder": 1}))
+        # Two multipliers: both multiplier BSBs miss; the second build
+        # raises after the first succeeded.
+        failing = RMap({"multiplier": 2, "adder": 1})
+        compute = evaluate_module._compute_bsb_cost
+        builds = []
+
+        def flaky(*args):
+            builds.append(args)
+            if len(builds) == 2:
+                raise RuntimeError("injected")
+            return compute(*args)
+
+        with mock.patch.object(evaluate_module, "_compute_bsb_cost",
+                               flaky):
+            with pytest.raises(RuntimeError, match="injected"):
+                scan._costs_for(failing)
+        for allocation in (failing, RMap({"multiplier": 1, "adder": 1}),
+                           RMap({"multiplier": 2, "adder": 3})):
+            assert list(scan._costs_for(allocation)) == bsb_costs(
+                twins, allocation, architecture)
+
+    def test_zero_count_keys_share_one_entry(self, library):
+        # Without an adder the BSB is unexecutable whatever the
+        # multipliers: every such candidate is one memo hit, unsigned.
+        bsbs = [make_leaf(make_chain_dfg([OpType.MUL, OpType.ADD,
+                                          OpType.MUL]),
+                          profile=10, name="mixed", reads={"a"},
+                          writes={"b"})]
+        architecture = TargetArchitecture(library=library,
+                                          total_area=10000.0)
+        cache = EvalCache()
+        scan = EvaluationScan(bsbs, architecture, cache=cache)
+        scan._costs_for(RMap({"multiplier": 1, "adder": 1}))
+        scan._costs_for(RMap({"multiplier": 1}))
+        before = cache.stats.snapshot()["cost"]
+        allocations = [RMap({"multiplier": count}) for count in (2, 3, 0)]
+        with mock.patch.object(
+                evaluate_module, "_group_signature",
+                wraps=evaluate_module._group_signature) as signing:
+            built = [list(scan._costs_for(allocation))
+                     for allocation in allocations]
+        assert signing.call_count == 0
+        hits, misses = cache.stats.snapshot()["cost"]
+        assert (hits, misses) == (before[0] + 3, before[1])
+        for allocation, costs in zip(allocations, built):
+            assert costs == bsb_costs(bsbs, allocation, architecture)
+            assert not costs[0].movable

@@ -163,7 +163,7 @@ class TestLazyTable:
         assert "table" not in session.stats.stages()
         entries = list(session.cache.tables.values())
         assert entries
-        assert all(table is None for table, _ in entries)
+        assert all(table is None for table, _, _ in entries)
 
 
 class TestContentSharing:
@@ -190,7 +190,7 @@ class TestContentSharing:
             bsb_costs(bsbs, two, architecture, cache=cache)))
         # One entry, one table built, one content key behind both
         # partitions (their available areas differ).
-        (table, content_key), = cache.tables.values()
+        (table, content_key, _), = cache.tables.values()
         assert isinstance(table, SequenceTable)
         assert cache.stats.snapshot()["table"] == (1, 1)
         assert len(cache.partitions) == 2
@@ -200,7 +200,7 @@ class TestContentSharing:
         fresh = EvalCache()
         evaluate_allocation(bsbs, two, architecture, area_quanta=50,
                             cache=fresh)
-        assert [key for _, key in fresh.tables.values()] == [content_key]
+        assert [key for _, key, _ in fresh.tables.values()] == [content_key]
 
 
 class TestQuantize:
