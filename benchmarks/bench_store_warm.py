@@ -51,8 +51,8 @@ def test_storeless_baseline_rows(benchmark, warm_store):
         [_row_signature(row) for row in cold_rows]
 
 
-def test_warm_parallel_exhaustive(benchmark, warm_store):
-    """workers=2 over the warm store: the fan-out's restart scenario."""
+def test_warm_exhaustive(benchmark, warm_store):
+    """hal's exhaustive search alone over the warm store."""
     from repro.apps.registry import application_spec
     from repro.engine import Session
     from repro.partition.model import TargetArchitecture
@@ -60,16 +60,16 @@ def test_warm_parallel_exhaustive(benchmark, warm_store):
     store_dir, cold_rows = warm_store
     spec = application_spec("hal")
 
-    def warm_parallel():
+    def warm_search():
         session = Session(cache_dir=store_dir)
         program = session.program("hal")
         architecture = TargetArchitecture(library=session.library,
                                           total_area=spec.total_area)
         return session.exhaustive(program.bsbs, architecture,
                                   max_evaluations=spec.max_evaluations,
-                                  area_quanta=120, workers=2)
+                                  area_quanta=120)
 
-    result = benchmark.pedantic(warm_parallel, rounds=3, iterations=1)
+    result = benchmark.pedantic(warm_search, rounds=3, iterations=1)
     cold_hal = next(row for row in cold_rows if row.name == "hal")
     assert result.best_evaluation.speedup == pytest.approx(
         cold_hal.su_best)

@@ -198,9 +198,6 @@ def build_parser():
                         help="subset of benchmarks (default: all four)")
     table1.add_argument("--budget", type=int, default=None,
                         help="override the exhaustive-search budget")
-    table1.add_argument("--workers", type=int, default=1,
-                        help="worker processes for the exhaustive "
-                             "search (default: serial)")
     table1.add_argument("--cache-dir", default=None,
                         help="persistent engine store directory "
                              "(reruns replay cached stages from disk)")
@@ -468,14 +465,12 @@ def build_parser():
 
 
 def cmd_table1(args):
-    if args.workers < 1:
-        raise SystemExit("--workers must be >= 1")
     if args.budget is not None and args.budget < 1:
         raise SystemExit("--budget must be >= 1")
     session = _session(args) if args.cache_dir is not None else None
     rows = table1_rows(names=args.apps, max_evaluations=args.budget,
-                       workers=args.workers, session=session,
-                       search=args.search, objective=args.objective)
+                       session=session, search=args.search,
+                       objective=args.objective)
     print(render_table1(rows))
     for row in rows:
         print()

@@ -11,7 +11,7 @@ into one seam:
   sortable tuple, so ``better(candidate, incumbent)`` is simply a tuple
   comparison and incumbent-wins-on-tie falls out of ``>`` being strict;
 * :meth:`Objective.primary` is the key's leading axis — the scalar the
-  strict-only prune thresholds and the shared parallel incumbent carry;
+  pruned walk's strict-only prune thresholds compare;
 * :meth:`Objective.improves` compares *only* the primary axis, which is
   what the reduce-only design iteration accepts steps on (the default
   objective must reproduce its historical pure-speed-up comparisons);
@@ -124,9 +124,7 @@ class ParetoFront:
     Insertion keeps the *first* point of an exact vector tie (scan
     order), mirroring the incumbent-wins tournament; dominated points
     are filtered on entry and evicted when a new point dominates them.
-    The final set is order-independent up to exact ties, which is what
-    makes chunk-order merging of parallel scans identical to the
-    serial scan.
+    The final set is order-independent up to exact ties.
     """
 
     __slots__ = ("_points",)
@@ -148,12 +146,6 @@ class ParetoFront:
                         if not dominates(vector, existing)]
         self._points.append((vector, payload))
         return True
-
-    def merge(self, other):
-        """Fold another front in (its insertion order); returns self."""
-        for vector, payload in other.items():
-            self.add(vector, payload)
-        return self
 
     def items(self):
         """(vector, payload) pairs in insertion (scan) order."""

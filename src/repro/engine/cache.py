@@ -254,13 +254,15 @@ class EvalCache:
         eca: (bsb, library, technology) -> estimated area.
         restrictions: (array, library) -> restriction RMap.
         tables: (cost object ids, comm cost) -> (SequenceTable or
-            None, the cost array's content key, its speed-up bound
-            gains or None); process-local.  Cost objects are interned,
-            so one entry stands for one content.  The gains
+            None, the cost array's content key or None, its speed-up
+            bound gains or None); process-local.  Cost objects are
+            interned, so one entry stands for one content.  The gains
             (:func:`~repro.partition.pace.bound_gains`) are built on the
-            entry's first bound-gated probe and the table on its first
-            partition miss, so arrays whose partitions all hit, or
-            whose candidates the gate all settles, hold no table.
+            entry's first bound-gated probe, the content key on its
+            first partition probe and the table on its first partition
+            miss, so arrays whose partitions all hit hold no table, and
+            arrays whose candidates the gate all settles hold neither a
+            key nor a table.
         partitions: (array, digest of the architecture's cost knobs
             and each BSB's hardware time and controller area, comm
             cost, available area, quanta) -> PartitionResult —

@@ -14,7 +14,7 @@ The batch API fans a list of immutable
 ``multiprocessing`` workers; each worker holds one long-lived session
 of its own, so the cache is shared across all points a worker
 evaluates.  :meth:`Session.fan_out` is the one process pool of the
-package: the exhaustive search's parallel scan runs on it too::
+package::
 
     session = Session()
     results = session.explore_grid(apps=["hal", "man"],
@@ -273,14 +273,13 @@ class Session:
 
     def exhaustive(self, bsbs, architecture, restrictions=None,
                    max_evaluations=None, area_quanta=200,
-                   keep_history=False, workers=1, search="brute",
+                   keep_history=False, search="brute",
                    objective="speedup"):
         """The exhaustive allocation search, on this session's cache.
 
-        ``workers`` > 1 fans the candidate stream out over processes
-        (see :func:`~repro.core.exhaustive.exhaustive_best_allocation`);
-        the result is bit-identical to the serial search and the
-        per-worker cache accounting is merged into ``self.stats``.
+        The search runs serially in this process (see
+        :func:`~repro.core.exhaustive.exhaustive_best_allocation`) and
+        flushes this session's store when it ends, interrupted or not.
         ``search="pruned"`` walks the space branch-and-bound style —
         same winner, far fewer evaluations on prunable spaces.
         ``objective`` selects the tournament ranking candidates (see
@@ -293,8 +292,8 @@ class Session:
         return exhaustive_best_allocation(
             bsbs, architecture, restrictions=restrictions,
             max_evaluations=max_evaluations, area_quanta=area_quanta,
-            keep_history=keep_history, session=self, workers=workers,
-            search=search, objective=objective)
+            keep_history=keep_history, session=self, search=search,
+            objective=objective)
 
     # ------------------------------------------------------------------
     # The batch API
@@ -419,32 +418,27 @@ class Session:
                                  % (failed.point, failed.error))
         return results
 
-    def fan_out(self, tasks, run, processes, on_value=None, setup=None,
-                setup_args=()):
-        """Run ``run(context, task)`` for every task on a process pool.
+    def fan_out(self, tasks, run, processes, on_value=None):
+        """Run ``run(worker_session, task)`` for every task on a pool.
 
         The one home of the batch worker-delta protocol.  Each worker
-        process opens a session on this session's library and store;
-        ``setup(worker_session, *setup_args)``, when given, builds the
-        worker's ``context`` once, else the context is that session.
-        What cannot travel with a task (a ``multiprocessing.Value``)
-        goes through ``setup_args``; ``run`` and ``setup`` must be
-        module-level functions, which a pool can pickle.  This session
-        spills to the store first, so workers hydrate what it already
-        computed; each task's value comes home with the worker's
-        hit/miss delta and new store entries, which this session (the
-        store's one writer) absorbs as the task completes, before
-        ``on_value(value)`` sees it.  An interrupt or a failing task
-        terminates the pool and still flushes everything absorbed, so
-        only the tasks in flight are lost.  Returns the values in task
-        order.
+        process opens one session on this session's library and store
+        and runs all of its tasks on it; ``run`` must be a module-level
+        function, which a pool can pickle.  This session spills to the
+        store first, so workers hydrate what it already computed; each
+        task's value comes home with the worker's hit/miss delta and
+        new store entries, which this session (the store's one writer)
+        absorbs as the task completes, before ``on_value(value)`` sees
+        it.  An interrupt or a failing task terminates the pool and
+        still flushes everything absorbed, so only the tasks in flight
+        are lost.  Returns the values in task order.
         """
         cache_dir = None if self.store is None else self.store.root
         self.save_store()
         values = [None] * len(tasks)
         pool = multiprocessing.Pool(
             processes=processes, initializer=_pool_init,
-            initargs=(self.library, cache_dir, run, setup, setup_args))
+            initargs=(self.library, cache_dir, run))
         try:
             for index, value, stats_delta, store_delta in \
                     pool.imap_unordered(_pool_task, list(enumerate(tasks))):
@@ -510,23 +504,21 @@ def explore_grid(apps, areas=(None,), policies=(None,), quanta=(150,),
 # ----------------------------------------------------------------------
 # Worker-process plumbing for Session.fan_out
 # ----------------------------------------------------------------------
-#: (worker session, run, context) of this pool worker process.
+#: (worker session, run) of this pool worker process.
 _WORKER = None
 
 
-def _pool_init(library, cache_dir, run, setup, setup_args):
+def _pool_init(library, cache_dir, run):
     global _WORKER
-    session = Session(library=library, cache_dir=cache_dir)
-    context = session if setup is None else setup(session, *setup_args)
-    _WORKER = (session, run, context)
+    _WORKER = (Session(library=library, cache_dir=cache_dir), run)
 
 
 def _pool_task(indexed_task):
     """Run one task; ship its value, hit/miss delta and store delta."""
     index, task = indexed_task
-    session, run, context = _WORKER
+    session, run = _WORKER
     before = session.stats.snapshot()
-    value = run(context, task)
+    value = run(session, task)
     store_delta = None if session.store is None \
         else session.store.export_delta(session.cache)
     return (index, value,

@@ -377,23 +377,18 @@ class EvaluationScan:
         fingerprints, digest of the architecture's cost knobs and each
         BSB's hardware time and controller area): everything else in a
         cost follows from its BSB and processor.  An entry holds the
-        content key from its first probe, the array's
-        :func:`~repro.partition.pace.bound_gains` from its first gated
-        probe, and its :class:`SequenceTable` from its first partition
-        miss, so a pass whose partitions all hit builds no table and a
-        candidate the gate discards touches neither.
+        array's :func:`~repro.partition.pace.bound_gains` from its first
+        gated probe, the content key from its first partition probe,
+        and its :class:`SequenceTable` from its first partition miss,
+        so a pass whose partitions all hit builds no table and a
+        candidate the gate discards digests nothing and builds no table.
         """
         cache = self._cache
         architecture = self._architecture
         comm = architecture.comm_cycles_per_word
         table_key = (tuple(map(id, costs)), comm)
-        entry = cache.tables.get(table_key)
-        if entry is None:
-            entry = cache.tables[table_key] = (None, (
-                self._array_key, data_digest((self._arch_key, tuple(
-                    (cost.hw_time, cost.controller_area)
-                    for cost in costs)))), None)
-        sequence_table, content_key, gains = entry
+        sequence_table, content_key, gains = \
+            cache.tables.get(table_key) or (None, None, None)
         if beat is not None:
             if gains is None:
                 gains = bound_gains(costs)
@@ -401,6 +396,11 @@ class EvaluationScan:
                                            gains)
             if speedup_bound(gains, available) < beat:
                 return None
+        if content_key is None:
+            content_key = (self._array_key, data_digest((
+                self._arch_key, tuple((cost.hw_time, cost.controller_area)
+                                      for cost in costs))))
+            cache.tables[table_key] = (sequence_table, content_key, gains)
         partition_key = content_key + (comm, available, self._area_quanta)
         partition = cache.partitions.get(partition_key)
         if partition is not None:

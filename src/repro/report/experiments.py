@@ -83,18 +83,17 @@ class Table1Row:
 
 def table1_row(name, library=None, area_quanta=150, best_area_quanta=120,
                max_evaluations=None, program=None, session=None,
-               workers=1, search="brute", objective="speedup"):
+               search="brute", objective="speedup"):
     """Measure one Table 1 row for the named benchmark.
 
     All stages run through one engine
     :class:`~repro.engine.session.Session` (a private one when none is
     passed), so the evaluation, the design iteration and the exhaustive
     search share schedules, cost arrays and PACE sequence tables.
-    ``workers`` > 1 fans the exhaustive search out over processes (the
-    row is bit-identical either way); ``search="pruned"`` runs the
-    branch-and-bound exhaustive search (also bit-identical, usually far
-    fewer evaluations); a session opened with a ``cache_dir`` makes the
-    whole row restart-warm.  ``objective`` ranks the exhaustive best
+    ``search="pruned"`` runs the branch-and-bound exhaustive search
+    (the row is bit-identical, usually after far fewer evaluations); a
+    session opened with a ``cache_dir`` makes the whole row
+    restart-warm.  ``objective`` ranks the exhaustive best
     (and the iteration's accepted steps) — the default reproduces the
     paper's speed-up tournament byte-for-byte.
     """
@@ -121,8 +120,7 @@ def table1_row(name, library=None, area_quanta=150, best_area_quanta=120,
     best = session.exhaustive(program.bsbs, architecture,
                               max_evaluations=budget,
                               area_quanta=best_area_quanta,
-                              workers=workers, search=search,
-                              objective=objective)
+                              search=search, objective=objective)
     # The design-iteration endpoint is also a visited allocation; the
     # "best" reported is the better of the two (the paper's eigen best
     # likewise came from designer experiments, not pure enumeration).
@@ -161,7 +159,7 @@ def table1_row(name, library=None, area_quanta=150, best_area_quanta=120,
 
 
 def table1_rows(library=None, names=None, max_evaluations=None,
-                session=None, workers=1, cache_dir=None, search="brute",
+                session=None, cache_dir=None, search="brute",
                 objective="speedup"):
     """Measure all Table 1 rows (expensive: runs the exhaustive search).
 
@@ -169,15 +167,15 @@ def table1_rows(library=None, names=None, max_evaluations=None,
     programs, restriction analyses) is reused.  ``cache_dir`` (only
     honoured when no session is passed) opens that session over a
     persistent store, so a rerun replays the expensive stages from
-    disk; ``workers`` parallelises each row's exhaustive search,
-    ``search`` selects its mode ("brute" or "pruned" — same winner)
-    and ``objective`` picks the ranking tournament.
+    disk; ``search`` selects each row's exhaustive-search mode
+    ("brute" or "pruned" — same winner) and ``objective`` picks the
+    ranking tournament.
     """
     names = list(names or application_names())
     if session is None and cache_dir is not None:
         session = Session(library=library, cache_dir=cache_dir)
     session = _resolve_session(session, library)
-    rows = [table1_row(name, session=session, workers=workers,
+    rows = [table1_row(name, session=session,
                        max_evaluations=max_evaluations, search=search,
                        objective=objective)
             for name in names]

@@ -84,25 +84,6 @@ class TestPrunedMatchesBruteOracle:
         assert pruned.subtrees_pruned > 0
         assert pruned.bound_evaluations > 0
 
-    def test_parallel_pruned_matches_serial_winner(self):
-        serial_session, serial_bsbs, serial_arch = _design("hal")
-        tight = _tight_restrictions(serial_session, serial_bsbs, 2)
-        serial = serial_session.exhaustive(serial_bsbs, serial_arch,
-                                           restrictions=tight,
-                                           area_quanta=120,
-                                           search="pruned")
-        par_session, par_bsbs, par_arch = _design("hal")
-        tight_p = _tight_restrictions(par_session, par_bsbs, 2)
-        parallel = par_session.exhaustive(par_bsbs, par_arch,
-                                          restrictions=tight_p,
-                                          area_quanta=120,
-                                          search="pruned", workers=3)
-        assert parallel.best_evaluation.speedup == \
-            serial.best_evaluation.speedup
-        assert parallel.best_allocation == serial.best_allocation
-        assert parallel.evaluations + parallel.skipped_infeasible \
-            + parallel.pruned_leaves == parallel.space
-
 
 class TestBoundAdmissibility:
     def test_leaf_bound_covers_every_evaluated_speedup(self):

@@ -3,10 +3,10 @@
 import pytest
 
 from repro.core.exhaustive import (
+    _draw_feasible_samples,
     allocation_space,
     enumerate_allocations,
     exhaustive_best_allocation,
-    sample_allocations,
     space_size,
 )
 from repro.core.rmap import RMap
@@ -25,6 +25,19 @@ def small_app():
     adds = make_leaf(make_parallel_dfg(OpType.ADD, 3, "adds"),
                      profile=20, name="adds", reads={"b"}, writes={"c"})
     return [muls, adds]
+
+
+def draw(library, bsbs, budget, restrictions=None):
+    """The sampled search's candidates over the whole space, without
+    an area limit."""
+    names, ranges = allocation_space(bsbs, library,
+                                     restrictions=restrictions)
+    unit_areas = {name: library.area_of(name) for name in names}
+    size = space_size(bsbs, library, restrictions=restrictions)
+    candidates, skipped = _draw_feasible_samples(
+        names, ranges, budget, unit_areas, float("inf"), size)
+    assert skipped == 0
+    return candidates
 
 
 class TestSpace:
@@ -46,56 +59,19 @@ class TestSpace:
         allocations = list(enumerate_allocations(small_app, library))
         assert len(set(allocations)) == len(allocations)
 
-    def test_stride_subsamples(self, library, small_app):
-        strided = list(enumerate_allocations(small_app, library, stride=3))
-        assert len(strided) == 4
-
-    def test_bad_stride_rejected(self, library, small_app):
-        with pytest.raises(AllocationError):
-            list(enumerate_allocations(small_app, library, stride=0))
-
     def test_sampling_reproducible(self, library, small_app):
-        first = list(sample_allocations(small_app, library, 20))
-        second = list(sample_allocations(small_app, library, 20))
-        assert first == second
+        first = draw(library, small_app, 8)
+        assert len(first) == 8
+        assert first == draw(library, small_app, 8)
 
     def test_sampling_within_caps(self, library, small_app):
-        for allocation in sample_allocations(small_app, library, 50):
+        # A budget above the space stops once every allocation is seen.
+        sampled = draw(library, small_app, 50)
+        assert sorted(sampled, key=repr) == sorted(
+            enumerate_allocations(small_app, library), key=repr)
+        for allocation in sampled:
             assert allocation["adder"] <= 3
             assert allocation["multiplier"] <= 2
-
-    def test_slice_enumeration_matches_full_enumeration(self, library,
-                                                        small_app):
-        """The workers' O(1)-positioning slice enumerator must yield
-        exactly the slice of the lexicographic stream it names."""
-        from itertools import islice
-
-        from repro.core.exhaustive import _enumerate_slice
-
-        names, ranges = allocation_space(small_app, library)
-        full = list(enumerate_allocations(small_app, library))
-        for start, stop in ((0, 12), (0, 5), (5, 12), (7, 9), (11, 12),
-                            (4, 4)):
-            sliced = list(_enumerate_slice(names, ranges, start, stop))
-            assert sliced == list(islice(iter(full), start, stop)), \
-                (start, stop)
-
-    def test_sampling_stream_shared_with_budgeted_draw(self, library,
-                                                       small_app):
-        """_draw_feasible_samples consumes the same seeded stream as
-        sample_allocations (the documented correspondence)."""
-        from repro.core.exhaustive import _draw_feasible_samples
-
-        names, ranges = allocation_space(small_app, library)
-        unit_areas = {name: library.area_of(name) for name in names}
-        candidates, _ = _draw_feasible_samples(
-            names, ranges, 4, unit_areas, float("inf"), 12)
-        raw = list(sample_allocations(small_app, library, 20))
-        deduped = []
-        for allocation in raw:
-            if allocation not in deduped:
-                deduped.append(allocation)
-        assert candidates == deduped[:4]
 
     def test_zero_cap_restriction_is_honoured(self, library, small_app):
         """Regression: a resource capped at 0 must only take count 0.
@@ -113,8 +89,8 @@ class TestSpace:
         for allocation in enumerate_allocations(small_app, library,
                                                 restrictions=restrictions):
             assert allocation["multiplier"] == 0
-        for allocation in sample_allocations(small_app, library, 40,
-                                             restrictions=restrictions):
+        for allocation in draw(library, small_app, 40,
+                               restrictions=restrictions):
             assert allocation["multiplier"] == 0
         assert space_size(small_app, library,
                           restrictions=restrictions) == 3

@@ -37,12 +37,12 @@ def _tight(session, bsbs):
                  for name, count in full.items()})
 
 
-def _run(objective, search="brute", workers=1):
+def _run(objective, search="brute"):
     session, bsbs, architecture = _design()
     tight = _tight(session, bsbs)
     return session.exhaustive(bsbs, architecture, restrictions=tight,
                               area_quanta=_QUANTA, search=search,
-                              workers=workers, objective=objective)
+                              objective=objective)
 
 
 class TestBoundedObjectiveParity:
@@ -61,20 +61,6 @@ class TestBoundedObjectiveParity:
         assert pruned.evaluations + pruned.skipped_infeasible \
             + pruned.pruned_leaves == pruned.space
         assert pruned.evaluations <= brute.evaluations
-
-    @pytest.mark.parametrize("objective", ["area", "energy"])
-    def test_parallel_pruned_shares_the_incumbent(self, objective):
-        serial = _run(objective, search="pruned")
-        parallel = _run(objective, search="pruned", workers=2)
-        # The shared best-known bound only tightens pruning — the
-        # winner is bit-identical to the serial pruned search.
-        assert parallel.best_allocation == serial.best_allocation
-        assert parallel.best_evaluation.speedup \
-            == serial.best_evaluation.speedup
-        assert parallel.best_evaluation.energy \
-            == serial.best_evaluation.energy
-        assert parallel.evaluations + parallel.skipped_infeasible \
-            + parallel.pruned_leaves == parallel.space
 
     def test_energy_winner_really_minimises_energy(self):
         brute = _run("energy")
@@ -107,18 +93,6 @@ class TestParetoObjective:
             target = objective.vector(winner, session.library)[axis]
             assert max(vector[axis] for vector in vectors) \
                 == pytest.approx(target)
-
-    def test_parallel_front_matches_serial(self):
-        serial = _run("pareto")
-        parallel = _run("pareto", workers=2)
-        assert [vector for vector, _ in parallel.front.items()] \
-            == [vector for vector, _ in serial.front.items()]
-        assert [payload.allocation for _, payload
-                in parallel.front.items()] \
-            == [payload.allocation for _, payload
-                in serial.front.items()]
-        assert parallel.front.hypervolume() \
-            == pytest.approx(serial.front.hypervolume())
 
 
 class TestIterationObjective:

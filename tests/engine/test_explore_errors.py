@@ -1,11 +1,12 @@
-"""Regression tests for the failure paths of ``Session.explore`` and
-the parallel exhaustive scan, which share ``Session.fan_out``'s pool.
+"""Regression tests for the failure paths of ``Session.explore`` (serial
+and on ``Session.fan_out``'s pool) and of the exhaustive search.
 
 The bugs these pin down: a bad point used to abort the whole batch —
 the serial path skipped the trailing ``save_store()`` on exception and
 the pool path aborted ``pool.map``, dropping every finished chunk's
-results *and* its store deltas — and an interrupt mid-sweep (or
-mid-search) left the pool to die noisily without a final flush.
+results *and* its store deltas — an interrupt mid-sweep left the pool
+to die noisily without a final flush, and an interrupted exhaustive
+search flushed nothing it had computed.
 """
 
 import pytest
@@ -18,6 +19,7 @@ from repro.engine.design_point import failed_point_result
 from repro.engine.store import CacheStore
 from repro.errors import ReproError
 from repro.hwlib.library import default_library
+from repro.partition.evaluate import EvaluationScan
 from repro.partition.model import TargetArchitecture
 
 #: A grid with one poisoned point among valid ones; 'nope' is not a
@@ -176,23 +178,28 @@ class TestKeyboardInterrupt:
         # ... and its accounting reached the parent session.
         assert session.stats.miss_count("eval") >= 1
 
-    def test_interrupted_scan_keeps_completed_chunks(self, tmp_path,
-                                                     monkeypatch):
+    def test_interrupted_scan_keeps_its_partitions(self, tmp_path,
+                                                   monkeypatch):
         cache_dir = str(tmp_path / "store")
-        monkeypatch.setattr(session_module.multiprocessing, "Pool",
-                            _InterruptingPool)
-        monkeypatch.setattr(session_module, "_WORKER", None)
-        _InterruptingPool.instances = []
+        evaluate = EvaluationScan.evaluate
+        calls = []
+
+        def interrupting(scan, allocation, beat=None):
+            calls.append(allocation)
+            if len(calls) == 200:  # the user hits ^C mid-search
+                raise KeyboardInterrupt
+            return evaluate(scan, allocation, beat=beat)
+
+        monkeypatch.setattr(EvaluationScan, "evaluate", interrupting)
         library = default_library()
         bsbs = load_application("hal").bsbs
         architecture = TargetArchitecture(library=library,
                                           total_area=20000.0)
         with pytest.raises(KeyboardInterrupt):
             exhaustive_best_allocation(
-                bsbs, architecture, workers=2,
+                bsbs, architecture,
                 session=Session(library=library, cache_dir=cache_dir))
-        pool = _InterruptingPool.instances[0]
-        assert pool.terminated and pool.joined
-        # The first chunk's PACE results were absorbed and flushed.
-        entries, _ = CacheStore(cache_dir).info()["partitions"]
+        assert len(calls) == 200
+        # The PACE results of the candidates before it reached the disk.
+        entries, _ = CacheStore(cache_dir).info().get("partitions", (0, 0))
         assert entries > 0

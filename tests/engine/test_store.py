@@ -334,34 +334,6 @@ class TestStoreRobustness:
 
 
 class TestParallelEquivalence:
-    def test_workers_two_exhaustive_equals_serial(self):
-        library = default_library()
-        architecture = TargetArchitecture(library=library,
-                                          total_area=6000.0)
-        serial = exhaustive_best_allocation(make_small_app(), architecture,
-                                            area_quanta=100,
-                                            keep_history=True)
-        parallel = exhaustive_best_allocation(make_small_app(),
-                                              architecture,
-                                              area_quanta=100,
-                                              keep_history=True,
-                                              workers=2)
-        assert_same_result(serial, parallel)
-        assert ([(a, s) for a, s in parallel.history]
-                == [(a, s) for a, s in serial.history])
-
-    def test_parallel_merges_worker_stats(self):
-        library = default_library()
-        architecture = TargetArchitecture(library=library,
-                                          total_area=6000.0)
-        session = Session(library=library)
-        exhaustive_best_allocation(make_small_app(), architecture,
-                                   session=session, workers=2)
-        # The parent never evaluated anything itself, yet the pool's
-        # accounting must land in its stats.
-        assert session.stats.miss_count("cost") > 0
-        assert session.stats.miss_count("partition") > 0
-
     def test_explore_parallel_merges_worker_stats(self):
         session = Session()
         spec = application_spec("hal")
@@ -371,77 +343,10 @@ class TestParallelEquivalence:
         assert session.stats.miss_count("alloc") == len(points)
         assert session.stats.miss_count("eval") == len(points)
 
-    def test_parallel_cold_run_persists_worker_entries(self, tmp_path):
-        """Worker-computed entries travel back as deltas and reach the
-        store through the parent's flush — a warm serial rerun must
-        replay them without recomputing."""
-        store_dir = str(tmp_path / "store")
-        library = default_library()
-        architecture = TargetArchitecture(library=library,
-                                          total_area=6000.0)
-        cold_session = Session(library=library, cache_dir=store_dir)
-        cold = exhaustive_best_allocation(make_small_app(), architecture,
-                                          session=cold_session, workers=2)
-        warm_session = Session(library=default_library(),
-                               cache_dir=store_dir)
-        warm_arch = TargetArchitecture(library=warm_session.library,
-                                       total_area=6000.0)
-        warm = exhaustive_best_allocation(make_small_app(), warm_arch,
-                                          session=warm_session)
-        assert_same_result(cold, warm)
-        assert warm_session.stats.miss_count("cost") == 0
-        assert warm_session.stats.miss_count("partition") == 0
-
-    @staticmethod
-    def _cold_then_warm(store_dir, cold_workers, warm_workers):
-        library = default_library()
-        architecture = TargetArchitecture(library=library,
-                                          total_area=6000.0)
-        cold_session = Session(library=library, cache_dir=store_dir)
-        cold = exhaustive_best_allocation(make_small_app(), architecture,
-                                          session=cold_session,
-                                          workers=cold_workers)
-        warm_session = Session(library=default_library(),
-                               cache_dir=store_dir)
-        warm_arch = TargetArchitecture(library=warm_session.library,
-                                       total_area=6000.0)
-        warm = exhaustive_best_allocation(make_small_app(), warm_arch,
-                                          session=warm_session,
-                                          workers=warm_workers)
-        assert_same_result(cold, warm)
-        return warm_session.stats
-
-    def test_parallel_with_shared_store_warm_start(self, tmp_path):
-        """workers=2 over a store a serial run filled: identical result,
-        no cost work.  Each chunk gates its candidates against its own
-        incumbent, which can be weaker than the serial scan's at the
-        same candidate, so a chunk may run a DP the serial run settled
-        by its bound: partition misses are allowed here."""
-        stats = self._cold_then_warm(str(tmp_path / "store"), 1, 2)
-        assert stats.miss_count("cost") == 0
-
-    def test_parallel_rerun_over_its_own_store_replays_everything(
-            self, tmp_path):
-        """workers=2 over a store a workers=2 run filled: the chunks and
-        their incumbents repeat, so every partition replays."""
-        stats = self._cold_then_warm(str(tmp_path / "store"), 2, 2)
-        assert stats.miss_count("cost") == 0
-        assert stats.miss_count("partition") == 0
-
 
 class TestSessionStoreLifecycle:
     def test_save_store_is_noop_without_cache_dir(self):
         assert Session().save_store() == 0
-
-    def test_workers_must_be_positive(self):
-        from repro.errors import AllocationError
-
-        library = default_library()
-        architecture = TargetArchitecture(library=library,
-                                          total_area=6000.0)
-        with pytest.raises(AllocationError):
-            exhaustive_best_allocation(make_small_app(), architecture,
-                                       workers=0)
 
     def test_store_isolated_by_version(self, tmp_path):
         store_dir = str(tmp_path / "store")

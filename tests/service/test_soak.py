@@ -156,9 +156,12 @@ class TestRetention:
     def test_gc_bounds_retained_jobs(self, make_harness):
         harness = make_harness(job_ttl=30.0, max_jobs=2)
         client = harness.client()
-        finished = [client.submit([point]) for point in TINY]
-        for job in finished:
-            client.collect(job)
+        # One job at a time: a job still to be collected after two
+        # later ones finish would already be evicted.
+        finished = []
+        for point in TINY:
+            finished.append(client.submit([point]))
+            client.collect(finished[-1])
         # The retention bound holds the moment jobs complete...
         assert len(client.jobs()) <= 2
         # ...the evicted ones answer "expired", not "unknown"...

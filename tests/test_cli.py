@@ -253,16 +253,10 @@ class TestCacheStoreCommands:
         assert "no store directory" in capsys.readouterr().out
         assert not os.path.exists(store_dir)
 
-    def test_table1_parser_accepts_workers_and_cache_dir(self):
+    def test_table1_parser_accepts_cache_dir(self):
         args = build_parser().parse_args(
-            ["table1", "--apps", "hal", "--workers", "2",
-             "--cache-dir", "/tmp/somewhere"])
-        assert args.workers == 2
+            ["table1", "--apps", "hal", "--cache-dir", "/tmp/somewhere"])
         assert args.cache_dir == "/tmp/somewhere"
-
-    def test_table1_rejects_zero_workers(self):
-        with pytest.raises(SystemExit):
-            main(["table1", "--apps", "hal", "--workers", "0"])
 
     def test_table1_rejects_budget_below_one(self):
         with pytest.raises(SystemExit, match="--budget must be >= 1"):
@@ -287,6 +281,13 @@ class TestServiceParser:
     def test_serve_has_no_workers_option(self):
         with pytest.raises(SystemExit):
             build_parser().parse_args(["serve", "--workers", "2"])
+
+    def test_table1_has_no_workers_option(self, capsys):
+        with pytest.raises(SystemExit) as exit_info:
+            build_parser().parse_args(["table1", "--workers", "2"])
+        assert exit_info.value.code == 2
+        assert "unrecognized arguments: --workers" \
+            in capsys.readouterr().err
 
     def test_submit_defaults(self):
         args = build_parser().parse_args(["submit"])
