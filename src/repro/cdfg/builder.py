@@ -29,11 +29,12 @@ from repro.errors import SemanticError
 from repro.lang import ast_nodes as ast
 from repro.lang.parser import parse
 
-#: Process-wide count of frontend compiles (every ``compile_source``
-#: call).  This is the counter the persistent program store is judged
-#: against: a warm session resolving every application through the
-#: store must leave it untouched, and the parity tests/CI assert
-#: exactly that instead of trusting per-session accounting.
+#: Process-wide count of frontend compiles (every :func:`compile_ast`
+#: call, which each front end makes once its source is parsed).  This
+#: is the counter the persistent program store is judged against: a
+#: warm session resolving every application through the store must
+#: leave it untouched, and the parity tests/CI assert exactly that
+#: instead of trusting per-session accounting.
 _frontend_compiles = 0
 
 
@@ -206,11 +207,22 @@ def compile_source(source, name="app", inputs=None, max_steps=5_000_000):
             used for the profiling run (missing names default to 0).
         max_steps: Profiling execution budget (statement evaluations).
     """
+    return compile_ast(parse(source), source, name=name, inputs=inputs,
+                       max_steps=max_steps)
+
+
+def compile_ast(program_ast, source, name="app", inputs=None,
+                max_steps=5_000_000):
+    """The pipeline after parsing: build CDFG, lower, profile, build BSBs.
+
+    Every front end parses its language into the shared AST and calls
+    this, so each counts one frontend compile.  ``source`` is kept on
+    the Program; the other arguments are :func:`compile_source`'s.
+    """
     from repro.profiling.interpreter import profile_cdfg
 
     global _frontend_compiles
     _frontend_compiles += 1
-    program_ast = parse(source)
     cdfg = build_cdfg(program_ast, name=name)
     lower_all_leaves(cdfg)
     run = profile_cdfg(cdfg, program_ast, inputs=inputs,

@@ -15,6 +15,13 @@ is re-prioritised and the scan restarts from the front; otherwise the
 scan advances.  The algorithm stops when a full pass makes no change or
 the remaining area reaches zero, and returns the allocation.
 
+The loop is written once (:func:`_run_algorithm1`), with its two unit
+choices passed in: the unit a hardware BSB's most urgent type gets and
+the units a software BSB needs to move.  :func:`allocate` gives each
+type its designated unit under per-resource caps; module selection
+(:func:`~repro.core.module_selection.allocate_with_selection`) lets a
+policy choose among the capable units under per-type caps.
+
 A run costs time in proportion to its allocation changes.  The FURO
 values and each BSB's software urgency are computed once per BSB array
 (:class:`UrgencyState`).  Each change builds one Alloc(o) table for
@@ -178,8 +185,6 @@ def allocate(bsbs, library, area, restrictions=None, technology=None,
     bsbs = list(bsbs)
     if area < 0:
         raise AllocationError("hardware area must be >= 0, got %r" % (area,))
-    if technology is None:
-        technology = library.technology
     if restrictions is None:
         restrictions = cached_restrictions(bsbs, library, cache=cache)
     else:
@@ -187,6 +192,47 @@ def allocate(bsbs, library, area, restrictions=None, technology=None,
 
     started = time.perf_counter()
     state = urgency_state(bsbs, library, cache=cache)
+    required = {}             # bsb uid -> required_resources, on first use
+
+    def extra_unit(optype, urgency, allocation, units, remaining):
+        resource = library.resource_for(optype)
+        if (resource.area <= remaining
+                and allocation[resource.name] + 1
+                <= restrictions[resource.name]):
+            return resource
+        return None
+
+    def needed_units(bsb, allocation, units, budget):
+        if bsb.uid not in required:
+            required[bsb.uid] = required_resources(bsb, library)
+        return required[bsb.uid] - allocation
+
+    return _run_algorithm1(bsbs, state, area, technology, cache, extra_unit,
+                           needed_units, restrictions, started, keep_trace)
+
+
+def _run_algorithm1(bsbs, state, area, technology, cache, extra_unit,
+                    needed_units, restrictions, started, keep_trace):
+    """Algorithm 1's control loop, given its two unit choices.
+
+    The loop scans the prioritised array, moves a software BSB or
+    extends a hardware one, traces the change and re-prioritises after
+    it.  Which units a change adds is the caller's choice:
+
+    * ``extra_unit(optype, urgency, allocation, units, remaining)``
+      returns the resource that a hardware BSB's most urgent type gets,
+      or ``None`` when the caps or the remaining area refuse one;
+    * ``needed_units(bsb, allocation, units, budget)`` returns the RMap
+      that a software BSB still needs in order to move, or ``None`` when
+      no affordable choice covers it; ``budget`` is the remaining area
+      less the BSB's controller.
+
+    ``units`` is the allocation's Alloc(o) table.  The result reports
+    ``restrictions`` and the time since ``started``.
+    """
+    library = state.library
+    if technology is None:
+        technology = library.technology
     eca_of = {bsb.uid: _estimated_eca(bsb, library, technology, cache)
               for bsb in bsbs}
 
@@ -198,7 +244,6 @@ def allocate(bsbs, library, area, restrictions=None, technology=None,
     controller_area = 0.0
     events = []
 
-    required = {}             # bsb uid -> required_resources, on first use
     units = state.allocated_units(allocation)
     order = _prioritize(bsbs, state, hw_uids, units)
     index = 0
@@ -206,13 +251,10 @@ def allocate(bsbs, library, area, restrictions=None, technology=None,
         changed = False
         bsb = order[index]
         if bsb.uid in hw_uids:
-            _, optype = state.hardware_max_urgency(bsb, units)
-            resource = (None if optype is None
-                        else library.resource_for(optype))
-            if (resource is not None
-                    and resource.area <= remaining
-                    and allocation[resource.name] + 1
-                    <= restrictions[resource.name]):
+            urgency, optype = state.hardware_max_urgency(bsb, units)
+            resource = (None if optype is None else extra_unit(
+                optype, urgency, allocation, units, remaining))
+            if resource is not None:
                 allocation = allocation.incremented(resource.name)
                 remaining -= resource.area
                 datapath_area += resource.area
@@ -222,16 +264,15 @@ def allocate(bsbs, library, area, restrictions=None, technology=None,
                         "extra-unit", bsb.name, {resource.name: 1},
                         resource.area, remaining))
         else:
-            if bsb.uid not in required:
-                required[bsb.uid] = required_resources(bsb, library)
-            needed = required[bsb.uid] - allocation
-            needed_area = needed.area(library)
-            cost = eca_of[bsb.uid] + needed_area
-            if cost <= remaining:
+            eca = eca_of[bsb.uid]
+            needed = needed_units(bsb, allocation, units, remaining - eca)
+            needed_area = 0.0 if needed is None else needed.area(library)
+            cost = eca + needed_area
+            if needed is not None and cost <= remaining:
                 allocation = allocation | needed
                 remaining -= cost
                 datapath_area += needed_area
-                controller_area += eca_of[bsb.uid]
+                controller_area += eca
                 hw_uids.add(bsb.uid)
                 hw_names.append(bsb.name)
                 # Algorithm 1: the move only counts as an allocation

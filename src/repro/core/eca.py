@@ -16,7 +16,6 @@ import math
 from repro.errors import AllocationError
 from repro.hwlib.technology import DEFAULT_TECHNOLOGY
 from repro.sched.asap import asap_schedule
-from repro.sched.schedule import Schedule
 
 
 def estimated_states(dfg, library=None):
@@ -44,15 +43,7 @@ def min_latency_states(dfg, library=None):
                 if best is None or resource.latency < best:
                     best = resource.latency
         latencies[op.uid] = best if best is not None else 1
-    schedule = Schedule(dfg, latencies)
-    for op in dfg.topological_order():
-        earliest = 1
-        for producer in dfg.predecessors(op):
-            finish = schedule.finish(producer)
-            if finish + 1 > earliest:
-                earliest = finish + 1
-        schedule.place(op, earliest)
-    return schedule.length
+    return asap_schedule(dfg, latencies=latencies).length
 
 
 def controller_area_for_states(states, technology=None):

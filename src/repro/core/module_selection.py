@@ -2,25 +2,25 @@
 
 The paper's first future-work item: "extending the algorithm to be
 able to deal with selection between several resources that can execute
-the same type of operation."  This module implements that extension as
-a drop-in variant of Algorithm 1:
+the same type of operation."  Module selection is Algorithm 1 with a
+:class:`SelectionPolicy`: :func:`allocate_with_selection` runs the
+allocator's loop (:func:`repro.core.allocator._run_algorithm1`) and
+changes only which units a change adds and how caps count:
 
 * when a BSB moves to hardware, each uncovered operation type is
-  assigned a unit chosen by a :class:`SelectionPolicy` from the
-  library's candidate list (instead of the single designated unit);
+  assigned a unit chosen by the policy from the library's candidate
+  list (instead of the single designated unit);
 * when a hardware BSB requests one more unit for its most urgent
   operation type, the policy chooses again — so the mix may combine a
   fast unit for the critical path with cheap units for bulk
   parallelism;
 * per-type restrictions cap the *total* number of units able to
-  execute the type, regardless of which modules provide them.
+  execute the type, regardless of which modules provide them.  They
+  are computed once per array
+  (:meth:`~repro.core.furo.UrgencyState.type_caps`).
 
 Hardware times under mixed allocations come from
 :func:`repro.sched.hetero_scheduler.hetero_list_schedule`.
-
-Like the designated allocator, a run reads one Alloc(o) table per
-allocation change; the per-type caps are computed once per array
-(:meth:`~repro.core.furo.UrgencyState.type_caps`).
 """
 
 import functools
@@ -28,13 +28,10 @@ import time
 from dataclasses import dataclass
 
 from repro.core.allocator import (
-    AllocationEvent,
     AllocationResult,
-    _estimated_eca,
+    _run_algorithm1,
     urgency_state,
 )
-from repro.core.priority import _prioritize
-from repro.core.restrictions import asap_type_parallelism
 from repro.core.rmap import RMap
 from repro.engine.cache import EvalCache
 from repro.errors import AllocationError
@@ -112,55 +109,17 @@ class SelectionResult:
         return self.result.allocation
 
 
-def selection_restrictions(bsbs, library):
-    """Per-type caps for module selection.
-
-    The homogeneous restrictions cap each *resource*; with selection the
-    cap must bound the total capable units per *type*, so it is returned
-    as a mapping OpType -> max units.
-    """
-    return asap_type_parallelism(bsbs, library=library)
-
-
-def _required_with_selection(bsb, state, units, candidates_for, library,
-                             policy, remaining_area):
-    """Units (RMap) still needed to cover the BSB's types, policy-chosen.
-
-    ``units`` is the allocation's Alloc(o) table; a type counts as
-    covered once the allocation or an already chosen unit executes it.
-    Returns ``None`` when some type has no affordable candidate.
-    """
-    needed = RMap()
-    covered = set()
-    budget = remaining_area
-    for optype, _ in state.furo_pairs(bsb):
-        if units.get(optype, 0) > 0 or optype in covered:
-            continue
-        candidates = candidates_for(optype)
-        if not candidates:
-            raise AllocationError(
-                "BSB %r contains %s but library %r has no resource "
-                "for it" % (bsb.name, optype, library.name))
-        chosen = policy.choose(optype, candidates, budget, 0.0)
-        if chosen is None:
-            return None
-        needed[chosen.name] = needed[chosen.name] + 1
-        covered |= chosen.optypes
-        budget -= chosen.area
-    return needed
-
-
 def allocate_with_selection(bsbs, library, area, policy=None,
                             restrictions=None, technology=None,
                             keep_trace=False, cache=None):
     """Algorithm 1 with module selection (the future-work extension).
 
-    Same control structure as :func:`repro.core.allocator.allocate`;
-    the differences are confined to how resources are picked (the
-    ``policy``) and how restrictions are checked (per operation type).
-    ``cache`` is the :class:`~repro.engine.cache.EvalCache` reusing
-    FURO urgencies and ECA estimates across runs (a fresh one when
-    omitted).
+    The loop is :func:`repro.core.allocator.allocate`'s; the ``policy``
+    picks the units (:class:`BalancedPolicy` when omitted) and
+    ``restrictions`` maps each operation type to its cap (the per-type
+    ASAP parallelism when omitted).  ``cache`` is the
+    :class:`~repro.engine.cache.EvalCache` reusing FURO urgencies and
+    ECA estimates across runs (a fresh one when omitted).
     """
     if cache is None:
         cache = EvalCache()
@@ -168,8 +127,6 @@ def allocate_with_selection(bsbs, library, area, policy=None,
     if area < 0:
         raise AllocationError("hardware area must be >= 0, got %r" % (area,))
     policy = policy or BalancedPolicy()
-    if technology is None:
-        technology = library.technology
 
     started = time.perf_counter()
     state = urgency_state(bsbs, library, cache=cache)
@@ -177,74 +134,36 @@ def allocate_with_selection(bsbs, library, area, policy=None,
         restrictions = state.type_caps()
     candidates_for = functools.lru_cache(maxsize=None)(
         library.candidates_for)
-    eca_of = {bsb.uid: _estimated_eca(bsb, library, technology, cache)
-              for bsb in bsbs}
 
-    allocation = RMap()
-    remaining = float(area)
-    hw_uids = set()
-    hw_names = []
-    datapath_area = 0.0
-    controller_area = 0.0
-    events = []
+    def extra_unit(optype, urgency, allocation, units, remaining):
+        if units.get(optype, 0) + 1 > restrictions.get(optype, 0):
+            return None
+        return policy.choose(optype, candidates_for(optype), remaining,
+                             urgency)
 
-    units = state.allocated_units(allocation)
-    order = _prioritize(bsbs, state, hw_uids, units)
-    index = 0
-    while index < len(order) and remaining > 0:
-        changed = False
-        bsb = order[index]
-        if bsb.uid in hw_uids:
-            urgency, optype = state.hardware_max_urgency(bsb, units)
-            if optype is not None:
-                cap = restrictions.get(optype, 0)
-                if units.get(optype, 0) + 1 <= cap:
-                    chosen = policy.choose(
-                        optype, candidates_for(optype),
-                        remaining, urgency)
-                    if chosen is not None:
-                        allocation = allocation.incremented(chosen.name)
-                        remaining -= chosen.area
-                        datapath_area += chosen.area
-                        changed = True
-                        if keep_trace:
-                            events.append(AllocationEvent(
-                                "extra-unit", bsb.name,
-                                {chosen.name: 1}, chosen.area, remaining))
-        else:
-            needed = _required_with_selection(
-                bsb, state, units, candidates_for, library, policy,
-                remaining - eca_of[bsb.uid])
-            if needed is not None:
-                needed_area = needed.area(library)
-                cost = eca_of[bsb.uid] + needed_area
-                if cost <= remaining:
-                    allocation = allocation | needed
-                    remaining -= cost
-                    datapath_area += needed_area
-                    controller_area += eca_of[bsb.uid]
-                    hw_uids.add(bsb.uid)
-                    hw_names.append(bsb.name)
-                    changed = not needed.is_empty()
-                    if keep_trace:
-                        events.append(AllocationEvent(
-                            "move", bsb.name, needed.as_dict(),
-                            cost, remaining))
-        if changed:
-            units = state.allocated_units(allocation)
-            order = _prioritize(bsbs, state, hw_uids, units)
-            index = 0
-        else:
-            index += 1
+    def needed_units(bsb, allocation, units, budget):
+        # A type counts as covered once the allocation or an already
+        # chosen unit executes it.
+        needed = RMap()
+        covered = set()
+        for optype, _ in state.furo_pairs(bsb):
+            if units.get(optype, 0) > 0 or optype in covered:
+                continue
+            candidates = candidates_for(optype)
+            if not candidates:
+                raise AllocationError(
+                    "BSB %r contains %s but library %r has no resource "
+                    "for it" % (bsb.name, optype, library.name))
+            chosen = policy.choose(optype, candidates, budget, 0.0)
+            if chosen is None:
+                return None
+            needed[chosen.name] = needed[chosen.name] + 1
+            covered |= chosen.optypes
+            budget -= chosen.area
+        return needed
 
-    result = AllocationResult(
-        allocation=allocation,
-        hw_bsb_names=hw_names,
-        remaining_area=remaining,
-        datapath_area=datapath_area,
-        controller_area=controller_area,
-        restrictions=RMap(),  # type-level caps do not fit an RMap
-        runtime_seconds=time.perf_counter() - started,
-        events=events,
-    )
+    # Type-level caps do not fit the result's RMap of restrictions.
+    result = _run_algorithm1(bsbs, state, area, technology, cache,
+                             extra_unit, needed_units, RMap(), started,
+                             keep_trace)
     return SelectionResult(result=result, policy_name=policy.name)

@@ -374,36 +374,12 @@ def compile_vhdl(source, name="design", inputs=None,
                  max_steps=5_000_000):
     """Full pipeline for VHDL input: parse, build, lower, profile.
 
-    Mirrors :func:`repro.cdfg.builder.compile_source` with the VHDL
-    parser in front; the resulting Program is indistinguishable
-    downstream.
+    The VHDL parser in front of
+    :func:`repro.cdfg.builder.compile_ast`, the pipeline
+    :func:`~repro.cdfg.builder.compile_source` runs; the resulting
+    Program is indistinguishable downstream.
     """
-    from repro.bsb.hierarchy import leaf_array
-    from repro.cdfg.builder import (
-        Program,
-        build_cdfg,
-        cdfg_to_bsb,
-    )
-    from repro.cdfg.lowering import lower_all_leaves
-    from repro.profiling.interpreter import profile_cdfg
+    from repro.cdfg.builder import compile_ast
 
-    program_ast = parse_vhdl(source)
-    cdfg = build_cdfg(program_ast, name=name)
-    lower_all_leaves(cdfg)
-    run = profile_cdfg(cdfg, program_ast, inputs=inputs,
-                       max_steps=max_steps)
-    bsb_root = cdfg_to_bsb(cdfg)
-    bsbs = [bsb for bsb in leaf_array(bsb_root) if len(bsb.dfg)]
-    outputs = {name_: run.scalars.get(name_, 0)
-               for name_ in program_ast.outputs}
-    return Program(
-        name=name,
-        source=source,
-        ast=program_ast,
-        cdfg=cdfg,
-        bsb_root=bsb_root,
-        bsbs=bsbs,
-        inputs=dict(run.inputs),
-        final_values=dict(run.scalars),
-        outputs=outputs,
-    )
+    return compile_ast(parse_vhdl(source), source, name=name,
+                       inputs=inputs, max_steps=max_steps)

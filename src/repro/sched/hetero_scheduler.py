@@ -6,28 +6,17 @@ item) allocates *mixes* — e.g. one fast adder plus two slow ones — so
 an operation may execute on any allocated unit whose resource declares
 its type, with per-unit latencies.
 
-Dispatch rule: ready operations are prioritised by ALAP start (least
-slack first); each operation takes the *fastest* free capable unit.
-This greedy rule is the natural extension of the homogeneous scheduler
-and collapses to it when every type has a single capable resource.
+:func:`hetero_list_schedule` runs the list scheduler's loop
+(:func:`~repro.sched.list_scheduler._schedule_on_pools`) with each
+operation's pool holding every allocated capable unit, fastest first,
+so an operation takes the *fastest* free capable unit.  Ready
+operations are prioritised by their unit-latency ALAP start (least
+slack first).
 """
 
 from repro.errors import ResourceError, SchedulingError
 from repro.sched.alap import alap_schedule
-from repro.sched.schedule import Schedule
-
-
-def _capable_resources(optype, allocation, library):
-    """Allocated resources able to execute ``optype``, fastest first."""
-    capable = []
-    for name in sorted(allocation):
-        if allocation[name] < 1:
-            continue
-        resource = library.get(name)
-        if resource.executes(optype):
-            capable.append(resource)
-    capable.sort(key=lambda resource: (resource.latency, resource.name))
-    return capable
+from repro.sched.list_scheduler import _schedule_on_pools
 
 
 def hetero_list_schedule(dfg, allocation, library):
@@ -45,12 +34,15 @@ def hetero_list_schedule(dfg, allocation, library):
     """
     allocation = {name: int(count) for name, count in
                   dict(allocation).items() if int(count) > 0}
-    for name in allocation:
-        library.get(name)  # raises ResourceError for unknown names
+    # The allocated resources, fastest first (library.get raises
+    # ResourceError for unknown names).
+    units = sorted((library.get(name) for name in allocation),
+                   key=lambda resource: (resource.latency, resource.name))
 
-    candidates = {}
+    pools = {}
     for op in dfg.operations():
-        capable = _capable_resources(op.optype, allocation, library)
+        capable = [(unit.name, unit.latency) for unit in units
+                   if unit.executes(op.optype)]
         if not capable:
             if not library.supports(op.optype):
                 raise ResourceError(
@@ -59,66 +51,8 @@ def hetero_list_schedule(dfg, allocation, library):
             raise SchedulingError(
                 "allocation has no unit executing %s; DFG %r cannot "
                 "run in hardware" % (op.optype, dfg.name))
-        candidates[op.uid] = capable
-
-    # Optimistic latencies (fastest capable unit) for the ALAP priority.
-    optimistic = {op.uid: candidates[op.uid][0].latency
-                  for op in dfg.operations()}
-    schedule = Schedule(dfg, dict(optimistic))
-    if not len(dfg):
-        return schedule
+        pools[op.uid] = capable
 
     alap = alap_schedule(dfg, default_latency=1)
     priority = {op.uid: (alap.start(op), op.uid) for op in dfg.operations()}
-
-    remaining_preds = {op.uid: len(dfg.predecessors(op))
-                       for op in dfg.operations()}
-    ready = sorted((op for op in dfg.operations()
-                    if remaining_preds[op.uid] == 0),
-                   key=lambda op: priority[op.uid])
-    free = dict(allocation)
-    in_flight = []  # (finish_step, resource_name, op)
-    placed = 0
-    step = 1
-    guard = 4 * (sum(resource.latency for pool in candidates.values()
-                     for resource in pool) + len(dfg) + 1)
-
-    while placed < len(dfg):
-        if step > guard:
-            raise SchedulingError(
-                "heterogeneous scheduler failed to converge on DFG %r"
-                % dfg.name)
-        still_flying = []
-        for finish, resource_name, op in in_flight:
-            if finish < step:
-                free[resource_name] += 1
-                for successor in dfg.successors(op):
-                    remaining_preds[successor.uid] -= 1
-                    if remaining_preds[successor.uid] == 0:
-                        ready.append(successor)
-            else:
-                still_flying.append((finish, resource_name, op))
-        in_flight = still_flying
-        ready.sort(key=lambda op: priority[op.uid])
-
-        deferred = []
-        for op in ready:
-            chosen = None
-            for resource in candidates[op.uid]:
-                if free[resource.name] > 0:
-                    chosen = resource
-                    break
-            if chosen is None:
-                deferred.append(op)
-                continue
-            free[chosen.name] -= 1
-            schedule.set_latency(op, chosen.latency)
-            schedule.place(op, step)
-            in_flight.append((step + chosen.latency - 1,
-                              chosen.name, op))
-            placed += 1
-        ready = deferred
-        step += 1
-
-    schedule.verify_dependencies()
-    return schedule
+    return _schedule_on_pools(dfg, pools, allocation, priority)

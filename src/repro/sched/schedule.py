@@ -36,8 +36,9 @@ class Schedule:
     def set_latency(self, operation, latency):
         """Override an operation's latency (heterogeneous unit binding).
 
-        Used by the module-selection scheduler, where the latency is
-        only known once a concrete unit is chosen for the operation.
+        For a caller that binds an operation to a unit only after the
+        schedule was built; the list scheduler builds its schedule with
+        each unit's latency already known.
         """
         if latency < 1:
             raise SchedulingError("latency must be >= 1, got %r"

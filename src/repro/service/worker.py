@@ -118,7 +118,10 @@ class EngineWorker:
         cache_dir: Optional worker-local store to hydrate warm caches
             from.  The worker never writes it — deltas go to the
             coordinator; a throwaway store is used when omitted, so
-            export bookkeeping always works.
+            export bookkeeping always works.  :meth:`run` removes that
+            throwaway directory when it returns (a worker that never
+            runs removes it when collected); a given ``cache_dir`` is
+            never removed.
     """
 
     def __init__(self, host, port, token=None, label="", slots=1,
@@ -131,11 +134,14 @@ class EngineWorker:
         self.slots = max(1, int(slots))
         self.timeout = float(timeout)
         self.announce = announce
+        self._scratch = None
         if cache_dir is None:
             # export_delta lives on the store; a worker without a warm
             # local store still needs one for delta bookkeeping.  It is
             # never flushed, so the directory stays empty.
-            cache_dir = tempfile.mkdtemp(prefix="lycos-worker-")
+            self._scratch = tempfile.TemporaryDirectory(
+                prefix="lycos-worker-")
+            cache_dir = self._scratch.name
         self.session = Session(library=library, cache_dir=cache_dir)
         self.engine_id = None
         self.points_evaluated = 0
@@ -180,6 +186,8 @@ class EngineWorker:
             if heartbeat_thread is not None:
                 heartbeat_thread.join(timeout=2.0)
             self._channel.close()
+            if self._scratch is not None:
+                self._scratch.cleanup()
         return self.points_evaluated
 
     def stop(self):

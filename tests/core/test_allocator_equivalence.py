@@ -5,7 +5,7 @@ The allocators read urgencies from per-array data on the
 allocation change.  The reference loops below re-derive every step
 from the per-query functions instead: the array sorted by
 :func:`bsb_priority_key`, :func:`most_urgent_resource`,
-:func:`allocated_units_for`, :func:`selection_restrictions` and
+:func:`allocated_units_for`, :func:`asap_type_parallelism` and
 :func:`required_resources`.  Both sides must agree on the allocation
 (insertion order included), the hardware BSBs, the exact area floats
 and the trace — or raise the same :class:`AllocationError`.
@@ -32,9 +32,9 @@ from repro.core.module_selection import (
     CheapestPolicy,
     FastestPolicy,
     allocate_with_selection,
-    selection_restrictions,
 )
 from repro.core.priority import bsb_priority_key
+from repro.core.restrictions import asap_type_parallelism
 from repro.core.rmap import RMap
 from repro.engine.cache import EvalCache
 from repro.errors import AllocationError
@@ -152,7 +152,7 @@ def reference_allocate_with_selection(bsbs, library, area, policy, cache,
                                       keep_trace=True):
     """The module-selection loop, every step from a per-query function."""
     bsbs = list(bsbs)
-    restrictions = selection_restrictions(bsbs, library)
+    restrictions = asap_type_parallelism(bsbs, library=library)
     state = urgency_state(bsbs, library, cache=cache)
     eca_of = {bsb.uid: _estimated_eca(bsb, library, library.technology,
                                       cache) for bsb in bsbs}

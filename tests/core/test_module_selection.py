@@ -8,8 +8,8 @@ from repro.core.module_selection import (
     CheapestPolicy,
     FastestPolicy,
     allocate_with_selection,
-    selection_restrictions,
 )
+from repro.core.restrictions import asap_type_parallelism
 from repro.hwlib.library import ResourceLibrary
 from repro.ir.ops import OpType
 
@@ -71,7 +71,7 @@ class TestPolicies:
 
 class TestSelectionRestrictions:
     def test_caps_per_type(self, mixed_library, app):
-        caps = selection_restrictions(app, mixed_library)
+        caps = asap_type_parallelism(app, library=mixed_library)
         assert caps[OpType.MUL] == 3
         assert caps[OpType.ADD] == 4
 
@@ -99,7 +99,7 @@ class TestAllocateWithSelection:
         result = allocate_with_selection(app, mixed_library,
                                          area=10**6,
                                          policy=CheapestPolicy())
-        caps = selection_restrictions(app, mixed_library)
+        caps = asap_type_parallelism(app, library=mixed_library)
         for optype, cap in caps.items():
             assert allocated_units_for(optype, result.allocation,
                                        mixed_library) <= cap

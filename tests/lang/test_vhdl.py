@@ -194,3 +194,41 @@ class TestEquivalenceWithC:
         vhdl_alloc = allocate(vhdl.bsbs, library, area=6000.0)
         c_alloc = allocate(mini_c.bsbs, library, area=6000.0)
         assert vhdl_alloc.allocation == c_alloc.allocation
+
+
+def _example_design():
+    """``VHDL_DESIGN`` of ``examples/vhdl_frontend.py``."""
+    import importlib.util
+    from pathlib import Path
+
+    path = Path(__file__).resolve().parents[2] / "examples" / \
+        "vhdl_frontend.py"
+    spec = importlib.util.spec_from_file_location("vhdl_frontend", path)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module.VHDL_DESIGN
+
+
+class TestSharedPipeline:
+    """VHDL compiles run the mini-C frontend's pipeline after parsing."""
+
+    def test_compile_counts_once(self):
+        from repro.cdfg.builder import frontend_compile_count
+
+        design = _example_design()
+        before = frontend_compile_count()
+        compile_vhdl(design)
+        assert frontend_compile_count() == before + 1
+
+    def test_program_unchanged(self):
+        program = compile_vhdl(_example_design(), name="fir4",
+                               inputs={"n": 64, "seed": 11})
+        assert [(bsb.name, bsb.profile_count) for bsb in program.bsbs] \
+            == [("B1", 1), ("B2", 65), ("B3", 64)]
+        assert program.outputs == {"acc": -1725507}
+        assert program.final_values == {
+            "acc": -1725507, "cube": 1178, "i": 65, "n": 64,
+            "rnd": 7691, "s0": -8693, "s1": 5774, "s2": -4581,
+            "s3": 12670, "seed": 11, "t0": -408, "t1": 1172,
+            "t2": -931, "t3": 593, "x": -8693, "y": 426}
+        assert program.inputs == {"n": 64, "seed": 11}

@@ -9,8 +9,8 @@ from repro.core.module_selection import (
     CheapestPolicy,
     FastestPolicy,
     allocate_with_selection,
-    selection_restrictions,
 )
+from repro.core.restrictions import asap_type_parallelism
 from repro.hwlib.library import ResourceLibrary
 from repro.hwlib.overheads import OverheadModel, interconnect_area
 from repro.core.rmap import RMap
@@ -132,7 +132,7 @@ def test_selection_never_overspends(bsbs, policy, area):
 def test_selection_respects_type_caps(bsbs, policy):
     result = allocate_with_selection(bsbs, MIXED, area=10**6,
                                      policy=policy)
-    caps = selection_restrictions(bsbs, MIXED)
+    caps = asap_type_parallelism(bsbs, library=MIXED)
     for optype, cap in caps.items():
         assert allocated_units_for(optype, result.allocation,
                                    MIXED) <= cap

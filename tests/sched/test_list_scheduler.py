@@ -6,7 +6,7 @@ from repro.errors import SchedulingError
 from repro.ir.dfg import DFG
 from repro.ir.ops import OpType
 from repro.sched.asap import asap_schedule
-from repro.sched.list_scheduler import hardware_steps, list_schedule
+from repro.sched.list_scheduler import list_schedule
 
 from tests.conftest import make_chain_dfg, make_diamond_dfg, make_parallel_dfg
 
@@ -104,7 +104,3 @@ class TestCorrectness:
         dfg.new_operation(OpType.ADD, label="lone")
         schedule = list_schedule(dfg, {"adder": 1}, library)
         assert schedule.length == 4  # optimal: lone op fills a gap
-
-    def test_hardware_steps_helper(self, library):
-        dfg = make_parallel_dfg(OpType.ADD, 4)
-        assert hardware_steps(dfg, {"adder": 2}, library) == 2

@@ -11,8 +11,10 @@ coordinator harness, plus hand-rolled protocol conversations where a
 fault must be injected deterministically.
 """
 
+import gc
 import json
 import socket
+import tempfile
 import threading
 import time
 
@@ -436,6 +438,38 @@ class TestRosterObservability:
         assert not response["ok"]
         assert "join" in response["error"]
         raw.vanish()
+
+
+class TestWorkerStoreDirectory:
+    """A worker given no ``cache_dir`` makes a throwaway store directory
+    and removes it; a caller's ``cache_dir`` is never removed."""
+
+    def test_joined_worker_removes_only_its_own(self, make_harness,
+                                                tmp_path, monkeypatch):
+        scratch = tmp_path / "tmp"
+        scratch.mkdir()
+        monkeypatch.setattr(tempfile, "tempdir", str(scratch))
+        given = tmp_path / "given"
+        given.mkdir()
+        harness = make_harness(local_engines=0)
+        own = WorkerThread(harness, "own")
+        theirs = WorkerThread(harness, "theirs", cache_dir=str(given))
+        wait_for_engines(harness.client(), 2, kind="remote")
+        assert len(list(scratch.glob("lycos-worker-*"))) == 1
+        harness.stop()
+        own.join()
+        theirs.join()
+        assert list(scratch.glob("lycos-worker-*")) == []
+        assert given.is_dir()
+
+    def test_worker_never_run_leaves_none(self, tmp_path, monkeypatch):
+        monkeypatch.setattr(tempfile, "tempdir", str(tmp_path))
+        worker = EngineWorker("127.0.0.1", 1, announce=None)
+        assert len(list(tmp_path.glob("lycos-worker-*"))) == 1
+        with pytest.warns(ResourceWarning):
+            del worker
+            gc.collect()
+        assert list(tmp_path.glob("lycos-worker-*")) == []
 
 
 class TestClientJitter:
