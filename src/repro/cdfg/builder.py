@@ -155,21 +155,22 @@ def cdfg_to_bsb(node):
 class Program:
     """A compiled, profiled application ready for allocation.
 
-    A Program is built by :func:`compile_source` (a cold compile) or
-    hydrated from the persistent program store
-    (:func:`repro.io.serialize.program_from_dict`).  Hydrated programs
-    carry ``ast=None`` and ``cdfg=None``: those are frontend artefacts
-    the allocate -> PACE -> evaluate pipeline never reads, and only a
-    cold compile rebuilds them (the ``export`` visualisations load
-    applications directly for this reason).
+    Both ways to a Program end in :func:`program_from_cdfg`: a cold
+    compile (:func:`compile_source`) hands it the CDFG it just lowered
+    and profiled, and the persistent program store
+    (:func:`repro.io.serialize.program_from_dict`) the CDFG it
+    hydrated.  Hydrated programs carry ``ast=None``: the AST is a
+    frontend artefact the allocate -> PACE -> evaluate pipeline never
+    reads.  Their CDFG is the stored one, with placeholder statements
+    in its leaves (see :mod:`repro.cdfg.nodes`), so ``export`` renders
+    every graph from the store without a compile.
 
     Attributes:
         name: Application name.
         source: The mini-C source text.
         ast: The parsed program (``None`` for hydrated programs).
-        cdfg: The CDFG root, a CdfgSeq (``None`` for hydrated
-            programs).
-        bsb_root: The BSB hierarchy root.
+        cdfg: The CDFG root, a CdfgSeq.
+        bsb_root: The BSB hierarchy root, mirrored from ``cdfg``.
         bsbs: The flattened leaf-BSB array (empty leaves dropped).
         inputs: The input values used for profiling.
         final_values: Scalar variable values after the profiled run.
@@ -227,18 +228,30 @@ def compile_ast(program_ast, source, name="app", inputs=None,
     lower_all_leaves(cdfg)
     run = profile_cdfg(cdfg, program_ast, inputs=inputs,
                        max_steps=max_steps)
-    bsb_root = cdfg_to_bsb(cdfg)
-    bsbs = [bsb for bsb in leaf_array(bsb_root) if len(bsb.dfg)]
     outputs = {name_: run.scalars.get(name_, 0)
                for name_ in program_ast.outputs}
+    return program_from_cdfg(cdfg, name, source, run.inputs, run.scalars,
+                             outputs, program_ast=program_ast)
+
+
+def program_from_cdfg(cdfg, name, source, inputs, final_values, outputs,
+                      program_ast=None):
+    """The Program of a lowered, profiled CDFG.
+
+    The one construction path for cold and warm programs alike: it
+    mirrors ``cdfg`` into the BSB hierarchy and keeps the leaves with
+    at least one operation as the program's BSB array.  The mappings
+    are copied; ``program_ast`` is ``None`` for a hydrated program.
+    """
+    bsb_root = cdfg_to_bsb(cdfg)
     return Program(
         name=name,
         source=source,
         ast=program_ast,
         cdfg=cdfg,
         bsb_root=bsb_root,
-        bsbs=bsbs,
-        inputs=dict(run.inputs),
-        final_values=dict(run.scalars),
-        outputs=outputs,
+        bsbs=[bsb for bsb in leaf_array(bsb_root) if len(bsb.dfg)],
+        inputs=dict(inputs),
+        final_values=dict(final_values),
+        outputs=dict(outputs),
     )

@@ -8,7 +8,7 @@ read before any in-block definition form the leaf's ``reads`` set
 sets the communication model charges at HW/SW boundaries.
 """
 
-from repro.errors import SemanticError
+from repro.errors import InterpreterError, SemanticError
 from repro.ir.dfg import DFG
 from repro.ir.ops import OpType
 from repro.lang import ast_nodes as ast
@@ -44,9 +44,13 @@ def constant_value(expr):
 
     The lowering folds constant subtrees into a single CONST operation —
     what any real frontend does — so literal arithmetic like
-    ``(256 << 8)`` does not masquerade as data-path work.
+    ``(256 << 8)`` does not masquerade as data-path work.  Binary
+    operators fold through the interpreter's
+    :func:`~repro.profiling.interpreter.binary_op`, so an expression
+    whose execution would raise (``1 / 0``, ``1 << 70``) stays
+    unfolded.
     """
-    from repro.profiling.interpreter import c_div, c_mod
+    from repro.profiling.interpreter import binary_op
 
     if isinstance(expr, ast.NumberLiteral):
         return expr.value
@@ -61,46 +65,10 @@ def constant_value(expr):
         if left is None or right is None:
             return None
         try:
-            return _fold_binary(expr.op, left, right, c_div, c_mod)
-        except Exception:
+            return binary_op(expr.op, left, right)
+        except InterpreterError:
             return None
     return None
-
-
-def _fold_binary(op, left, right, c_div, c_mod):
-    if op == "+":
-        return left + right
-    if op == "-":
-        return left - right
-    if op == "*":
-        return left * right
-    if op == "/":
-        return c_div(left, right)
-    if op == "%":
-        return c_mod(left, right)
-    if op == "<<":
-        return left << right
-    if op == ">>":
-        return left >> right
-    if op == "&":
-        return left & right
-    if op == "|":
-        return left | right
-    if op == "^":
-        return left ^ right
-    if op == "<":
-        return int(left < right)
-    if op == "<=":
-        return int(left <= right)
-    if op == ">":
-        return int(left > right)
-    if op == ">=":
-        return int(left >= right)
-    if op == "==":
-        return int(left == right)
-    if op == "!=":
-        return int(left != right)
-    raise SemanticError("unknown binary operator %r" % op)
 
 
 class _LeafLowering:

@@ -5,22 +5,26 @@ leaves, the controlling condition expression); inner nodes mirror the
 control constructs.  Profile counts land on the leaves during
 profiling and travel with them into the BSB hierarchy.
 
-Every node also serialises to a **neutral, uid-free payload**
-(:meth:`CdfgNode.to_payload` / :func:`cdfg_from_payload`), mirroring
-:meth:`repro.ir.dfg.DFG.to_payload`: names, structure, statement
-counts, test markers and profile counts survive, uids do not.  A
-hydrated tree gets fresh uids in the same construction order the
-frontend builder uses (children before parents), so visualisations of
-a stored CDFG are byte-identical to the cold compile's.  The AST is a
-frontend artefact no downstream stage reads — hydrated leaves carry
-:data:`HYDRATED_STATEMENT` placeholders (count preserved, which is
-all the viz layer consumes) and :data:`HYDRATED_COND` for test
-leaves.
+Every lowered, profiled tree also serialises to a **neutral, uid-free
+payload** (:meth:`CdfgNode.to_payload` / :func:`cdfg_from_payload`):
+names, structure, statement counts, test markers and profile counts
+survive, and each leaf carries its DFG payload
+(:meth:`repro.ir.dfg.DFG.to_payload`) and its ``reads`` and
+``writes``; uids do not survive.  This is the program store's one
+tree: the BSB hierarchy is mirrored from it on load exactly as a cold
+compile mirrors it.  A hydrated tree gets fresh uids in the same
+construction order the frontend builder uses (children before
+parents), so visualisations of a stored CDFG are byte-identical to the
+cold compile's.  The AST is a frontend artefact no downstream stage
+reads — hydrated leaves carry :data:`HYDRATED_STATEMENT` placeholders
+(count preserved, which is all the viz layer consumes) and
+:data:`HYDRATED_COND` for test leaves.
 """
 
 import itertools
 
 from repro.errors import CdfgError
+from repro.ir.dfg import DFG
 
 _cdfg_id_counter = itertools.count(1)
 
@@ -90,6 +94,9 @@ class CdfgLeaf(CdfgNode):
             "statements": len(self.statements),
             "test": self.cond is not None,
             "count": self.exec_count,
+            "dfg": self.dfg.to_payload(),
+            "reads": sorted(self.reads),
+            "writes": sorted(self.writes),
         }
 
     def __repr__(self):
@@ -200,6 +207,9 @@ def _hydrate_leaf(doc):
         cond=HYDRATED_COND if doc.get("test") else None,
         name=str(doc["name"]))
     leaf.exec_count = exec_count
+    leaf.dfg = DFG.from_payload(doc["dfg"])
+    leaf.reads = {str(each) for each in doc["reads"]}
+    leaf.writes = {str(each) for each in doc["writes"]}
     return leaf
 
 
@@ -212,9 +222,11 @@ def cdfg_from_payload(doc):
     collide with trees already live here.  Stored names are restored
     verbatim (they embed the *original* process's uids, which is what
     keeps warm visualisations byte-identical to cold ones).  Hydrated
-    leaves carry placeholder statements/conditions: only the statement
-    count and test flag survive, which is all any post-frontend
-    consumer reads.  Raises :class:`CdfgError` on malformed documents.
+    leaves get their DFG (fresh operation uids), ``reads`` and
+    ``writes`` back, and placeholder statements/conditions: only the
+    statement count and test flag survive, which is all any
+    post-frontend consumer reads.  Raises :class:`CdfgError` on
+    malformed documents, a leaf without a DFG included.
     """
     if not isinstance(doc, dict):
         raise CdfgError("CDFG payload must be a mapping, got %r" % (doc,))

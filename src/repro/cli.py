@@ -1022,14 +1022,7 @@ def cmd_export(args):
     session = _session(args)
     program = session.program(args.app)
     if args.what == "cdfg":
-        cdfg = program.cdfg
-        if cdfg is None:
-            # A store document written before programs carried their
-            # CDFG: fall back to a cold compile for this graph only.
-            from repro.apps.registry import load_application
-
-            cdfg = load_application(args.app).cdfg
-        print(cdfg_to_dot(cdfg, name=args.app))
+        print(cdfg_to_dot(program.cdfg, name=args.app))
     elif args.what == "bsb":
         print(bsb_hierarchy_to_dot(program.bsb_root, name=args.app))
     else:
@@ -1039,8 +1032,7 @@ def cmd_export(args):
     session.save_store()
     # The standard accounting line — on stderr, so stdout stays pure
     # DOT (CI byte-compares cold and warm exports).  The compile count
-    # is this command's delta of the process-global counter, which
-    # also covers the legacy-store CDFG fallback above.
+    # is this command's delta of the process-global counter.
     stats = session.stats
     print("frontend compiles: %d (program store hits: %d)"
           % (frontend_compile_count() - compiles_before,

@@ -4,7 +4,7 @@ The :class:`~repro.engine.cache.EvalCache` keys its persisted stage
 dicts by *content fingerprints*, so its keys mean the same thing in
 every process.  A :class:`CacheStore` spills those entries, as they
 are, into one stdlib ``sqlite3`` file under a ``--cache-dir``
-(``store.v5.sqlite``), and a fresh session merges them back — so
+(``store.v6.sqlite``), and a fresh session merges them back — so
 sweeps survive restarts and a store can be shared across machines.
 
 Every persisted key starts with its *owner*: one BSB fingerprint, or
@@ -55,8 +55,9 @@ from repro.errors import ReproError, StoreIntegrityError
 #: files of other versions are ignored.  v2: energy fields; v3: the
 #: cache's own content keys; v4: one sqlite file replaces the pickle
 #: shards and their LRU, delta and compaction sidecars; v5: partition
-#: keys name the cost array's content, not its allocation signatures.
-STORE_VERSION = 5
+#: keys name the cost array's content, not its allocation signatures;
+#: v6: program documents keep one tree (the CDFG, DFGs on its leaves).
+STORE_VERSION = 6
 
 #: The EvalCache stages the store persists.
 PERSISTED_STAGES = ("ops", "capable", "sched", "sw_times", "furo", "eca",
@@ -419,11 +420,14 @@ class CacheStore:
         Entries put (or absorbed) this process are preferred over the
         disk; a hit restamps the program's rows at the next flush, so
         warm sessions keep their programs alive through compaction.
+        Rows are read newest first: when a session rejects a stored
+        document and compiles cold, the copy it flushes is the one the
+        next session finds.
         """
         def lookup(db):
             for (payload,) in db.execute(
                     "SELECT payload FROM spills WHERE owner = ? AND "
-                    "stage = ? ORDER BY rowid",
+                    "stage = ? ORDER BY rowid DESC",
                     (fingerprint, PROGRAMS_STAGE)).fetchall():
                 entries = _load(payload)
                 if entries and fingerprint in entries:

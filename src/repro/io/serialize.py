@@ -319,121 +319,19 @@ def point_result_from_dict(data, library=None):
 # ----------------------------------------------------------------------
 # Compiled programs: the persistent program store's document format
 # ----------------------------------------------------------------------
-def bsb_to_dict(node):
-    """Serialise one BSB hierarchy node (leaves carry DFG payloads)."""
-    from repro.bsb.bsb import (
-        BranchBSB,
-        ControlBSB,
-        LeafBSB,
-        LoopBSB,
-    )
-
-    if isinstance(node, LeafBSB):
-        return {
-            "kind": "leaf",
-            "name": node.name,
-            "profile": node.profile_count,
-            "reads": sorted(node.reads),
-            "writes": sorted(node.writes),
-            "dfg": node.dfg.to_payload(),
-        }
-    if isinstance(node, LoopBSB):
-        return {
-            "kind": "loop",
-            "name": node.name,
-            "test": None if node.test is None else bsb_to_dict(node.test),
-            "body": [bsb_to_dict(child) for child in node.body],
-        }
-    if isinstance(node, BranchBSB):
-        return {
-            "kind": "branch",
-            "name": node.name,
-            "test": None if node.test is None else bsb_to_dict(node.test),
-            "branches": [[bsb_to_dict(child) for child in branch]
-                         for branch in node.branches],
-        }
-    if isinstance(node, ControlBSB):
-        return {
-            "kind": node.kind,
-            "name": node.name,
-            "children": [bsb_to_dict(child) for child in node.children],
-        }
-    raise ReproError("cannot serialise BSB node %r" % (node,))
-
-
-def bsb_from_dict(data):
-    """Rebuild a BSB hierarchy node with **fresh uids**.
-
-    Names, profile counts, reads/writes and DFG structure are restored
-    verbatim (so :func:`repro.engine.store.bsb_fingerprint` of a loaded
-    leaf equals the original's), while every node and operation uid is
-    re-assigned from this process's counters — a hydrated hierarchy
-    slots into the live uid space without colliding with freshly built
-    graphs.  Raises :class:`ReproError` on malformed documents.
-    """
-    from repro.bsb.bsb import (
-        BranchBSB,
-        FunctionBSB,
-        LeafBSB,
-        LoopBSB,
-        SequenceBSB,
-        WaitBSB,
-    )
-    from repro.errors import CdfgError
-    from repro.ir.dfg import DFG
-
-    if not isinstance(data, dict):
-        raise ReproError("BSB document must be a mapping, got %r"
-                         % (data,))
-    kind = data.get("kind")
-    name = str(data.get("name", ""))
-    try:
-        if kind == "leaf":
-            return LeafBSB(DFG.from_payload(data["dfg"]),
-                           profile_count=int(data.get("profile", 1)),
-                           name=name,
-                           reads=[str(each) for each in
-                                  data.get("reads", ())],
-                           writes=[str(each) for each in
-                                   data.get("writes", ())])
-        if kind == "loop":
-            test = data.get("test")
-            return LoopBSB(None if test is None else bsb_from_dict(test),
-                           [bsb_from_dict(child)
-                            for child in data.get("body", ())],
-                           name=name)
-        if kind == "branch":
-            test = data.get("test")
-            return BranchBSB(
-                None if test is None else bsb_from_dict(test),
-                [[bsb_from_dict(child) for child in branch]
-                 for branch in data.get("branches", ())],
-                name=name)
-        node_class = {"seq": SequenceBSB, "func": FunctionBSB,
-                      "wait": WaitBSB}.get(kind)
-        if node_class is not None:
-            return node_class([bsb_from_dict(child)
-                               for child in data.get("children", ())],
-                              name=name)
-    except CdfgError as exc:
-        raise ReproError("malformed BSB document: %s" % (exc,)) from None
-    except (KeyError, TypeError, ValueError) as exc:
-        raise ReproError("malformed BSB document: %s" % (exc,)) from None
-    raise ReproError("unknown BSB document kind %r" % (kind,))
-
-
 def program_to_dict(program):
     """Serialise a compiled :class:`~repro.cdfg.builder.Program`.
 
     Everything the allocate -> PACE -> evaluate pipeline reads survives
-    the round trip: the BSB hierarchy with its DFGs and profile counts,
-    the source text (for the Lines column), the profiled
-    inputs/finals/outputs, and a neutral uid-free CDFG document so
-    ``export --what cdfg`` renders from the store without recompiling.
-    Only the AST — a frontend artefact nothing downstream touches — is
-    dropped; a hydrated program carries ``None`` for it.
+    the round trip: the source text (for the Lines column), the
+    profiled inputs/finals/outputs, and the neutral uid-free CDFG
+    document, whose leaves carry their DFGs, profile counts, reads and
+    writes.  The CDFG is the document's only tree — the BSB hierarchy
+    is mirrored from it on load — so ``export`` renders every graph
+    from the store without recompiling.  Only the AST — a frontend
+    artefact nothing downstream touches — is dropped; a hydrated
+    program carries ``None`` for it.
     """
-    cdfg = getattr(program, "cdfg", None)
     return {
         "kind": "program",
         "version": FORMAT_VERSION,
@@ -442,25 +340,23 @@ def program_to_dict(program):
         "inputs": dict(program.inputs),
         "final_values": dict(program.final_values),
         "outputs": dict(program.outputs),
-        "root": bsb_to_dict(program.bsb_root),
-        "cdfg": None if cdfg is None else cdfg.to_payload(),
+        "cdfg": program.cdfg.to_payload(),
     }
 
 
 def program_from_dict(data):
     """Deserialise a program document; fresh uids throughout.
 
-    The flattened ``bsbs`` array is recomputed from the rebuilt
-    hierarchy with the same empty-leaf filter the cold compile applies,
-    so a hydrated program is positionally identical to its cold twin.
-    Documents written before the ``cdfg`` field existed hydrate with
-    ``cdfg=None`` (the PR-5 behaviour); a malformed embedded CDFG is
-    damage like any other.  Raises :class:`ReproError` on malformed
-    documents (the program store treats that as damage and falls back
-    to a cold compile).
+    The CDFG is hydrated and handed to
+    :func:`~repro.cdfg.builder.program_from_cdfg`, the function a cold
+    compile ends in, so the BSB hierarchy and the flattened ``bsbs``
+    array come out of the same code and a hydrated program is
+    positionally identical to its cold twin.  Raises
+    :class:`ReproError` on malformed documents, a missing or malformed
+    CDFG included (the program store treats that as damage and falls
+    back to a cold compile).
     """
-    from repro.bsb.hierarchy import leaf_array
-    from repro.cdfg.builder import Program
+    from repro.cdfg.builder import program_from_cdfg
     from repro.cdfg.nodes import cdfg_from_payload
     from repro.errors import CdfgError
 
@@ -469,25 +365,20 @@ def program_from_dict(data):
     if data.get("version") != FORMAT_VERSION:
         raise ReproError("unsupported program format version %r"
                          % (data.get("version"),))
-    root = bsb_from_dict(data.get("root"))
     for field in ("inputs", "final_values", "outputs"):
         if not isinstance(data.get(field, {}), dict):
             raise ReproError("program %s must be a mapping" % field)
-    cdfg_doc = data.get("cdfg")
     try:
-        cdfg = None if cdfg_doc is None else cdfg_from_payload(cdfg_doc)
+        cdfg = cdfg_from_payload(data.get("cdfg"))
     except CdfgError as exc:
         raise ReproError("malformed program CDFG: %s" % (exc,)) from None
-    return Program(
+    return program_from_cdfg(
+        cdfg,
         name=str(data.get("name", "")),
         source=str(data.get("source", "")),
-        ast=None,
-        cdfg=cdfg,
-        bsb_root=root,
-        bsbs=[bsb for bsb in leaf_array(root) if len(bsb.dfg)],
-        inputs=dict(data.get("inputs", {})),
-        final_values=dict(data.get("final_values", {})),
-        outputs=dict(data.get("outputs", {})),
+        inputs=data.get("inputs", {}),
+        final_values=data.get("final_values", {}),
+        outputs=data.get("outputs", {}),
     )
 
 

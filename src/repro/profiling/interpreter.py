@@ -141,53 +141,60 @@ class _Interpreter:
                 return ~operand
             raise InterpreterError("unknown unary operator %r" % expr.op)
         if isinstance(expr, ast.BinaryOp):
-            return self.binary(expr)
+            return binary_op(expr.op, self.eval(expr.left),
+                             self.eval(expr.right), expr.line)
         raise InterpreterError("cannot evaluate %r" % (expr,))
 
-    def binary(self, expr):
-        left = self.eval(expr.left)
-        right = self.eval(expr.right)
-        op = expr.op
-        if op == "+":
-            return left + right
-        if op == "-":
-            return left - right
-        if op == "*":
-            return left * right
-        if op == "/":
-            return c_div(left, right, expr.line)
-        if op == "%":
-            return c_mod(left, right, expr.line)
-        if op == "<<":
-            return left << self.shift_count(right, expr.line)
-        if op == ">>":
-            return left >> self.shift_count(right, expr.line)
-        if op == "&":
-            return left & right
-        if op == "|":
-            return left | right
-        if op == "^":
-            return left ^ right
-        if op == "<":
-            return int(left < right)
-        if op == "<=":
-            return int(left <= right)
-        if op == ">":
-            return int(left > right)
-        if op == ">=":
-            return int(left >= right)
-        if op == "==":
-            return int(left == right)
-        if op == "!=":
-            return int(left != right)
-        raise InterpreterError("unknown binary operator %r" % op)
 
-    @staticmethod
-    def shift_count(count, line):
-        if count < 0 or count > 63:
-            raise InterpreterError(
-                "shift count %d out of range at line %d" % (count, line))
-        return count
+def binary_op(op, left, right, line=0):
+    """Apply one binary operator with C-like integer semantics.
+
+    The one definition of the mini-C binary operators: the interpreter
+    evaluates with it and the lowering's constant folder folds with it,
+    so a folded constant is the value the statement would compute.
+    Division or modulo by zero and shift counts outside 0..63 raise
+    :class:`InterpreterError` (``line`` is for its message).
+    """
+    if op == "+":
+        return left + right
+    if op == "-":
+        return left - right
+    if op == "*":
+        return left * right
+    if op == "/":
+        return c_div(left, right, line)
+    if op == "%":
+        return c_mod(left, right, line)
+    if op == "<<":
+        return left << _shift_count(right, line)
+    if op == ">>":
+        return left >> _shift_count(right, line)
+    if op == "&":
+        return left & right
+    if op == "|":
+        return left | right
+    if op == "^":
+        return left ^ right
+    if op == "<":
+        return int(left < right)
+    if op == "<=":
+        return int(left <= right)
+    if op == ">":
+        return int(left > right)
+    if op == ">=":
+        return int(left >= right)
+    if op == "==":
+        return int(left == right)
+    if op == "!=":
+        return int(left != right)
+    raise InterpreterError("unknown binary operator %r" % op)
+
+
+def _shift_count(count, line):
+    if count < 0 or count > 63:
+        raise InterpreterError(
+            "shift count %d out of range at line %d" % (count, line))
+    return count
 
 
 def c_div(left, right, line=0):

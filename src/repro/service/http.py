@@ -751,15 +751,23 @@ class _Handler(BaseHTTPRequestHandler):
     # Plumbing
     # ------------------------------------------------------------------
     def _read_json_body(self):
+        # A body left unread would be parsed as the next request on a
+        # kept-alive connection, so each rejection before the read
+        # closes the connection.
         length = self.headers.get("Content-Length")
         try:
             length = int(length)
         except (TypeError, ValueError):
             raise _HttpError(411, "a JSON body with Content-Length is "
-                                  "required") from None
+                                  "required",
+                             header_Connection="close") from None
+        if length < 0:
+            # rfile.read(-1) would block until the client hangs up.
+            raise _HttpError(400, "Content-Length must be >= 0",
+                             header_Connection="close")
         if length > MAX_BODY_BYTES:
             raise _HttpError(413, "request body exceeds %d bytes"
-                             % MAX_BODY_BYTES)
+                             % MAX_BODY_BYTES, header_Connection="close")
         raw = self.rfile.read(length)
         try:
             document = json.loads(raw.decode("utf-8"))

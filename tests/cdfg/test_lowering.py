@@ -168,3 +168,14 @@ class TestConstantFolding:
                      else "x = 1 / 0;")
         # folding declines; a DIV op (and its CONST inputs) remain
         assert OpType.DIV in leaf.dfg.count_by_type()
+
+    def test_out_of_range_shift_not_folded(self):
+        # Executing `1 << 70` raises (shift counts are 0..63), so the
+        # folder must not turn it into one CONST either.
+        assert constant_value(
+            parse("x = 1 << 70;").statements[0].expr) is None
+        types = lower("x = 1 << 70;").dfg.count_by_type()
+        assert types[OpType.SHIFT] == 1
+        assert types[OpType.CONST] == 1  # the shifted 1; 70 is wiring
+        assert constant_value(
+            parse("x = 1 << 63;").statements[0].expr) == 1 << 63

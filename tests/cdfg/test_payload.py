@@ -6,8 +6,9 @@ Three contracts:
   round-trip documents forever without drift);
 * hydration re-assigns uids but restores names/structure/counts
   verbatim, so a warm ``cdfg_to_dot`` is byte-identical to cold;
-* program documents carry the CDFG, and a store-hydrated program
-  renders it with **zero** frontend compiles.
+* program documents carry the CDFG as their only tree (leaves hold
+  their DFGs), and a store-hydrated program renders it with **zero**
+  frontend compiles.
 """
 
 import pytest
@@ -25,6 +26,8 @@ from repro.cdfg.nodes import (
 )
 from repro.errors import CdfgError, ReproError
 from repro.io.serialize import program_from_dict, program_to_dict
+from repro.ir.dfg import DFG
+from repro.ir.ops import OpType
 from repro.viz.dot import cdfg_to_dot
 
 SOURCE = """
@@ -37,6 +40,18 @@ if (x == 5) { y = 2; } else { y = 3; }
 @pytest.fixture(scope="module")
 def program():
     return compile_source(SOURCE, name="payload")
+
+
+def lowered(leaf, reads=(), writes=()):
+    """A hand-built leaf with the DFG a lowering pass would give it:
+    one ADD per statement, and a CMP for a test leaf."""
+    leaf.dfg = DFG(name=leaf.name)
+    for _ in leaf.statements:
+        leaf.dfg.new_operation(OpType.ADD)
+    if leaf.cond is not None:
+        leaf.dfg.new_operation(OpType.CMP)
+    leaf.reads, leaf.writes = set(reads), set(writes)
+    return leaf
 
 
 class TestRoundTrip:
@@ -58,8 +73,9 @@ class TestRoundTrip:
                     & {node.uid for node in originals})
 
     def test_leaf_placeholders_preserve_counts_and_test_flag(self):
-        leaf = CdfgLeaf(statements=[object(), object()], cond=object(),
-                        name="B1")
+        leaf = lowered(CdfgLeaf(statements=[object(), object()],
+                                cond=object(), name="B1"),
+                       reads={"a", "n"}, writes={"a"})
         leaf.exec_count = 7
         clone = cdfg_from_payload(leaf.to_payload())
         assert len(clone.statements) == 2
@@ -67,17 +83,20 @@ class TestRoundTrip:
         assert clone.cond is HYDRATED_COND
         assert clone.exec_count == 7
         assert not clone.is_empty()
+        # The leaf's lowering travels with it: DFG, reads and writes.
+        assert clone.dfg.to_payload() == leaf.dfg.to_payload()
+        assert (clone.reads, clone.writes) == ({"a", "n"}, {"a"})
 
     def test_every_kind_round_trips(self):
         tree = CdfgSeq([
-            CdfgLeaf(statements=[object()], name="B1"),
-            CdfgLoop(CdfgLeaf(cond=object(), name="T1"),
-                     CdfgLeaf(statements=[object()], name="B2")),
-            CdfgBranch(CdfgLeaf(cond=object(), name="T2"),
-                       CdfgLeaf(name="B3"),
-                       CdfgLeaf(name="B4")),
-            CdfgBranch(CdfgLeaf(cond=object(), name="T3"),
-                       CdfgLeaf(name="B5")),  # no else
+            lowered(CdfgLeaf(statements=[object()], name="B1")),
+            CdfgLoop(lowered(CdfgLeaf(cond=object(), name="T1")),
+                     lowered(CdfgLeaf(statements=[object()], name="B2"))),
+            CdfgBranch(lowered(CdfgLeaf(cond=object(), name="T2")),
+                       lowered(CdfgLeaf(name="B3")),
+                       lowered(CdfgLeaf(name="B4"))),
+            CdfgBranch(lowered(CdfgLeaf(cond=object(), name="T3")),
+                       lowered(CdfgLeaf(name="B5"))),  # no else
             CdfgWait(4),
         ])
         document = tree.to_payload()
@@ -106,6 +125,17 @@ class TestMalformed:
         {"kind": "loop", "name": "x", "test": None, "body": None},
         {"kind": "wait", "name": "x", "cycles": -1},
         {"kind": "wait", "name": "x"},
+        # A leaf without its lowering: the store's one tree must carry
+        # the DFG, reads and writes of every leaf.
+        {"kind": "dfg", "name": "x", "statements": 0, "count": 0},
+        {"kind": "dfg", "name": "x", "statements": 0, "count": 0,
+         "dfg": {"name": "x", "ops": [["??", "", None]], "edges": []},
+         "reads": [], "writes": []},
+        {"kind": "dfg", "name": "x", "statements": 0, "count": 0,
+         "dfg": {"name": "x", "ops": [], "edges": []}},
+        {"kind": "dfg", "name": "x", "statements": 0, "count": 0,
+         "dfg": {"name": "x", "ops": [], "edges": []},
+         "reads": 3, "writes": []},
     ])
     def test_raises_cdfg_error(self, junk):
         with pytest.raises(CdfgError):
@@ -123,10 +153,12 @@ class TestProgramDocument:
         # store never drifts on rewrite.
         assert program_to_dict(clone) == document
 
-    def test_legacy_documents_hydrate_with_none(self, program):
+    def test_document_keeps_only_the_cdfg_tree(self, program):
         document = program_to_dict(program)
-        del document["cdfg"]  # a PR-5-era store entry
-        assert program_from_dict(document).cdfg is None
+        assert "root" not in document
+        del document["cdfg"]
+        with pytest.raises(ReproError):
+            program_from_dict(document)
 
     def test_malformed_embedded_cdfg_is_damage(self, program):
         document = program_to_dict(program)

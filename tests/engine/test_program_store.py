@@ -21,7 +21,8 @@ import pickle
 
 import pytest
 
-from repro.apps.registry import application_source
+from repro.apps.registry import application_names, application_source
+from repro.bsb.hierarchy import hierarchy_lines
 from repro.cdfg.builder import frontend_compile_count
 from repro.engine import DesignPoint, Session
 from repro.engine.store import (
@@ -40,6 +41,7 @@ from repro.report.experiments import (
     render_table1,
     table1_rows,
 )
+from repro.viz.dot import bsb_hierarchy_to_dot
 
 from tests.engine.test_compact import connect, store_path
 
@@ -111,13 +113,21 @@ class TestProgramRoundTrip:
             assert not ops & {op.uid for op in fresh.dfg.operations()}
 
     def test_malformed_documents_raise_repro_error(self):
+        leaf = {"kind": "dfg", "name": "B1", "statements": 1,
+                "test": False, "count": 1}
         for junk in (None, [], {"kind": "program"},
                      {"kind": "program", "version": 99},
-                     {"kind": "program", "version": 1, "root": {}},
+                     {"kind": "program", "version": 1, "cdfg": {}},
                      {"kind": "program", "version": 1,
-                      "root": {"kind": "leaf", "dfg": {"name": "x",
-                                                       "ops": [["??", "", None]],
-                                                       "edges": []}}}):
+                      "cdfg": dict(leaf, reads=[], writes=[],
+                                   dfg={"name": "x",
+                                        "ops": [["??", "", None]],
+                                        "edges": []})},
+                     # A leaf without its DFG (the program store's one
+                     # tree must carry it): damage, so a cold compile.
+                     {"kind": "program", "version": 1,
+                      "cdfg": {"kind": "seq", "name": "main",
+                               "children": [leaf]}}):
             with pytest.raises(ReproError):
                 program_from_dict(junk)
 
@@ -144,21 +154,59 @@ class TestProgramRoundTrip:
         payload = program_to_dict(program)
 
         def first_leaf(node):
-            if node["kind"] == "leaf" and len(node["dfg"]["ops"]) >= 2:
-                return node
-            for child in node.get("children", node.get("body", [])):
-                found = first_leaf(child)
+            if node["kind"] == "dfg":
+                return node if len(node["dfg"]["ops"]) >= 2 else None
+            children = node.get("children") or [
+                node.get(key) for key in ("test", "body", "then", "else")]
+            for child in children:
+                found = None if child is None else first_leaf(child)
                 if found is not None:
                     return found
             return None
 
-        leaf = first_leaf(payload["root"])
+        leaf = first_leaf(payload["cdfg"])
         leaf["dfg"]["edges"] = [[0, 1], [1, 0]]
         with pytest.raises(ReproError):
             program_from_dict(payload)
 
 
+@pytest.fixture(scope="module")
+def cold_programs(tmp_path_factory):
+    """The four apps compiled cold into one store: (store dir, programs)."""
+    store_dir = str(tmp_path_factory.mktemp("programs") / "store")
+    session = Session(cache_dir=store_dir)
+    programs = {app: session.program(app) for app in application_names()}
+    session.save_store()
+    return store_dir, programs
+
+
 class TestColdWarmParity:
+    @pytest.mark.parametrize("app", application_names())
+    def test_hydrated_trees_equal_the_cold_compile(self, cold_programs,
+                                                   app):
+        """The warm program's BSB hierarchy is mirrored from its stored
+        CDFG by the cold compile's code: same graphs, same leaves."""
+        store_dir, programs = cold_programs
+        cold = programs[app]
+        warm_session = Session(cache_dir=store_dir)
+        before = frontend_compile_count()
+        warm = warm_session.program(app)
+        assert frontend_compile_count() == before
+        assert warm.ast is None
+        assert (bsb_hierarchy_to_dot(warm.bsb_root, name=app)
+                == bsb_hierarchy_to_dot(cold.bsb_root, name=app))
+        assert hierarchy_lines(warm.bsb_root) == hierarchy_lines(
+            cold.bsb_root)
+        assert ([bsb_fingerprint(bsb) for bsb in warm.bsbs]
+                == [bsb_fingerprint(bsb) for bsb in cold.bsbs])
+        warm_leaves, cold_leaves = warm.cdfg.leaves(), cold.cdfg.leaves()
+        assert len(warm_leaves) == len(cold_leaves)
+        for fresh, original in zip(warm_leaves, cold_leaves):
+            assert fresh.dfg is not None
+            assert fresh.dfg.to_payload() == original.dfg.to_payload()
+            assert (fresh.reads, fresh.writes) == (original.reads,
+                                                   original.writes)
+
     def test_table1_rows_bit_identical_with_zero_compiles(self, tmp_path):
         store_dir = str(tmp_path / "store")
         cold_session = Session(cache_dir=store_dir)
@@ -266,6 +314,19 @@ class TestProgramShardRobustness:
         warm = session.evaluate_point(DesignPoint(app="hal"))
         assert frontend_compile_count() == before + 1
         assert warm.speedup == cold.speedup
+        # The fallback compile's copy is the one the next session reads
+        # (rows are read newest first), so the store heals: no further
+        # compile, and no further program row.
+        session.save_store()
+        assert len(program_rows(store_dir)) == 2
+        for _ in range(2):
+            fresh = Session(cache_dir=store_dir)
+            before = frontend_compile_count()
+            fresh.program("hal")
+            assert frontend_compile_count() == before
+            assert fresh.stats.hit_count("compile") == 1
+            fresh.save_store()
+            assert len(program_rows(store_dir)) == 2
 
     def test_truncated_program_shard_recovers(self, tmp_path):
         store_dir = str(tmp_path / "store")

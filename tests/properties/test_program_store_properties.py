@@ -8,7 +8,10 @@ reads (adjacency, topological order, op mix, profile metadata), while
 sharing **no** uid with the original.  The generators from
 :mod:`repro.apps.synthetic` drive that invariant across random
 (seed, size, chain-shape) points; seeded loops cover the array-level
-generator the same way.
+generator the same way.  A stored program keeps one tree, the CDFG, so
+each synthetic DFG travels the way a compiled one does: on a lowered
+CDFG leaf, through :func:`cdfg_from_payload`, and into a BSB through
+:func:`cdfg_to_bsb`.
 """
 
 import json
@@ -17,9 +20,26 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.apps.synthetic import synthetic_bsb, synthetic_bsb_array
+from repro.bsb.hierarchy import leaf_array
+from repro.cdfg.builder import cdfg_to_bsb
+from repro.cdfg.nodes import CdfgLeaf, CdfgSeq, cdfg_from_payload
 from repro.engine.store import bsb_fingerprint
-from repro.io.serialize import bsb_from_dict, bsb_to_dict
 from repro.ir.dfg import DFG
+
+
+def as_leaf(bsb):
+    """A lowered, profiled CDFG leaf carrying a synthetic BSB's data."""
+    leaf = CdfgLeaf(name=bsb.name)
+    leaf.dfg = bsb.dfg
+    leaf.exec_count = bsb.profile_count
+    leaf.reads = set(bsb.reads)
+    leaf.writes = set(bsb.writes)
+    return leaf
+
+
+def hydrate(payload):
+    """The BSB hierarchy the program store builds from a CDFG payload."""
+    return cdfg_to_bsb(cdfg_from_payload(payload))
 
 
 def assert_dfg_clone(original, clone):
@@ -67,7 +87,7 @@ def test_synthetic_leaf_round_trip_preserves_fingerprint(
         seed, ops, chain, profile):
     bsb = synthetic_bsb(ops, seed=seed, name="leaf%d" % seed,
                         chain_probability=chain, profile=profile)
-    clone = bsb_from_dict(bsb_to_dict(bsb))
+    clone = hydrate(as_leaf(bsb).to_payload())
     assert clone.uid != bsb.uid
     assert clone.name == bsb.name
     assert clone.profile_count == bsb.profile_count
@@ -84,7 +104,8 @@ def test_synthetic_leaf_round_trip_preserves_fingerprint(
 def test_synthetic_array_round_trip(seed, bsb_count, ops):
     """Whole arrays survive: fingerprints, order and chained dataflow."""
     bsbs = synthetic_bsb_array(bsb_count, ops, seed=seed)
-    clones = [bsb_from_dict(bsb_to_dict(bsb)) for bsb in bsbs]
+    tree = CdfgSeq([as_leaf(bsb) for bsb in bsbs], name="array")
+    clones = leaf_array(hydrate(tree.to_payload()))
     assert ([bsb_fingerprint(clone) for clone in clones]
             == [bsb_fingerprint(bsb) for bsb in bsbs])
     for clone, bsb in zip(clones, bsbs):
@@ -99,8 +120,8 @@ def test_payloads_are_plain_json_data(seed, ops):
     """Neutral means neutral: no live objects, no uids, JSON round-trip
     clean — what the store pickles is pure data."""
     bsb = synthetic_bsb(ops, seed=seed, name="json%d" % seed)
-    payload = bsb_to_dict(bsb)
-    rebuilt = bsb_from_dict(json.loads(json.dumps(payload)))
+    payload = as_leaf(bsb).to_payload()
+    rebuilt = hydrate(json.loads(json.dumps(payload)))
     assert bsb_fingerprint(rebuilt) == bsb_fingerprint(bsb)
 
 
@@ -110,6 +131,6 @@ def test_double_round_trip_is_stable():
     for seed in range(10):
         bsb = synthetic_bsb(15, seed=seed, name="fix%d" % seed,
                             chain_probability=0.6, profile=seed + 1)
-        once = bsb_to_dict(bsb)
-        twice = bsb_to_dict(bsb_from_dict(once))
+        once = as_leaf(bsb).to_payload()
+        twice = cdfg_from_payload(once).to_payload()
         assert twice == once

@@ -37,10 +37,10 @@ class SlowService(ExplorationService):
         return super()._evaluate_local(point)
 
 
-def raw(gateway, method, path, headers=None, body=None):
+def raw(gateway, method, path, headers=None, body=None, timeout=30):
     """One raw HTTP round trip: ``(status, headers, payload)``."""
     connection = http.client.HTTPConnection(
-        "127.0.0.1", gateway.address[1], timeout=30)
+        "127.0.0.1", gateway.address[1], timeout=timeout)
     try:
         connection.request(method, path, body=body,
                            headers=headers or {})
@@ -274,14 +274,18 @@ class TestRoutesAndErrors:
     def test_body_plumbing_411_413_400(self, harness):
         gateway = harness.http_gateway()
         from repro.service import protocol
-        status, _, _ = raw(gateway, "POST", "/v1/jobs",
-                           headers={"Content-Length": "oops"})
+        # A rejection before the body is read closes the connection, so
+        # an unread body is never parsed as the next request.
+        status, headers, _ = raw(gateway, "POST", "/v1/jobs",
+                                 headers={"Content-Length": "oops"})
         assert status == 411
-        status, _, _ = raw(
+        assert headers["Connection"] == "close"
+        status, headers, _ = raw(
             gateway, "POST", "/v1/jobs",
             headers={"Content-Length":
                      str(protocol.MAX_LINE_BYTES + 1)})
         assert status == 413
+        assert headers["Connection"] == "close"
         status, _, _ = raw(gateway, "POST", "/v1/jobs",
                            body="not json",
                            headers={"Content-Length": "8"})
@@ -289,6 +293,13 @@ class TestRoutesAndErrors:
         status, _, _ = raw(gateway, "POST", "/v1/jobs", body="[]",
                            headers={"Content-Length": "2"})
         assert status == 400
+        # A negative length is answered at once, not read until the
+        # client hangs up (the short timeout fails fast if it is).
+        status, headers, _ = raw(gateway, "POST", "/v1/jobs", body="{}",
+                                 headers={"Content-Length": "-1"},
+                                 timeout=5)
+        assert status == 400
+        assert headers["Connection"] == "close"
 
     def test_jobs_listing_and_cancel(self, make_harness):
         harness = make_harness(service_class=SlowService)
