@@ -420,9 +420,10 @@ class CacheStore:
         Entries put (or absorbed) this process are preferred over the
         disk; a hit restamps the program's rows at the next flush, so
         warm sessions keep their programs alive through compaction.
-        Rows are read newest first: when a session rejects a stored
-        document and compiles cold, the copy it flushes is the one the
-        next session finds.
+        Rows are read newest first, and a flush replaces a program's
+        older rows: when a session rejects a stored document and
+        compiles cold, the copy it flushes is the one the next session
+        finds.
         """
         def lookup(db):
             for (payload,) in db.execute(
@@ -549,6 +550,14 @@ class CacheStore:
         def work(db):
             db.executemany("INSERT OR IGNORE INTO owners VALUES (?, ?)",
                            sorted(owners))
+            # A program's new document replaces its older rows (one
+            # the session rejected, or the same program absorbed again
+            # from a worker): loads restamp every row of an owner, so a
+            # dead copy would never age out.
+            db.executemany("DELETE FROM spills WHERE stage = ? AND "
+                           "owner = ?",
+                           [(stage, name) for stage, name, *_ in rows
+                            if stage == PROGRAMS_STAGE])
             db.executemany("INSERT INTO spills VALUES (?, ?, ?, ?, ?)",
                            rows)
             db.executemany("UPDATE spills SET last_used = ? "

@@ -14,13 +14,20 @@ Layers (thinnest on top):
 * :mod:`repro.service.server` — :class:`ExplorationService`: the
   asyncio coordinator + scheduler draining the queue onto its engine
   roster over one shared :class:`~repro.engine.session.Session`
-  (single-writer engine thread), plus the blocking :func:`serve` entry
-  point.
+  (single-writer engine thread), its one job API (``answer`` for
+  ping/submit/status/cancel/jobs documents, ``results_page`` for
+  results), the line-JSON TCP frontend that frames it, and the
+  blocking :func:`serve` entry point.
+* :mod:`repro.service.http` — :class:`HttpGateway`: the REST frontend
+  framing the same job API as HTTP statuses, ETags and bodies, with
+  API-key identities and quotas.
 * :mod:`repro.service.worker` — :class:`EngineWorker`: the worker
   process behind ``serve --join``, contributing a remote engine to a
   coordinator.
 * :mod:`repro.service.client` — :class:`ServiceClient`: the blocking
   socket client the CLI's ``submit``/``status``/``results`` wrap.
+* :mod:`repro.service.http_client` — :class:`HttpServiceClient`: the
+  same client surface over the HTTP gateway, with conditional polling.
 
 Heavy modules load lazily, mirroring :mod:`repro.engine`.
 """

@@ -4,9 +4,10 @@ The raw line-JSON TCP protocol is the fabric's spine: one persistent
 connection per worker, streams, leases.  Wide fan-in — hundreds of
 polling clients, dashboards, curl — wants the opposite shape: small
 stateless requests with real HTTP caching semantics.  This module
-mounts exactly that over the *same* :class:`~repro.service.queue.
-JobQueue` and engine roster the TCP frontend drives, with no new
-dependencies (stdlib ``http.server``, threaded):
+frames the *same* job API as the TCP frontend (the service's
+``answer`` and ``results_page``) with no new dependencies (stdlib
+``http.server``, threaded); it adds routes, API-key identities and
+quotas, status codes, ETags and memos:
 
     POST   /v1/jobs              submit a batch of design points
     GET    /v1/jobs/{id}         job status document
@@ -27,6 +28,10 @@ by the queue's per-client depth accounting — a breach is a 429 with
 honours.  A gateway without keys is open (loopback development), like
 a token-less TCP server; binding beyond loopback requires keys.
 
+Durability: a results page that says ``done`` implies the job's store
+entries are on disk, like the TCP stream's ``done`` line; a failed
+closing flush answers 503.
+
 Conditional caching: every status and results document carries a
 *strong* ETag derived from the job's content-addressed stage keys (the
 program fingerprints its points route by, plus the full point
@@ -40,9 +45,9 @@ The one clock-driven field, the GC countdown ``expires_in``, is kept
 instead (refreshed on 304s, as HTTP intends), so ETags stay honest.
 
 Threading: handler threads never touch queue or job state directly —
-every read and mutation is marshalled onto the service's event loop
-with ``run_coroutine_threadsafe``, so the single-writer discipline of
-the coordinator survives the second frontend unchanged.
+every job-API call, read and mutation is marshalled onto the service's
+event loop with ``run_coroutine_threadsafe``, so the single-writer
+discipline of the coordinator survives the second frontend unchanged.
 """
 
 import asyncio
@@ -55,9 +60,15 @@ import urllib.parse
 from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
 
 from repro.errors import ReproError
-from repro.io.serialize import design_point_to_dict, point_result_to_dict
+from repro.io.serialize import design_point_to_dict
+# Unused here, but perfbench's tracer wraps this module's name.
+from repro.io.serialize import point_result_to_dict  # noqa: F401
 from repro.service import protocol
-from repro.service.queue import QueueFullError
+from repro.service.queue import (
+    JobExpiredError,
+    QueueFullError,
+    UnknownJobError,
+)
 
 #: Cap on one results long-poll (seconds); clients page in a loop, so
 #: a longer wait buys nothing but teardown latency (the TCP lease cap).
@@ -153,30 +164,16 @@ def load_api_keys(path):
     return keys
 
 
-def canonical_json(document):
-    """The canonical bytes of one document (sorted keys, compact).
-
-    Both the response bodies and the ETag hashes are computed from
-    this one encoding, so an ETag is strong by construction: it
-    changes exactly when the served bytes change.
-    """
-    return json.dumps(document, sort_keys=True,
-                      separators=(",", ":")).encode("utf-8")
-
-
 class _HttpError(Exception):
-    """One HTTP-level rejection: status code + JSON error document."""
+    """One HTTP-level rejection: status code + JSON error document;
+    each ``header_X_Y`` keyword becomes an ``X-Y`` response header."""
 
-    def __init__(self, status, message, **fields):
+    def __init__(self, status, message, **headers):
         super().__init__(message)
         self.status = status
-        self.document = {"ok": False, "error": str(message)}
-        self.document.update({key: value
-                              for key, value in fields.items()
-                              if not key.startswith("header_")})
+        self.document = protocol.error(message)
         self.headers = {key[len("header_"):].replace("_", "-"): value
-                        for key, value in fields.items()
-                        if key.startswith("header_")}
+                        for key, value in headers.items()}
 
 
 class HttpGateway:
@@ -185,7 +182,8 @@ class HttpGateway:
     Runs a ``ThreadingHTTPServer`` on its own daemon threads next to
     the service's asyncio loop; start with :meth:`start`, stop with
     :meth:`stop`.  All job state is accessed through coroutines on the
-    service loop — the gateway owns no queue state of its own beyond
+    service loop — the service's job API or the gateway's document
+    builders — and the gateway owns no queue state of its own beyond
     per-job document memos (stored on the jobs themselves, so they are
     garbage-collected with them).
     """
@@ -293,15 +291,6 @@ class HttpGateway:
             raise _HttpError(503, "service loop did not answer in "
                                   "time") from None
 
-    def _get_job(self, job_id):
-        """The named job; 404 unknown, 410 for a GC-expired one."""
-        try:
-            return self.service.queue.get(job_id)
-        except ReproError as exc:
-            if job_id in self.service.queue._expired:
-                raise _HttpError(410, str(exc)) from None
-            raise _HttpError(404, str(exc)) from None
-
     # ------------------------------------------------------------------
     # Documents + ETags (all computed on the service loop)
     # ------------------------------------------------------------------
@@ -322,7 +311,8 @@ class HttpGateway:
         for point in job.points:
             digest.update(
                 str(self.service._affinity_key(point)).encode("utf-8"))
-            digest.update(canonical_json(design_point_to_dict(point)))
+            digest.update(
+                protocol.canonical_json(design_point_to_dict(point)))
         fingerprint = digest.hexdigest()[:24]
         job._http_fingerprint = fingerprint
         return fingerprint
@@ -350,131 +340,94 @@ class HttpGateway:
     async def status_document(self, job_id):
         """``(body, etag, expires_header, immutable)`` of a status."""
         self.service.queue.collect_garbage()
-        job = self._get_job(job_id)
-        body = canonical_json(self._status_projection(job))
+        job = self.service.queue.get(job_id)
+        body = protocol.canonical_json(self._status_projection(job))
         return (body, self._etag(job, body),
                 self._expires_header(job), job.finished)
 
-    async def results_document(self, job_id):
-        """``(body, etag, expires_header, immutable)`` of the full
-        results document (completion-ordered entries + status).
+    async def _memoised(self, job_id, name, build):
+        """``(body, etag, expires_header, immutable)`` of one of the
+        job's documents, memoised on the job under ``name``.
 
-        Memoised per (completion count, state) on the job, so a
-        polling storm against an unchanged job re-serialises nothing —
-        it pays one memo lookup and, with ``If-None-Match``, sends no
-        body at all.
+        ``await build(job)`` renders the body only when the job's
+        (completion count, state) moved since the memo, so a polling
+        storm against an unchanged job re-serialises nothing — it pays
+        one memo lookup and, with ``If-None-Match``, sends no body.
         """
         self.service.queue.collect_garbage()
-        job = self._get_job(job_id)
-        async with job.condition:
-            order = list(job.order)
-            stamp = (len(order), job.state)
-        memo = getattr(job, "_http_results_memo", None)
-        if memo is not None and memo[0] == stamp:
-            _, body, etag = memo
-        else:
-            entries = []
-            for index in order:
-                result = job.results.get(index)
-                if result is None:
-                    entries.append({"index": index, "cancelled": True})
-                else:
-                    entries.append({
-                        "index": index,
-                        "result": point_result_to_dict(result)})
-            body = canonical_json({
+        job = self.service.queue.get(job_id)
+        stamp = (len(job.order), job.state)
+        memo = getattr(job, name, None)
+        if memo is None or memo[0] != stamp:
+            body = await build(job)
+            memo = (stamp, body, self._etag(job, body))
+            setattr(job, name, memo)
+        return memo[1], memo[2], self._expires_header(job), job.finished
+
+    async def results_document(self, job_id):
+        """The memoised full results document (completion-ordered
+        entries + status).  Like a done page, a terminal job's first
+        document waits for the job's store flush."""
+        async def build(job):
+            entries, _, failure = await self.service.results_page(
+                job, 0, 0.0)
+            if failure is not None:
+                raise _HttpError(503, failure)
+            return protocol.canonical_json({
                 "job": job.id,
                 "total": len(job.points),
                 "results": entries,
                 "status": self._status_projection(job)})
-            etag = self._etag(job, body)
-            job._http_results_memo = (stamp, body, etag)
-        return body, etag, self._expires_header(job), job.finished
+
+        return await self._memoised(job_id, "_http_results_memo", build)
 
     async def results_page(self, job_id, after, wait):
-        """One long-poll page: completions past position ``after``.
+        """One long-poll page document: completions past ``after``.
 
-        Blocks (on the job's condition, never the handler's CPU) until
-        a completion lands past ``after``, the job turns terminal, or
-        ``wait`` runs out — the HTTP client's streaming loop pages
-        through these exactly like the TCP stream, without holding a
-        server connection per client between completions.
+        The wait is on the job's condition, never the handler's CPU,
+        so the HTTP client pages through a live job like the TCP stream
+        without holding a server connection between completions.
         """
         self.service.queue.collect_garbage()
-        job = self._get_job(job_id)
-        deadline = asyncio.get_running_loop().time() + wait
-        async with job.condition:
-            while len(job.order) <= after and not job.finished:
-                remaining = deadline - asyncio.get_running_loop().time()
-                if remaining <= 0:
-                    break
-                try:
-                    await asyncio.wait_for(job.condition.wait(),
-                                           remaining)
-                except asyncio.TimeoutError:
-                    break
-            order = list(job.order[after:])
-            finished = job.finished
-        entries = []
-        for index in order:
-            result = job.results.get(index)
-            if result is None:
-                entries.append({"index": index, "cancelled": True})
-            else:
-                entries.append({"index": index,
-                                "result": point_result_to_dict(result)})
-        # ``order`` was read under the condition while ``finished`` was
-        # sampled, so a finished job's page always covers the tail:
-        # ``done`` simply mirrors the terminal state.
-        document = {
-            "job": job.id,
-            "results": entries,
-            "next": after + len(entries),
-            "done": finished,
-        }
-        if document["done"]:
+        job = self.service.queue.get(job_id)
+        entries, done, failure = await self.service.results_page(
+            job, after, wait)
+        if failure is not None:
+            raise _HttpError(503, failure)
+        document = {"job": job.id, "results": entries,
+                    "next": after + len(entries), "done": done}
+        if done:
             document["status"] = self._status_projection(job)
-        return canonical_json(document)
+        return document
 
     async def report_document(self, job_id):
-        """``(body, etag, expires_header, immutable)`` of the job's
-        self-contained HTML report.
+        """The memoised self-contained HTML report of the job.
 
         The result rows and status come from queue state on this loop;
         the schedule Gantts and store analytics are computed **on the
         engine thread** (the only thread allowed to touch the session
         and its store — programs resolve warm there, so rendering a
-        report compiles nothing).  Memoised per (completion count,
-        state) like the results document; terminal reports are
-        immutable and served as such.
+        report compiles nothing).  Terminal reports are immutable and
+        served as such.
         """
         from repro.report.html import render_html, sweep_document
 
-        self.service.queue.collect_garbage()
-        job = self._get_job(job_id)
-        async with job.condition:
-            order = list(job.order)
-            stamp = (len(order), job.state)
-        memo = getattr(job, "_http_report_memo", None)
-        if memo is not None and memo[0] == stamp:
-            _, body, etag = memo
-            return body, etag, self._expires_header(job), job.finished
-        results = [job.results[index] for index in order
-                   if job.results.get(index) is not None]
-        apps = []
-        for point in job.points:
-            if point.app not in apps:
-                apps.append(point.app)
-        gantts, store = await self.service._on_engine(
-            self._report_engine_data, apps)
-        document = sweep_document(
-            results, store=store, gantts=gantts,
-            title="Job %s" % job.id,
-            job=self._status_projection(job))
-        body = render_html(document).encode("utf-8")
-        etag = self._etag(job, body)
-        job._http_report_memo = (stamp, body, etag)
-        return body, etag, self._expires_header(job), job.finished
+        async def build(job):
+            results = [job.results[index] for index in job.order
+                       if job.results.get(index) is not None]
+            apps = []
+            for point in job.points:
+                if point.app not in apps:
+                    apps.append(point.app)
+            gantts, store = await self.service._on_engine(
+                self._report_engine_data, apps)
+            document = sweep_document(
+                results, store=store, gantts=gantts,
+                title="Job %s" % job.id,
+                job=self._status_projection(job))
+            return render_html(document).encode("utf-8")
+
+        return await self._memoised(job_id, "_http_report_memo", build)
 
     def _report_engine_data(self, apps):
         """Gantt + store documents, built on the engine thread."""
@@ -515,43 +468,6 @@ class HttpGateway:
         body = body.encode("utf-8")
         etag = '"dash-%s"' % hashlib.sha256(body).hexdigest()[:16]
         return body, etag
-
-    async def submit(self, points, client, weight, objective, quota):
-        """Admit one batch; the 429 mapping happens in the handler."""
-        self.service.queue.collect_garbage()
-        job = self.service.queue.submit(points, client=client,
-                                        weight=weight,
-                                        objective=objective,
-                                        quota=quota)
-        return canonical_json({"ok": True, "job": job.id,
-                               "total": len(job.points),
-                               "objective": job.objective})
-
-    async def cancel(self, job_id):
-        job = self._get_job(job_id)
-        cancelled = await self.service.queue.cancel(job_id)
-        document = self._status_projection(job)
-        return canonical_json({"ok": True, "cancelled": cancelled,
-                               "status": document})
-
-    async def jobs(self):
-        """Every known job's full status, the TCP ``jobs`` op's twin.
-
-        A volatile listing (jobs come and go, ``expires_in`` ticks),
-        so it is served uncached rather than ETagged.
-        """
-        queue = self.service.queue
-        queue.collect_garbage()
-        return canonical_json({
-            "ok": True,
-            "jobs": [queue.status(queue.jobs[name])
-                     for name in sorted(queue.jobs)]})
-
-    async def ping(self):
-        return canonical_json(dict(
-            self.service.info(), ok=True, transport="http",
-            http_requests=self.requests,
-            http_not_modified=self.not_modified))
 
     # Counter updates come from handler threads.
     def count_request(self):
@@ -621,14 +537,20 @@ class _Handler(BaseHTTPRequestHandler):
             route = parts[1:]
             if route == ["ping"]:
                 self._require(method, "GET")
-                self._send_json(200, self.gateway.call(
-                    self.gateway.ping()))
+                document = self.gateway.call(
+                    self.gateway.service.answer({"op": "ping"}))
+                self._send_json(200, dict(
+                    document, transport="http",
+                    http_requests=self.gateway.requests,
+                    http_not_modified=self.gateway.not_modified))
             elif route == ["jobs"]:
                 if method == "POST":
                     self._handle_submit(key)
                 elif method == "GET":
+                    # A volatile listing (jobs come and go,
+                    # ``expires_in`` ticks): served uncached, no ETag.
                     self._send_json(200, self.gateway.call(
-                        self.gateway.jobs()),
+                        self.gateway.service.answer({"op": "jobs"})),
                         extra={"Cache-Control": "no-store"})
                 else:
                     raise _HttpError(
@@ -657,25 +579,24 @@ class _Handler(BaseHTTPRequestHandler):
             else:
                 raise _HttpError(404, "unknown path %r" % split.path)
         except _HttpError as exc:
-            self._send_json(exc.status, canonical_json(exc.document),
-                            extra=exc.headers)
+            self._send_json(exc.status, exc.document, extra=exc.headers)
         except QueueFullError as exc:
             self._send_json(
-                429, canonical_json({
-                    "ok": False, "error": str(exc),
-                    "retry_after": exc.retry_after}),
+                429, protocol.error(exc, retry_after=exc.retry_after),
                 extra={"Retry-After":
                        str(max(1, math.ceil(exc.retry_after)))})
+        except UnknownJobError as exc:
+            self._send_json(404, protocol.error(exc))
+        except JobExpiredError as exc:
+            self._send_json(410, protocol.error(exc))
         except (protocol.ProtocolError, ReproError) as exc:
-            self._send_json(400, canonical_json(
-                {"ok": False, "error": str(exc)}))
+            self._send_json(400, protocol.error(exc))
         except (BrokenPipeError, ConnectionResetError):
             pass  # the poller went away mid-reply; nothing to clean up
         except Exception as exc:  # a handler thread must never die loud
             try:
-                self._send_json(500, canonical_json(
-                    {"ok": False,
-                     "error": "%s: %s" % (type(exc).__name__, exc)}))
+                self._send_json(500, protocol.error(
+                    "%s: %s" % (type(exc).__name__, exc)))
             except Exception:
                 pass
 
@@ -689,29 +610,23 @@ class _Handler(BaseHTTPRequestHandler):
     # Endpoints
     # ------------------------------------------------------------------
     def _handle_submit(self, key):
-        request = self._read_json_body()
-        request.setdefault("op", "submit")
-        points = protocol.submission_points(request)
-        objective = protocol.submission_objective(request)
-        if key is None:
-            # Open gateway: client/weight come from the body, like the
-            # TCP submit's optional metadata; no quota applies.
-            client, weight = protocol.submission_meta(request)
-            quota = None
-        else:
+        # Open gateway: client/weight come from the body, like the TCP
+        # submit's optional metadata; no quota applies.
+        request = dict(self._read_json_body(), op="submit")
+        quota = None
+        if key is not None:
             # Keyed gateway: identity is the *key's*, never the
             # body's — a client cannot impersonate another lane or
             # escape its own quota.  The body may lower (never raise)
             # the key's scheduler weight.
-            client = key.client
             _, weight = protocol.submission_meta(request)
             if "weight" not in request:
                 weight = key.weight
-            weight = min(weight, key.weight)
+            request.update(client=key.client,
+                           weight=min(weight, key.weight))
             quota = key.quota
-        body = self.gateway.call(self.gateway.submit(
-            points, client, weight, objective, quota))
-        self._send_json(200, body)
+        self._send_json(200, self.gateway.call(
+            self.gateway.service.answer(request, quota)))
 
     def _handle_status(self, job_id):
         body, etag, expires, immutable = self.gateway.call(
@@ -727,14 +642,17 @@ class _Handler(BaseHTTPRequestHandler):
             return
         wait = self._float_param(query, "wait", 0.0)
         wait = max(0.0, min(MAX_POLL_WAIT, wait))
-        body = self.gateway.call(
-            self.gateway.results_page(job_id, after, wait))
-        self._send_json(200, body,
-                        extra={"Cache-Control": "no-store"})
+        self._send_json(200, self.gateway.call(
+            self.gateway.results_page(job_id, after, wait)),
+            extra={"Cache-Control": "no-store"})
 
     def _handle_cancel(self, job_id):
-        self._send_json(200, self.gateway.call(
-            self.gateway.cancel(job_id)))
+        document = self.gateway.call(
+            self.gateway.service.answer({"op": "cancel", "job": job_id}))
+        # The gateway's status documents leave the clock-driven
+        # countdown out of the body.
+        del document["status"]["expires_in"]
+        self._send_json(200, document)
 
     def _handle_report(self, job_id):
         body, etag, expires, immutable = self.gateway.call(
@@ -821,8 +739,9 @@ class _Handler(BaseHTTPRequestHandler):
             return
         self._send_body(200, body, content_type, extra=headers)
 
-    def _send_json(self, status, body, extra=None):
-        self._send_body(status, body, "application/json", extra=extra)
+    def _send_json(self, status, document, extra=None):
+        self._send_body(status, protocol.canonical_json(document),
+                        "application/json", extra=extra)
 
     def _send_body(self, status, body, content_type, extra=None):
         self.send_response(status)

@@ -89,12 +89,28 @@ class HttpServiceClient(RetryingClientMixin):
     # ------------------------------------------------------------------
     # Transport
     # ------------------------------------------------------------------
-    def _headers(self):
-        headers = {"Connection": "close",
-                   "Accept": "application/json"}
+    def _round_trip(self, method, path, headers, body=None):
+        """One request on its own connection; ``(response, payload)``.
+
+        ``headers`` add to (or override) the defaults: JSON ``Accept``,
+        ``Connection: close`` and the API key.
+        """
+        sent = {"Connection": "close", "Accept": "application/json"}
         if self.api_key is not None:
-            headers["Authorization"] = "Bearer %s" % self.api_key
-        return headers
+            sent["Authorization"] = "Bearer %s" % self.api_key
+        sent.update(headers)
+        connection = http.client.HTTPConnection(
+            self.host, self.port, timeout=self.timeout)
+        try:
+            connection.request(method, self._prefix + path, body=body,
+                               headers=sent)
+            response = connection.getresponse()
+            return response, response.read()
+        except http.client.HTTPException as exc:
+            raise ServiceError("unreadable gateway response (%s: %s)"
+                               % (type(exc).__name__, exc)) from exc
+        finally:
+            connection.close()
 
     def _request(self, method, path, document=None, conditional=False):
         """One round trip; returns the parsed JSON document.
@@ -105,7 +121,7 @@ class HttpServiceClient(RetryingClientMixin):
         structured error document (``retry_after`` included on a 429),
         exactly like the TCP client's typed errors.
         """
-        headers = self._headers()
+        headers = {}
         body = None
         if document is not None:
             body = json.dumps(document).encode("utf-8")
@@ -113,31 +129,18 @@ class HttpServiceClient(RetryingClientMixin):
         cached = self._etags.get(path) if conditional else None
         if cached is not None:
             headers["If-None-Match"] = cached[0]
-        connection = http.client.HTTPConnection(
-            self.host, self.port, timeout=self.timeout)
-        try:
-            try:
-                connection.request(method, self._prefix + path,
-                                   body=body, headers=headers)
-                response = connection.getresponse()
-                payload = response.read()
-            except http.client.HTTPException as exc:
-                raise ServiceError(
-                    "unreadable gateway response (%s: %s)"
-                    % (type(exc).__name__, exc)) from exc
-            if response.status == 304:
-                self.conditional_hits += 1
-                return self._refresh_cached(path, response, cached[1])
-            parsed = self._parse(response, payload)
-            if conditional:
-                self.conditional_misses += 1
-                etag = response.headers.get("ETag")
-                if etag:
-                    self._etags[path] = (etag, parsed)
-                self._refresh_cached(path, response, parsed)
-            return parsed
-        finally:
-            connection.close()
+        response, payload = self._round_trip(method, path, headers, body)
+        if response.status == 304:
+            self.conditional_hits += 1
+            return self._refresh_cached(path, response, cached[1])
+        parsed = self._parse(response, payload)
+        if conditional:
+            self.conditional_misses += 1
+            etag = response.headers.get("ETag")
+            if etag:
+                self._etags[path] = (etag, parsed)
+            self._refresh_cached(path, response, parsed)
+        return parsed
 
     @staticmethod
     def _refresh_cached(path, response, document):
@@ -227,7 +230,9 @@ class HttpServiceClient(RetryingClientMixin):
         yields ``(index, None)``.  Pages through long-polls instead of
         holding a connection, so abandoning the iterator costs the
         server nothing — there is no stream to tear down.  The closing
-        status document lands in :attr:`last_status`.
+        status document lands in :attr:`last_status`; as on TCP, it
+        comes once the job's store entries are on disk, and a failed
+        closing flush raises :class:`ServiceError`.
         """
         self.last_status = None
         after = 0
@@ -279,40 +284,24 @@ class HttpServiceClient(RetryingClientMixin):
     # HTML documents (reports + dashboard)
     # ------------------------------------------------------------------
     def _request_html(self, path):
-        """One raw round trip for an HTML document; returns the text.
+        """One round trip for an HTML document; returns the text.
 
-        A separate path from :meth:`_request` because the payload is
-        not JSON — but errors still are: any non-200 answer is parsed
-        as the gateway's structured error document and raised as
-        :class:`ServiceError`, so auth and 404s behave identically to
-        the JSON endpoints.
+        The payload is not JSON, but errors still are: any non-200
+        answer is parsed as the gateway's structured error document
+        and raised as :class:`ServiceError`, so auth and 404s behave
+        identically to the JSON endpoints.
         """
-        headers = self._headers()
-        headers["Accept"] = "text/html"
-        connection = http.client.HTTPConnection(
-            self.host, self.port, timeout=self.timeout)
+        response, payload = self._round_trip("GET", path,
+                                             {"Accept": "text/html"})
+        if response.status != 200:
+            self._parse(response, payload)  # raises ServiceError
+            raise ServiceError("gateway rejected the request (HTTP %d)"
+                               % response.status)
         try:
-            try:
-                connection.request("GET", self._prefix + path,
-                                   headers=headers)
-                response = connection.getresponse()
-                payload = response.read()
-            except http.client.HTTPException as exc:
-                raise ServiceError(
-                    "unreadable gateway response (%s: %s)"
-                    % (type(exc).__name__, exc)) from exc
-            if response.status != 200:
-                self._parse(response, payload)  # raises ServiceError
-                raise ServiceError(
-                    "gateway rejected the request (HTTP %d)"
-                    % response.status)
-            try:
-                return payload.decode("utf-8")
-            except UnicodeDecodeError:
-                raise ServiceError("gateway sent an undecodable HTML "
-                                   "document") from None
-        finally:
-            connection.close()
+            return payload.decode("utf-8")
+        except UnicodeDecodeError:
+            raise ServiceError("gateway sent an undecodable HTML "
+                               "document") from None
 
     def report(self, job_id):
         """The job's self-contained HTML report, as text."""

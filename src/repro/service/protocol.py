@@ -72,7 +72,8 @@ PROTOCOL_VERSION = 1
 MAX_LINE_BYTES = 1 << 20
 
 #: Hard cap on the points of one submission; keeps a single request
-#: from swallowing the queue (real backpressure is a follow-on).
+#: from swallowing the queue (``--queue-cap`` bounds the points in
+#: flight across all of them).
 MAX_BATCH_POINTS = 4096
 
 #: Every operation the server understands.
@@ -106,10 +107,20 @@ class ProtocolError(ReproError):
     """A malformed request (bad JSON, unknown op, bad payload)."""
 
 
+def canonical_json(document):
+    """The canonical bytes of one document (sorted keys, compact).
+
+    Both frontends encode with it: TCP lines are these bytes plus a
+    newline, and the HTTP gateway's bodies and ETag hashes are these
+    bytes, so an ETag changes exactly when the served bytes change.
+    """
+    return json.dumps(document, sort_keys=True,
+                      separators=(",", ":")).encode("utf-8")
+
+
 def encode(message):
     """One response/request line: compact JSON plus the newline."""
-    return (json.dumps(message, sort_keys=True,
-                       separators=(",", ":")) + "\n").encode("utf-8")
+    return canonical_json(message) + b"\n"
 
 
 def decode_request(line):

@@ -53,6 +53,7 @@ import heapq
 import itertools
 import time
 
+from repro.engine.cache import CacheStats
 from repro.errors import ReproError
 
 #: Per-point lifecycle.
@@ -84,6 +85,14 @@ class QueueFullError(ReproError):
         self.retry_after = retry_after
 
 
+class UnknownJobError(ReproError):
+    """A request named a job this queue never held."""
+
+
+class JobExpiredError(ReproError):
+    """A request named a finished job that the retention GC dropped."""
+
+
 class Job:
     """One submitted batch and everything known about its progress."""
 
@@ -95,7 +104,7 @@ class Job:
         self.results = {}          # index -> PointResult (DONE points)
         self.order = []            # indices in completion order
         self.cancelled = False
-        self.stats = {}            # stage -> [hits, misses] of this job
+        self.stats = CacheStats()  # cache lookups of this job's points
         self.condition = asyncio.Condition()
         self.client = client or ""
         self.weight = max(1, int(weight))
@@ -118,13 +127,6 @@ class Job:
             return ACTIVE
         return QUEUED
 
-    def merge_stats(self, delta):
-        """Fold one point's per-stage (hits, misses) delta into the job."""
-        for stage, (hits, misses) in delta.items():
-            entry = self.stats.setdefault(stage, [0, 0])
-            entry[0] += hits
-            entry[1] += misses
-
     def status(self):
         """The JSON-able status document of this job."""
         counts = {PENDING: 0, RUNNING: 0, DONE: 0, CANCELLED: 0}
@@ -132,8 +134,8 @@ class Job:
             counts[state] += 1
         errors = sum(1 for result in self.results.values()
                      if result.error is not None)
-        hits = sum(entry[0] for entry in self.stats.values())
-        misses = sum(entry[1] for entry in self.stats.values())
+        hits = self.stats.hit_count()
+        misses = self.stats.miss_count()
         lookups = hits + misses
         return {
             "job": self.id,
@@ -166,7 +168,7 @@ class Job:
             self.results[index] = result
             self.order.append(index)
             if stats_delta:
-                self.merge_stats(stats_delta)
+                self.stats.merge(stats_delta)
             self._note_terminal(1)
             self.condition.notify_all()
 
@@ -413,13 +415,14 @@ class JobQueue:
             self.client_depth.pop(job.client, None)
 
     def get(self, job_id):
-        """The named job; :class:`ReproError` when unknown or expired."""
+        """The named job; :class:`JobExpiredError` when the GC dropped
+        it, :class:`UnknownJobError` when it never existed."""
         job = self.jobs.get(job_id)
         if job is None:
             if job_id in self._expired:
-                raise ReproError("job %r has expired (completed-job GC)"
-                                 % (job_id,))
-            raise ReproError("unknown job %r" % (job_id,))
+                raise JobExpiredError("job %r has expired (completed-job "
+                                      "GC)" % (job_id,))
+            raise UnknownJobError("unknown job %r" % (job_id,))
         return job
 
     def status(self, job, now=None):

@@ -9,6 +9,13 @@ points, the scheduler policy orders them, and the
 the service's engines — so every client shares one warm cache instead
 of each paying a cold sweep.
 
+One job API, two framings: :meth:`ExplorationService.answer` returns
+the document of a ``ping``, ``submit``, ``status``, ``cancel`` or
+``jobs`` request, and :meth:`ExplorationService.results_page` a job's
+results past a position.  The TCP frontend here writes each document
+as one line and streams ``results`` as a loop over pages; the gateway
+of :mod:`~repro.service.http` frames the same documents as HTTP.
+
 Engine-count agnosticism (the ISSUE 7 refactor): evaluation happens
 behind the :class:`~repro.service.engine.Engine` interface.  A default
 service is one :class:`~repro.service.engine.LocalEngine`; passing
@@ -36,10 +43,11 @@ Concurrency model (the single-writer rule, unchanged in spirit):
 Durability: the engine thread rate-limits flushes through
 :meth:`~repro.engine.store.CacheStore.maybe_flush` after every point
 and forces a flush whenever a job drains, so a crash loses at most
-``flush_interval`` seconds of cache growth and a streamed "done"
-implies the job's entries — including every absorbed remote delta —
-are on disk.  That ordering (absorb before record, flush before
-"done") is the per-job durability barrier of the fabric.  A flush is
+``flush_interval`` seconds of cache growth and a done results page
+(TCP's ``done`` line, HTTP's ``"done": true``) implies the job's
+entries — including every absorbed remote delta — are on disk.
+That ordering (absorb before record, flush before "done") is the
+per-job durability barrier of the fabric.  A flush is
 one sqlite transaction that inserts only the entries added since the
 previous one, so the barrier costs the job's new work, not the size
 of the store.
@@ -78,7 +86,6 @@ from repro.service.engine import (
 )
 from repro.service.queue import (
     PENDING,
-    RUNNING,
     JobQueue,
     QueueFullError,
     scheduler_class,
@@ -97,6 +104,9 @@ DEFAULT_ENGINE_TIMEOUT = 60.0
 
 #: Seconds a placed unit must wait before an idle engine may steal it.
 DEFAULT_STEAL_DELAY = 0.25
+
+#: The ops :meth:`ExplorationService.answer` answers with one document.
+JOB_OPS = ("ping", "submit", "status", "cancel", "jobs")
 
 
 class _Connection:
@@ -324,7 +334,7 @@ class ExplorationService:
         except Exception:
             pass
 
-    def _absorb_remote(self, stats_delta, store_delta):
+    def _absorb_remote(self, stats_deltas, store_delta):
         """Absorb one remote delta frame; runs on the engine thread.
 
         Returns the number of store entries absorbed.  Runs *before*
@@ -332,7 +342,7 @@ class ExplorationService:
         once every delta that travelled with its results has reached
         the store — the other half of the durability barrier.
         """
-        if stats_delta:
+        for stats_delta in stats_deltas:
             self.session.stats.merge(stats_delta)
         absorbed = 0
         if self.session.store is not None and store_delta:
@@ -455,44 +465,20 @@ class ExplorationService:
 
     async def _dispatch_request(self, request, writer, conn):
         op = request["op"]
-        # Retention is enforced at every touch point, so an idle-then
-        # -polled service trims itself before answering.
-        self.queue.collect_garbage()
-        if op == "ping":
-            writer.write(protocol.encode(protocol.ok(**self.info())))
-        elif op == "submit":
-            points = protocol.submission_points(request)
-            client, weight = protocol.submission_meta(request)
-            objective = protocol.submission_objective(request)
+        if op in JOB_OPS:
             try:
-                job = self.queue.submit(points, client=client,
-                                        weight=weight,
-                                        objective=objective)
+                response = await self.answer(request)
             except QueueFullError as exc:
-                writer.write(protocol.encode(protocol.error(
-                    exc, retry_after=exc.retry_after)))
-            else:
-                writer.write(protocol.encode(protocol.ok(
-                    job=job.id, total=len(job.points),
-                    objective=job.objective)))
-        elif op == "status":
-            job = self.queue.get(protocol.job_name(request))
-            writer.write(protocol.encode(protocol.ok(
-                status=self.queue.status(job))))
-        elif op == "results":
+                response = protocol.error(exc, retry_after=exc.retry_after)
+            writer.write(protocol.encode(response))
+            await writer.drain()
+            return
+        # answer() trims retention for the job ops; the others do here.
+        self.queue.collect_garbage()
+        if op == "results":
             job = self.queue.get(protocol.job_name(request))
             await self._stream_results(job, writer)
             return
-        elif op == "cancel":
-            cancelled = await self.queue.cancel(
-                protocol.job_name(request))
-            job = self.queue.get(request["job"])
-            writer.write(protocol.encode(protocol.ok(
-                cancelled=cancelled, status=self.queue.status(job))))
-        elif op == "jobs":
-            writer.write(protocol.encode(protocol.ok(
-                jobs=[self.queue.status(self.queue.jobs[name])
-                      for name in sorted(self.queue.jobs)])))
         elif op == "join":
             await self._handle_join(request, writer, conn)
         elif op == "lease":
@@ -578,19 +564,11 @@ class ExplorationService:
             decoded.append((job_id, index, result, stats_delta))
         engine.touch()
         absorbed = 0
-        if store_delta is not None or any(
-                stats for _, _, _, stats in decoded):
-            merged_stats = {}
-            for _, _, _, stats in decoded:
-                for stage, (hits, misses) in stats.items():
-                    entry = merged_stats.setdefault(stage, [0, 0])
-                    entry[0] += hits
-                    entry[1] += misses
-            merged_stats = {stage: tuple(pair) for stage, pair
-                            in merged_stats.items()}
+        stats_deltas = [stats for _, _, _, stats in decoded if stats]
+        if store_delta is not None or stats_deltas:
             try:
                 absorbed = await self._on_engine(
-                    self._absorb_remote, merged_stats, store_delta)
+                    self._absorb_remote, stats_deltas, store_delta)
             except Exception:
                 absorbed = 0  # bookkeeping must not discard results
         engine.deltas_absorbed += 1
@@ -626,48 +604,105 @@ class ExplorationService:
     async def _stream_results(self, job, writer):
         """Replay finished points, then follow live until terminal.
 
-        One line per terminal point, completion-ordered: ``index`` +
-        either the serialised result or a ``cancelled`` marker; a final
-        ``done`` line carries the job's closing status.  When the
-        closing store flush fails, an error line naming the failure
-        takes the ``done`` line's place.
+        One line per entry of the job's results pages, completion
+        -ordered; a final ``done`` line carries the job's closing
+        status.  When the closing store flush fails, an error line
+        naming the failure takes the ``done`` line's place.
         """
         writer.write(protocol.encode(protocol.ok(
             job=job.id, total=len(job.points), streaming=True)))
         await writer.drain()
         sent = 0
-        while True:
-            async with job.condition:
-                while len(job.order) <= sent and not job.finished:
-                    await job.condition.wait()
-                batch = list(job.order[sent:])
-            for index in batch:
-                result = job.results.get(index)
-                if result is None:
-                    line = protocol.ok(index=index, cancelled=True)
-                else:
-                    line = protocol.ok(
-                        index=index, result=point_result_to_dict(result))
-                writer.write(protocol.encode(line))
-            sent += len(batch)
+        done = False
+        while not done:
+            entries, done, failure = await self.results_page(job, sent)
+            for entry in entries:
+                writer.write(protocol.encode(protocol.ok(**entry)))
+            sent += len(entries)
             await writer.drain()
-            if job.finished and sent >= len(job.order):
-                break
-        # The durability barrier of the contract: once a client reads
-        # "done", the job's store entries are on disk.  (The scheduler
-        # also flushes on completion, but that flush may still be in
-        # flight when the last result streams out; this one is cheap —
-        # a no-op when the engine thread already got there.)
-        try:
-            await self._on_engine(self.session.save_store)
-        except Exception as exc:
-            line = protocol.error(
-                "job %s finished but its store flush failed: %s"
-                % (job.id, exc))
-        else:
-            line = protocol.ok(done=True, status=self.queue.status(job))
-        writer.write(protocol.encode(line))
+        writer.write(protocol.encode(
+            protocol.error(failure) if failure is not None
+            else protocol.ok(done=True, status=self.queue.status(job))))
         await writer.drain()
+
+    # ------------------------------------------------------------------
+    # Job operations: the one job API both frontends frame
+    # ------------------------------------------------------------------
+    async def answer(self, request, quota=None):
+        """The response document of a ``ping``, ``submit``, ``status``,
+        ``cancel`` or ``jobs`` request; call it on the service loop.
+
+        Rejections raise: :class:`~repro.service.protocol.ProtocolError`
+        for a malformed field; the queue's
+        :class:`~repro.service.queue.QueueFullError` (with its
+        ``retry_after``) for backpressure, its ``UnknownJobError`` and
+        ``JobExpiredError`` for a job it does not hold, and a plain
+        :class:`~repro.errors.ReproError` for a batch that can never be
+        admitted.  ``quota`` caps the submitting client's
+        in-flight points (the HTTP gateway's API keys carry one).
+        """
+        op = request["op"]
+        # Retention is enforced at every touch point, so an idle-then
+        # -polled service trims itself before answering.
+        self.queue.collect_garbage()
+        if op == "ping":
+            return protocol.ok(**self.info())
+        if op == "submit":
+            points = protocol.submission_points(request)
+            client, weight = protocol.submission_meta(request)
+            objective = protocol.submission_objective(request)
+            job = self.queue.submit(points, client=client, weight=weight,
+                                    objective=objective, quota=quota)
+            return protocol.ok(job=job.id, total=len(job.points),
+                               objective=job.objective)
+        if op == "jobs":
+            return protocol.ok(jobs=[self.queue.status(self.queue.jobs[name])
+                                     for name in sorted(self.queue.jobs)])
+        job = self.queue.get(protocol.job_name(request))
+        if op == "cancel":
+            cancelled = await self.queue.cancel(job.id)
+            return protocol.ok(cancelled=cancelled,
+                               status=self.queue.status(job))
+        return protocol.ok(status=self.queue.status(job))
+
+    async def results_page(self, job, after, wait=None):
+        """``(entries, done, failure)``: the job's completions past
+        position ``after``, each ``{"index", "result"}`` or ``{"index",
+        "cancelled": True}``, in completion order.
+
+        Waits on the job's condition until one lands, the job turns
+        terminal, or ``wait`` seconds pass (``None``: no limit).  A
+        ``done`` page reaches the job's end and is the durability
+        barrier: the job's store entries are flushed before it returns
+        (cheap once the scheduler's completion flush got there), and
+        ``failure`` names a failed flush, else ``None``.
+        """
+        async with job.condition:
+            try:
+                await asyncio.wait_for(job.condition.wait_for(
+                    lambda: len(job.order) > after or job.finished), wait)
+            except asyncio.TimeoutError:
+                pass  # the page holds what landed in time
+            # Read under the condition while ``done`` is sampled, so a
+            # done page always covers the tail.
+            order = job.order[after:]
+            done = job.finished
+        entries = []
+        for index in order:
+            result = job.results.get(index)
+            if result is None:
+                entries.append({"index": index, "cancelled": True})
+            else:
+                entries.append({"index": index,
+                                "result": point_result_to_dict(result)})
+        failure = None
+        if done:
+            try:
+                await self._on_engine(self.session.save_store)
+            except Exception as exc:
+                failure = ("job %s finished but its store flush failed: %s"
+                           % (job.id, exc))
+        return entries, done, failure
 
 
 def serve(cache_dir=None, host=DEFAULT_HOST,

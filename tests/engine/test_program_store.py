@@ -291,10 +291,9 @@ class TestProgramShardRobustness:
         assert warm.speedup == cold.speedup
         assert warm.allocation == cold.allocation
         # The fallback compile repairs the store for the next session:
-        # a fresh row follows the damaged one.
+        # a fresh row replaces the damaged one.
         session.save_store()
-        damaged, repaired = program_rows(store_dir)
-        assert damaged == b"not a pickle at all"
+        (repaired,) = program_rows(store_dir)
         assert len(pickle.loads(repaired)) == 1
         fresh = Session(cache_dir=store_dir)
         before = frontend_compile_count()
@@ -314,11 +313,10 @@ class TestProgramShardRobustness:
         warm = session.evaluate_point(DesignPoint(app="hal"))
         assert frontend_compile_count() == before + 1
         assert warm.speedup == cold.speedup
-        # The fallback compile's copy is the one the next session reads
-        # (rows are read newest first), so the store heals: no further
-        # compile, and no further program row.
+        # The fallback compile's copy replaces the rejected row, so the
+        # store heals: no further compile, and one program row.
         session.save_store()
-        assert len(program_rows(store_dir)) == 2
+        assert len(program_rows(store_dir)) == 1
         for _ in range(2):
             fresh = Session(cache_dir=store_dir)
             before = frontend_compile_count()
@@ -326,7 +324,19 @@ class TestProgramShardRobustness:
             assert frontend_compile_count() == before
             assert fresh.stats.hit_count("compile") == 1
             fresh.save_store()
-            assert len(program_rows(store_dir)) == 2
+            assert len(program_rows(store_dir)) == 1
+
+    def test_absorbed_program_replaces_the_stored_row(self, tmp_path):
+        # A coordinator that already stores hal absorbs it again from
+        # every fresh worker; the store keeps one row per program.
+        store_dir = str(tmp_path / "store")
+        self._warm_store(store_dir)
+        (payload,) = program_rows(store_dir)
+        session = Session(cache_dir=store_dir)
+        assert session.store.absorb_delta(
+            {PROGRAMS_STAGE: pickle.loads(payload)}) == 1
+        session.save_store()
+        assert len(program_rows(store_dir)) == 1
 
     def test_truncated_program_shard_recovers(self, tmp_path):
         store_dir = str(tmp_path / "store")

@@ -10,11 +10,13 @@ per-job.
 """
 
 import asyncio
+import contextlib
 import errno
 import json
 import os
 import socket
 import threading
+import time
 from unittest import mock
 
 import pytest
@@ -43,6 +45,31 @@ def failing_flush():
     return mock.patch.object(
         CacheStore, "flush",
         side_effect=OSError(errno.ENOSPC, os.strerror(errno.ENOSPC)))
+
+
+@contextlib.contextmanager
+def slow_flush(seconds=0.5):
+    """Patch every store flush to take ``seconds`` longer; yields a
+    callable that counts the flushes running right now."""
+    original = CacheStore.flush
+    running = []
+
+    def flush(store, cache):
+        running.append(None)
+        try:
+            time.sleep(seconds)
+            return original(store, cache)
+        finally:
+            running.pop()
+
+    with mock.patch.object(CacheStore, "flush", flush):
+        yield lambda: len(running)
+
+
+def transport_client(harness, transport):
+    """A TCP client, or an HTTP client through the harness gateway."""
+    return harness.client() if transport == "tcp" \
+        else harness.http_client()
 
 
 def serial_results(points):
@@ -170,8 +197,10 @@ class TestFlushFailure:
     result, a connection or the service, but a stream whose entries did
     not reach the disk must not end with ``done``."""
 
-    def test_stream_ends_with_an_error_naming_the_flush(self, harness):
-        client = harness.client()
+    @pytest.mark.parametrize("transport", ["tcp", "http"])
+    def test_stream_ends_with_an_error_naming_the_flush(self, harness,
+                                                        transport):
+        client = transport_client(harness, transport)
         with failing_flush():
             for grid in (GRID_A, GRID_B):
                 job = client.submit(grid)
@@ -181,6 +210,15 @@ class TestFlushFailure:
                 status = client.status(job)
                 assert status["state"] == "done"
                 assert status["done"] == len(grid)
+
+    @pytest.mark.parametrize("transport", ["tcp", "http"])
+    def test_collect_returns_after_the_closing_flush(self, make_harness,
+                                                     transport):
+        harness = make_harness(flush_interval=3600)
+        client = transport_client(harness, transport)
+        with slow_flush() as flushes_running:
+            client.collect(client.submit(GRID_A))
+            assert flushes_running() == 0
 
     def test_stop_shuts_the_engine_thread_down(self, tmp_path):
         before = set(threading.enumerate())
