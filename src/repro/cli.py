@@ -110,43 +110,29 @@ def _add_http_client_arguments(parser):
                              "(stripped of surrounding whitespace)")
 
 
-def _resolve_api_key(args):
-    """The API key of --api-key/--api-key-file, or None."""
-    if args.api_key is not None and args.api_key_file is not None:
-        raise SystemExit("pass --api-key or --api-key-file, not both")
-    if args.api_key_file is not None:
-        try:
-            with open(args.api_key_file, "r",
-                      encoding="utf-8") as handle:
-                key = handle.read().strip()
-        except OSError as exc:
-            raise SystemExit("cannot read --api-key-file: %s" % exc)
-        if not key:
-            raise SystemExit("--api-key-file %s is empty"
-                             % args.api_key_file)
-        return key
-    if args.api_key is not None and not args.api_key:
-        raise SystemExit("--api-key must not be empty")
-    return args.api_key
+def _resolve_secret(args, name):
+    """The secret of --NAME / --NAME-file, or None.
 
-
-def _resolve_token(args):
-    """The shared token of --token/--token-file, or None."""
-    if args.token is not None and args.token_file is not None:
-        raise SystemExit("pass --token or --token-file, not both")
-    if args.token_file is not None:
+    ``name`` is the option's name ("token" or "api-key").
+    """
+    attribute = name.replace("-", "_")
+    value = getattr(args, attribute)
+    path = getattr(args, attribute + "_file")
+    if value is not None and path is not None:
+        raise SystemExit("pass --%s or --%s-file, not both"
+                         % (name, name))
+    if path is not None:
         try:
-            with open(args.token_file, "r", encoding="utf-8") as handle:
-                token = handle.read().strip()
+            with open(path, "r", encoding="utf-8") as handle:
+                secret = handle.read().strip()
         except OSError as exc:
-            raise SystemExit("cannot read --token-file: %s" % exc)
-        if not token:
-            raise SystemExit("--token-file %s is empty"
-                             % args.token_file)
-        return token
-    if args.token is not None and not args.token:
-        raise SystemExit("--token must not be empty")
-    return args.token
+            raise SystemExit("cannot read --%s-file: %s" % (name, exc))
+        if not secret:
+            raise SystemExit("--%s-file %s is empty" % (name, path))
+        return secret
+    if value is not None and not value:
+        raise SystemExit("--%s must not be empty" % name)
+    return value
 
 
 def _session(args):
@@ -422,9 +408,10 @@ def build_parser():
     submit.add_argument("--wait", action="store_true",
                         help="stream the results instead of returning "
                              "after the job id")
-    submit.add_argument("--weight", type=int, default=1,
+    submit.add_argument("--weight", type=int, default=None,
                         help="fair-scheduler share of this client "
-                             "(default: %(default)s)")
+                             "(default: not sent, so the service's 1, "
+                             "or a gateway API key's own weight)")
     submit.add_argument("--objective", choices=OBJECTIVE_NAMES,
                         default="speedup",
                         help="objective recorded on the job (travels "
@@ -838,7 +825,7 @@ def cmd_serve(args):
             api_keys = load_api_keys(args.api_keys_file)
         except ReproError as exc:
             raise SystemExit(str(exc))
-    token = _resolve_token(args)
+    token = _resolve_secret(args, "token")
     if args.join is not None:
         return _cmd_serve_join(args, token)
     if token is None and args.host not in LOOPBACK_HOSTS:
@@ -919,27 +906,21 @@ def _service_client(args):
         from repro.service.http_client import HttpServiceClient
 
         return HttpServiceClient(url=args.http,
-                                 api_key=_resolve_api_key(args))
+                                 api_key=_resolve_secret(args, "api-key"))
     from repro.service.client import ServiceClient
 
     return ServiceClient(host=args.host, port=args.port,
-                         token=_resolve_token(args))
+                         token=_resolve_secret(args, "token"))
 
 
 def cmd_submit(args):
     _check_grid_args(args)
-    if args.weight < 1:
+    if args.weight is not None and args.weight < 1:
         raise SystemExit("--weight must be >= 1")
     points = _grid_points(args.apps, args.fractions, args.policies,
                           args.quanta)
     client = _service_client(args)
-    weight = args.weight
-    if getattr(args, "http", None) is not None and weight == 1:
-        # Over the keyed gateway the API key's configured weight is
-        # the default; the un-passed CLI default of 1 must not lower
-        # it.  An explicit --weight below the key's still does.
-        weight = None
-    job = client.submit(points, weight=weight,
+    job = client.submit(points, weight=args.weight,
                         objective=args.objective)
     if client.last_submit_rejections:
         print("admitted after %d queue-full rejection(s)"

@@ -21,13 +21,17 @@ Layers (thinnest on top):
 * :mod:`repro.service.http` — :class:`HttpGateway`: the REST frontend
   framing the same job API as HTTP statuses, ETags and bodies, with
   API-key identities and quotas.
+* :mod:`repro.service.client` — one blocking client over two
+  framings: ``JobClient`` holds the job operations the CLI's
+  ``submit``/``status``/``results``/``cancel`` wrap, and
+  :class:`ServiceClient` frames them as line-JSON TCP over
+  ``LineChannel``, the one client-side line conversation.
+* :mod:`repro.service.http_client` — ``HttpServiceClient``: the same
+  ``JobClient`` framed as REST calls to the gateway, with conditional
+  polling.
 * :mod:`repro.service.worker` — :class:`EngineWorker`: the worker
   process behind ``serve --join``, contributing a remote engine to a
-  coordinator.
-* :mod:`repro.service.client` — :class:`ServiceClient`: the blocking
-  socket client the CLI's ``submit``/``status``/``results`` wrap.
-* :mod:`repro.service.http_client` — :class:`HttpServiceClient`: the
-  same client surface over the HTTP gateway, with conditional polling.
+  coordinator over a ``LineChannel`` it holds open.
 
 Heavy modules load lazily, mirroring :mod:`repro.engine`.
 """

@@ -1,36 +1,38 @@
-"""Blocking client for the exploration service.
+"""One blocking client for the exploration service, over two framings.
 
-One TCP connection per request (the server is connection-agnostic and
-the requests are tiny), which is what makes many concurrent clients
-trivial — there is no session state to multiplex.  ``results`` keeps
-its connection open and yields completions as the server streams them.
-
-The client speaks :mod:`~repro.service.protocol` documents and hands
-back engine objects: ``submit`` accepts
+:class:`JobClient` is the client side of the job API, written once:
+``submit``, ``status``, ``cancel``, ``jobs``, ``ping``, ``results``
+and ``collect``.  ``submit`` accepts
 :class:`~repro.engine.design_point.DesignPoint` instances (or app-name
-strings, or already-serialised dicts) and ``results`` yields
+strings, or already-serialised dicts) and retries backpressure
+rejections (the server's structured ``retry_after``) with capped
+exponential backoff inside a ``retry_budget``; ``results`` yields
 ``(index, PointResult)`` pairs — a failed point comes back with
-``result.error`` set, never as an exception.
+``result.error`` set, never as an exception.  A framing supplies only
+a request→document call and a results-page iterator:
+:class:`ServiceClient` frames the line-JSON TCP protocol, and
+:class:`~repro.service.http_client.HttpServiceClient` the REST gateway.
 
-Hardening (ISSUE 4): a ``token`` is presented in an auth handshake on
-every connection; a backpressure rejection (the server's structured
-``retry_after``) is retried with capped exponential backoff inside a
-``retry_budget``; and a connection the *server* drops mid-request — an
-unauthenticated link, an oversized line — surfaces as a typed
-:class:`ServiceError` carrying the server's last structured error
-message instead of an opaque ``ConnectionResetError``.
-
-The retry/backoff contract lives in :class:`RetryingClientMixin` so
-the HTTP client (:class:`~repro.service.http_client.HttpServiceClient`)
-shares the *same* helper — accounting, jitter envelope and budget math
-are defined once, here, for both transports.
+Over TCP every request opens its own connection (the server keeps no
+session state, which is what makes many concurrent clients trivial),
+and ``results`` keeps its connection open while the server streams.
+That conversation is :class:`LineChannel`, which the joined worker
+(:class:`~repro.service.worker.EngineWorker`) holds open for its
+join/lease/delta/heartbeat traffic too: a ``token`` is presented in an
+auth handshake; a rejection raises :class:`ServiceError` carrying the
+server's document; and a connection the *server* drops mid-request —
+an unauthenticated link, an oversized line — surfaces as a
+:class:`ServiceError` carrying the server's last error line instead of
+an opaque ``ConnectionResetError``.
 """
 
+import contextlib
 import itertools
 import json
 import os
 import random
 import socket
+import threading
 import time
 
 from repro.engine.design_point import DesignPoint
@@ -83,9 +85,8 @@ def backoff_wait(hint, attempt, cap, jitter, rng):
     cross it).  ``jitter <= 0`` returns ``wait`` exactly (the old
     deterministic schedule).
 
-    This is the one backoff helper of both service clients
-    (:class:`ServiceClient` and the HTTP client); fix it here, not in
-    a copy.
+    This is the one backoff helper of both framings; fix it here, not
+    in a copy.
     """
     wait = min(cap, max(0.01, hint) * (2 ** attempt))
     if jitter <= 0.0:
@@ -93,39 +94,97 @@ def backoff_wait(hint, attempt, cap, jitter, rng):
     return wait * (1.0 - jitter * rng.random())
 
 
-class RetryingClientMixin:
-    """The retry/backoff contract the TCP and HTTP clients share.
+def decode_entry(entry, library=None):
+    """``(index, PointResult | None)`` of one results entry.
 
-    A transport mixes this in, calls :meth:`_init_retry` from its
-    constructor, and funnels its submit through
-    :meth:`_submit_with_retries` with a zero-argument ``send`` that
-    performs one submission attempt and raises :class:`ServiceError`
-    on rejection.  Backpressure rejections (``retry_after`` set) are
-    retried with capped exponential jittered backoff until the budget
-    deadline; every rejection absorbed along the way — *including* the
-    final one a budget-exhausted submit gives up on — is counted in
-    :attr:`last_submit_rejections`.
+    The service sends ``{"index", "result"}`` for a finished point and
+    ``{"index", "cancelled": true}`` for one cancelled before it ran.
+    """
+    if entry.get("cancelled"):
+        return entry["index"], None
+    return entry["index"], point_result_from_dict(entry["result"],
+                                                  library=library)
+
+
+def _point_document(point):
+    """The wire document of one point ``submit`` was handed."""
+    if isinstance(point, DesignPoint):
+        return design_point_to_dict(point)
+    if isinstance(point, str):
+        return design_point_to_dict(DesignPoint(app=point))
+    if isinstance(point, dict):
+        return point
+    raise ServiceError("submit() expects DesignPoint instances, "
+                       "app names or design-point dicts, got %r"
+                       % (point,))
+
+
+class JobClient:
+    """The job operations of both framings, written once.
+
+    A framing implements two methods.  ``_call(request)`` returns the
+    response document of one ``{"op": ...}`` request in the line
+    protocol's shape, raising :class:`ServiceError` (with the server's
+    document) on a rejection.  ``_pages(job_id)`` iterates over the
+    job's results pages: documents holding a ``results`` list of
+    entries and, on the last, ``done: true`` with the closing
+    ``status``.
+
+    Attributes:
+        timeout: Per-socket-operation timeout in seconds.
+        client_id: The scheduling identity submissions carry (the
+            ``fair`` scheduler round-robins between these); ``None``
+            or empty sends none.
+        retry_budget: Total seconds :meth:`submit` may spend retrying
+            backpressure rejections before giving up (0 disables).
+        retry_cap: Upper bound on one backoff sleep.
+        retry_jitter: Fraction of each backoff sleep randomised away,
+            in [0, 1].  Clients rejected by the same queue-full event
+            share the same hint and the same attempt count — without
+            jitter they all sleep the *same* capped-exponential wait
+            and stampede the server in lockstep, forever.  Each sleep
+            is drawn uniformly from ``((1 - jitter) * wait, wait]``
+            (top endpoint attainable, bottom excluded — see
+            :func:`backoff_wait` for the exact envelope), so the cap
+            still bounds it and jitter 0 restores the exact old
+            schedule.
+        retry_seed: Seed of the jitter's private ``random.Random`` —
+            deterministic backoff schedules for tests; ``None`` (the
+            default) seeds from the OS like any other Random.
+        last_submit_rejections: Backpressure rejections the last
+            :meth:`submit` absorbed, the final unretried one included.
+        last_status: The closing status document of the last
+            :meth:`results` stream that reached its end.
     """
 
-    def _init_retry(self, retry_budget, retry_cap, retry_jitter,
-                    retry_seed):
-        self.retry_budget = float(retry_budget)
-        self.retry_cap = float(retry_cap)
+    def __init__(self, timeout=120.0, client_id=None, retry_budget=60.0,
+                 retry_cap=2.0, retry_jitter=0.5, retry_seed=None):
         if not 0.0 <= float(retry_jitter) <= 1.0:
             raise ReproError("retry_jitter must be in [0, 1], got %r"
                              % (retry_jitter,))
+        self.timeout = timeout
+        self.client_id = client_id
+        self.retry_budget = float(retry_budget)
+        self.retry_cap = float(retry_cap)
         self.retry_jitter = float(retry_jitter)
         self._retry_rng = random.Random(retry_seed)
         self.last_submit_rejections = 0
+        self.last_status = None
 
+    # ------------------------------------------------------------------
+    # Retry/backoff
+    # ------------------------------------------------------------------
     def _backoff_wait(self, hint, attempt):
         """This client's :func:`backoff_wait` (see its envelope)."""
         return backoff_wait(hint, attempt, self.retry_cap,
                             self.retry_jitter, self._retry_rng)
 
     def _submit_with_retries(self, send):
-        """Run ``send()`` under the shared backoff/accounting contract.
+        """Run ``send()`` until it is admitted or the budget runs out.
 
+        Backpressure rejections (``retry_after`` set) are retried with
+        capped exponential jittered backoff until the budget deadline;
+        any other :class:`ServiceError` is raised at once.
         :attr:`last_submit_rejections` counts every backpressure
         rejection this submit absorbed — the retried ones *and* the
         final one re-raised when the next wait would overrun the
@@ -150,101 +209,152 @@ class RetryingClientMixin:
                 time.sleep(wait)
 
 
-class ServiceClient(RetryingClientMixin):
-    """Client for one service address.
+    # ------------------------------------------------------------------
+    # Operations
+    # ------------------------------------------------------------------
+    def ping(self):
+        """Server liveness + protocol/engine-roster/queue info."""
+        return self._call({"op": "ping"})
 
-    Attributes:
-        host / port: The service address.
-        timeout: Per-socket-operation timeout in seconds.  ``results``
-            streams block up to this long *between lines*, so pick it
-            larger than the slowest single point you expect.
-        token: Shared auth token; presented in a handshake on every
-            connection (a token against an open server is harmless).
-        client_id: The scheduling identity submissions carry — the
-            ``fair`` scheduler round-robins between these.  Defaults
-            to a per-instance label, so two clients in one process are
-            two lanes.
-        retry_budget: Total seconds :meth:`submit` may spend retrying
-            queue-full rejections before giving up (0 disables).
-        retry_cap: Upper bound on one backoff sleep.
-        retry_jitter: Fraction of each backoff sleep randomised away,
-            in [0, 1].  Clients rejected by the same queue-full event
-            share the same hint and the same attempt count — without
-            jitter they all sleep the *same* capped-exponential wait
-            and stampede the server in lockstep, forever.  Each sleep
-            is drawn uniformly from ``((1 - jitter) * wait, wait]``
-            (top endpoint attainable, bottom excluded — see
-            :func:`backoff_wait` for the exact envelope), so the cap
-            still bounds it and jitter 0 restores the exact old
-            schedule.
-        retry_seed: Seed of the jitter's private ``random.Random`` —
-            deterministic backoff schedules for tests; ``None`` (the
-            default) seeds from the OS like any other Random.
+    def submit(self, points, weight=None, objective=None):
+        """Submit a batch; returns the job id.
+
+        ``weight`` is the fair-scheduler share of the job's lane, sent
+        only when given: the server's default is 1, and over a keyed
+        gateway the API key's weight is both the default and the
+        ceiling.  ``objective`` names the optimisation objective the
+        job's results are ranked by on the client side; it travels
+        with the job (visible in ``status``) but leaves per-point
+        evaluation untouched.
+
+        A backpressure rejection (a full queue, or an API key's quota
+        over HTTP) is retried under :meth:`_submit_with_retries`.
+        """
+        request = {"op": "submit",
+                   "points": [_point_document(point) for point in points]}
+        if self.client_id:
+            request["client"] = self.client_id
+        if weight is not None:
+            request["weight"] = weight
+        if objective is not None:
+            request["objective"] = objective
+        return self._submit_with_retries(
+            lambda: self._call(request)["job"])
+
+    def status(self, job_id):
+        """The job's status document."""
+        return self._call({"op": "status", "job": job_id})["status"]
+
+    def cancel(self, job_id):
+        """Cancel the job's pending points; returns the final status.
+
+        A job that already finished is left as it is: the answer
+        cancels 0 points and its state stays ``done``.
+        """
+        return self._call({"op": "cancel", "job": job_id})["status"]
+
+    def jobs(self):
+        """Status documents of every job the server knows."""
+        return self._call({"op": "jobs"})["jobs"]
+
+    def results(self, job_id, library=None):
+        """Yield ``(index, PointResult)`` as points complete.
+
+        Completion-ordered, not submission-ordered; a cancelled point
+        yields ``(index, None)``.  The generator ends when the job
+        reaches a terminal state and its store entries are on disk (a
+        failed closing flush raises :class:`ServiceError`); the closing
+        status document is available afterwards as
+        :attr:`last_status`.
+
+        A caller that abandons the stream mid-job (a ``break`` after
+        the first result, an explicit ``close()`` on the generator)
+        closes the framing's page iterator *eagerly*, as the ``with``
+        below exits — over TCP that tears the stream's connection down
+        at once instead of whenever the garbage collector finalises
+        the generator.  The server treats the early disconnect as the
+        client going away, never as an error.
+        """
+        self.last_status = None
+        with contextlib.closing(self._pages(job_id)) as pages:
+            for page in pages:
+                for entry in page.get("results", ()):
+                    yield decode_entry(entry, library)
+                if page.get("done"):
+                    self.last_status = page.get("status")
+                    return
+
+    def collect(self, job_id, library=None):
+        """Block until terminal; results in submission order.
+
+        Returns a list with one slot per submitted point:
+        :class:`PointResult` (``error`` possibly set) or ``None`` for a
+        cancelled point.
+        """
+        slots = [None] * self.status(job_id)["total"]
+        for index, result in self.results(job_id, library=library):
+            slots[index] = result
+        return slots
+
+
+def _lost(exc):
+    return ServiceError("connection lost (%s: %s)"
+                        % (type(exc).__name__, exc))
+
+
+class LineChannel:
+    """One line-JSON connection to the service.
+
+    ``sock`` is a connected socket the channel owns from here on;
+    ``token``, when given, is presented in the auth handshake before
+    the constructor returns (a rejection closes the channel and raises
+    :class:`ServiceError`).  :meth:`request` holds one lock across a
+    request line *and* its reply, so threads sharing a channel (the
+    worker's lease loop and its heartbeat) never read each other's
+    replies.
     """
 
-    def __init__(self, host=DEFAULT_HOST, port=DEFAULT_PORT,
-                 timeout=120.0, token=None, client_id=None,
-                 retry_budget=60.0, retry_cap=2.0, retry_jitter=0.5,
-                 retry_seed=None):
-        self.host = host
-        self.port = port
-        self.timeout = timeout
-        self.token = token
-        self.client_id = client_id if client_id is not None else \
-            "client-%d-%d" % (os.getpid(), next(_CLIENT_IDS))
-        self._init_retry(retry_budget, retry_cap, retry_jitter,
-                         retry_seed)
+    def __init__(self, sock, token=None):
+        self._sock = sock
+        self._stream = sock.makefile("rwb")
+        self._lock = threading.Lock()
+        if token is not None:
+            try:
+                self.request({"op": "auth", "token": token})
+            except ServiceError:
+                self.close()
+                raise
 
-    # ------------------------------------------------------------------
-    # Transport
-    # ------------------------------------------------------------------
-    def _connect(self):
-        return socket.create_connection((self.host, self.port),
-                                        timeout=self.timeout)
+    def __enter__(self):
+        return self
 
-    def _handshake(self, stream):
-        """Present the token (when any) before the first request."""
-        if self.token is None:
-            return
-        self._send(stream, {"op": "auth", "token": self.token})
-        self._read_line(stream)  # raises ServiceError on rejection
+    def __exit__(self, *exc_info):
+        self.close()
 
-    def _send(self, stream, message):
+    def request(self, message):
+        """Send one request line; returns its reply document."""
+        with self._lock:
+            try:
+                self._stream.write(protocol.encode(message))
+                self._stream.flush()
+            except ConnectionError as exc:
+                raise self._dropped(exc) from exc
+            except (OSError, ValueError) as exc:
+                raise _lost(exc) from exc
+            return self.read()
+
+    def read(self):
+        """The next reply line, as a document.
+
+        :meth:`request` reads its reply here; a streamed reply (the
+        ``results`` op) is read on with further calls by the one
+        thread that sent it.  An ``ok: false`` line raises
+        :class:`ServiceError` carrying the document.
+        """
         try:
-            stream.write(protocol.encode(message))
-            stream.flush()
-        except (ConnectionResetError, BrokenPipeError) as exc:
-            raise self._dropped(stream, exc) from exc
-
-    @staticmethod
-    def _dropped(stream, exc):
-        """A typed error for a connection the server tore down mid-
-        request.  The server usually managed to send one structured
-        error line (authentication required, oversized line) before
-        closing; surface that message when it can still be read."""
-        response = None
-        try:
-            line = stream.readline(protocol.MAX_LINE_BYTES + 1)
-            data = json.loads(line.decode("utf-8"))
-            if isinstance(data, dict) and data.get("error"):
-                response = data
-        except Exception:
-            pass  # the teardown outran the error line; generic report
-        if response is not None:
-            return ServiceError("server dropped the connection: %s"
-                                % response["error"], response=response)
-        return ServiceError("server dropped the connection (%s: %s)"
-                            % (type(exc).__name__, exc))
-
-    @staticmethod
-    def _read_line(stream):
-        try:
-            line = stream.readline(protocol.MAX_LINE_BYTES + 1)
-        except (ConnectionResetError, BrokenPipeError,
-                socket.timeout) as exc:
-            raise ServiceError("connection lost while waiting for a "
-                               "response (%s: %s)"
-                               % (type(exc).__name__, exc)) from exc
+            line = self._stream.readline(protocol.MAX_LINE_BYTES + 1)
+        except (OSError, ValueError) as exc:
+            raise _lost(exc) from exc
         if not line:
             raise ServiceError("connection closed by the server")
         if len(line) > protocol.MAX_LINE_BYTES:
@@ -262,131 +372,84 @@ class ServiceClient(RetryingClientMixin):
                                response=message)
         return message
 
-    def _request(self, message):
-        """Send one request, return its single response line."""
-        with self._connect() as sock:
-            with sock.makefile("rwb") as stream:
-                self._handshake(stream)
-                self._send(stream, message)
-                return self._read_line(stream)
+    def _dropped(self, exc):
+        """A typed error for a link the server tore down mid-request.
+        The server usually managed to send one structured error line
+        (authentication required, oversized line) before closing;
+        surface that message when it can still be read."""
+        try:
+            response = json.loads(self._stream.readline(
+                protocol.MAX_LINE_BYTES + 1).decode("utf-8"))
+        except (OSError, ValueError):
+            response = None  # the teardown outran the error line
+        if isinstance(response, dict) and response.get("error"):
+            return ServiceError("server dropped the connection: %s"
+                                % response["error"], response=response)
+        return ServiceError("server dropped the connection (%s: %s)"
+                            % (type(exc).__name__, exc))
 
-    # ------------------------------------------------------------------
-    # Operations
-    # ------------------------------------------------------------------
-    def ping(self):
-        """Server liveness + protocol/worker/queue info."""
-        return self._request({"op": "ping"})
+    def close(self):
+        # The stream first: the socket's descriptor stays open while
+        # its makefile stream does.
+        for closable in (self._stream, self._sock):
+            try:
+                closable.close()
+            except OSError:
+                pass  # flushing a dead link
 
-    def submit(self, points, weight=1, objective=None):
-        """Submit a batch; returns the job id.
 
-        A queue-full rejection (the server's ``retry_after`` hint) is
-        retried with capped exponential backoff until ``retry_budget``
-        runs out; :attr:`last_submit_rejections` counts *every*
-        rejection the final successful (or failed) submit absorbed,
-        including the one a budget-exhausted submit gives up on.
-        ``weight`` is the fair-scheduler share of this client's lane.
-        ``objective`` names the optimisation objective the job's
-        results are ranked by on the client side; it travels with the
-        job (visible in ``status``) but leaves per-point evaluation
-        untouched.
-        """
-        documents = [self._coerce_point(point) for point in points]
-        request = {"op": "submit", "points": documents}
-        if self.client_id:
-            request["client"] = self.client_id
-        if weight != 1:
-            request["weight"] = weight
-        if objective is not None:
-            request["objective"] = objective
-        return self._submit_with_retries(
-            lambda: self._request(request)["job"])
+class ServiceClient(JobClient):
+    """The line-JSON TCP framing of the job API.
 
-    def status(self, job_id):
-        """The job's status document."""
-        return self._request({"op": "status", "job": job_id})["status"]
+    Attributes:
+        host / port: The service address.
+        timeout: Per-socket-operation timeout in seconds.  ``results``
+            streams block up to this long *between lines*, so pick it
+            larger than the slowest single point you expect.
+        token: Shared auth token; presented in a handshake on every
+            connection (a token against an open server is harmless).
+        client_id: Defaults to a per-instance label, so two clients in
+            one process are two scheduler lanes.
 
-    def cancel(self, job_id):
-        """Cancel the job's pending points; returns the final status."""
-        response = self._request({"op": "cancel", "job": job_id})
-        return response["status"]
+    The retry attributes are :class:`JobClient`'s.
+    """
 
-    def jobs(self):
-        """Status documents of every job the server knows."""
-        return self._request({"op": "jobs"})["jobs"]
+    def __init__(self, host=DEFAULT_HOST, port=DEFAULT_PORT,
+                 timeout=120.0, token=None, client_id=None,
+                 retry_budget=60.0, retry_cap=2.0, retry_jitter=0.5,
+                 retry_seed=None):
+        if client_id is None:
+            client_id = "client-%d-%d" % (os.getpid(), next(_CLIENT_IDS))
+        super().__init__(timeout, client_id, retry_budget, retry_cap,
+                         retry_jitter, retry_seed)
+        self.host = host
+        self.port = port
+        self.token = token
+
+    # Own attributes, not inherited ones: perfbench traces each
+    # framing's submit and collect as a layer of its own.
+    submit = JobClient.submit
+    collect = JobClient.collect
 
     def shutdown(self):
         """Ask the server to stop (it flushes its store first)."""
-        return self._request({"op": "shutdown"})
+        return self._call({"op": "shutdown"})
 
-    def results(self, job_id, library=None):
-        """Yield ``(index, PointResult)`` as points complete.
+    def _connect(self):
+        return socket.create_connection((self.host, self.port),
+                                        timeout=self.timeout)
 
-        Completion-ordered, not submission-ordered; a cancelled point
-        yields ``(index, None)``.  The generator ends when the job
-        reaches a terminal state; the closing status document is
-        available afterwards as :attr:`last_status`.
+    def _call(self, request):
+        with LineChannel(self._connect(), self.token) as channel:
+            return channel.request(request)
 
-        A caller that abandons the stream mid-job (a ``break`` after
-        the first result, an explicit ``close()`` on the generator)
-        tears the connection down *eagerly* in the ``finally`` below —
-        ``GeneratorExit`` lands there like any other exit — instead of
-        leaving the socket to whenever the garbage collector finalises
-        the generator.  The server tolerates the early disconnect: its
-        handler treats a reset mid-stream as the client going away,
-        never as an error.
-        """
-        self.last_status = None
-        sock = self._connect()
-        try:
-            stream = sock.makefile("rwb")
-            try:
-                self._handshake(stream)
-                self._send(stream, {"op": "results", "job": job_id})
-                header = self._read_line(stream)
-                if not header.get("streaming"):
-                    raise ServiceError("expected a results stream, got "
-                                       "%r" % (header,))
-                while True:
-                    message = self._read_line(stream)
-                    if message.get("done"):
-                        self.last_status = message.get("status")
-                        return
-                    index = message["index"]
-                    if message.get("cancelled"):
-                        yield index, None
-                    else:
-                        yield index, point_result_from_dict(
-                            message["result"], library=library)
-            finally:
-                try:
-                    stream.close()
-                except OSError:
-                    pass  # flushing a dead link; the socket closes next
-        finally:
-            sock.close()
-
-    def collect(self, job_id, library=None):
-        """Block until terminal; results in submission order.
-
-        Returns a list with one slot per submitted point:
-        :class:`PointResult` (``error`` possibly set) or ``None`` for a
-        cancelled point.
-        """
-        status = self.status(job_id)
-        slots = [None] * status["total"]
-        for index, result in self.results(job_id, library=library):
-            slots[index] = result
-        return slots
-
-    @staticmethod
-    def _coerce_point(point):
-        if isinstance(point, DesignPoint):
-            return design_point_to_dict(point)
-        if isinstance(point, str):
-            return design_point_to_dict(DesignPoint(app=point))
-        if isinstance(point, dict):
-            return point
-        raise ServiceError("submit() expects DesignPoint instances, "
-                           "app names or design-point dicts, got %r"
-                           % (point,))
+    def _pages(self, job_id):
+        """The ``results`` stream: each entry line is a page of one."""
+        with LineChannel(self._connect(), self.token) as channel:
+            header = channel.request({"op": "results", "job": job_id})
+            if not header.get("streaming"):
+                raise ServiceError("expected a results stream, got %r"
+                                   % (header,))
+            while True:
+                line = channel.read()
+                yield line if line.get("done") else {"results": [line]}

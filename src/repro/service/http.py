@@ -41,8 +41,10 @@ documents are immutable by construction — the pipeline is
 content-addressed, so the same job can never produce different bytes —
 and are served with long-lived ``Cache-Control: immutable`` headers.
 The one clock-driven field, the GC countdown ``expires_in``, is kept
-*out* of the cached body and travels as an ``X-Expires-In`` header
-instead (refreshed on 304s, as HTTP intends), so ETags stay honest.
+*out* of every ETag'd body and travels as an ``X-Expires-In`` header
+instead (refreshed on 304s, as HTTP intends), so ETags stay honest;
+the answers nothing caches (a ``DELETE``, a long-poll page, the job
+listing) keep it in the body, as the TCP frontend does.
 
 Threading: handler threads never touch queue or job state directly —
 every job-API call, read and mutation is marshalled onto the service's
@@ -397,7 +399,9 @@ class HttpGateway:
         document = {"job": job.id, "results": entries,
                     "next": after + len(entries), "done": done}
         if done:
-            document["status"] = self._status_projection(job)
+            # A page is never cached (no ETag, ``no-store``), so its
+            # status keeps the GC countdown, like the TCP stream's.
+            document["status"] = self.service.queue.status(job)
         return document
 
     async def report_document(self, job_id):
@@ -647,12 +651,8 @@ class _Handler(BaseHTTPRequestHandler):
             extra={"Cache-Control": "no-store"})
 
     def _handle_cancel(self, job_id):
-        document = self.gateway.call(
-            self.gateway.service.answer({"op": "cancel", "job": job_id}))
-        # The gateway's status documents leave the clock-driven
-        # countdown out of the body.
-        del document["status"]["expires_in"]
-        self._send_json(200, document)
+        self._send_json(200, self.gateway.call(
+            self.gateway.service.answer({"op": "cancel", "job": job_id})))
 
     def _handle_report(self, job_id):
         body, etag, expires, immutable = self.gateway.call(

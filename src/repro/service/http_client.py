@@ -1,13 +1,12 @@
-"""Blocking client for the HTTP gateway (ISSUE 9).
+"""The REST framing of the job API: the HTTP gateway's client.
 
-:class:`HttpServiceClient` mirrors :class:`~repro.service.client.
-ServiceClient`'s surface — ``ping`` / ``submit`` / ``status`` /
-``results`` / ``collect`` / ``cancel`` — over the REST endpoints of
-:mod:`~repro.service.http`, and *shares* (not copies) the TCP
-client's retry/backoff contract: queue-full and quota 429s carry
-``Retry-After``, which is retried with the one capped-exponential
-jittered helper of :mod:`~repro.service.client`, rejection accounting
-included.
+:class:`HttpServiceClient` is :class:`~repro.service.client.JobClient`
+over the endpoints of :mod:`~repro.service.http`.  It supplies only
+the framing — ``_call`` maps each job-API request to its route and
+``_pages`` walks a job's results pages — so every job operation, the
+retry/backoff contract (queue-full and quota 429s carry
+``Retry-After``, retried and counted like the TCP client's) and the
+results decoder are the TCP client's own.
 
 What HTTP adds over the TCP stream is conditional polling: the client
 remembers the strong ETag of every status / results document it has
@@ -29,17 +28,23 @@ import json
 import urllib.parse
 
 from repro.errors import ReproError
-from repro.io.serialize import point_result_from_dict
-from repro.service.client import (
-    RetryingClientMixin,
-    ServiceClient,
-    ServiceError,
-)
+# Unused here, but perfbench's tracer wraps this module's name.
+from repro.io.serialize import point_result_from_dict  # noqa: F401
+from repro.service.client import JobClient, ServiceError
 
 DEFAULT_URL = "http://127.0.0.1:8421"
 
+#: Each job-API op's method and path; ``%s`` takes the request's job.
+ROUTES = {
+    "ping": ("GET", "/v1/ping"),
+    "submit": ("POST", "/v1/jobs"),
+    "jobs": ("GET", "/v1/jobs"),
+    "status": ("GET", "/v1/jobs/%s"),
+    "cancel": ("DELETE", "/v1/jobs/%s"),
+}
 
-class HttpServiceClient(RetryingClientMixin):
+
+class HttpServiceClient(JobClient):
     """Client for one HTTP gateway.
 
     Attributes:
@@ -52,14 +57,13 @@ class HttpServiceClient(RetryingClientMixin):
         timeout: Per-request socket timeout in seconds.
         poll_wait: Long-poll budget of one ``results`` page; the
             stream loops, so this only tunes server round-trips.
-        retry_budget / retry_cap / retry_jitter / retry_seed: The
-            shared retry/backoff contract — see
-            :class:`~repro.service.client.ServiceClient`; 429
-            rejections (queue cap or per-key quota) are retried and
-            counted identically, via the same helper.
         conditional_hits / conditional_misses: How many conditional
             document fetches came back 304 (cached copy still good)
             versus paying a full body.
+
+    The retry attributes are :class:`~repro.service.client.JobClient`'s;
+    429 rejections (queue cap or per-key quota) are retried and counted
+    like the TCP client's queue-full rejections.
     """
 
     def __init__(self, url=DEFAULT_URL, api_key=None, timeout=120.0,
@@ -72,19 +76,22 @@ class HttpServiceClient(RetryingClientMixin):
                              "http, got %r" % url)
         if not split.hostname:
             raise ReproError("gateway URL %r has no host" % url)
+        super().__init__(timeout, None, retry_budget, retry_cap,
+                         retry_jitter, retry_seed)
         self.url = url
         self.host = split.hostname
         self.port = split.port if split.port else 80
         self._prefix = split.path.rstrip("/")
         self.api_key = api_key
-        self.timeout = timeout
         self.poll_wait = float(poll_wait)
-        self._init_retry(retry_budget, retry_cap, retry_jitter,
-                         retry_seed)
         self._etags = {}           # path -> (etag, document)
         self.conditional_hits = 0
         self.conditional_misses = 0
-        self.last_status = None
+
+    # Own attributes, not inherited ones: perfbench traces each
+    # framing's submit and collect as a layer of its own.
+    submit = JobClient.submit
+    collect = JobClient.collect
 
     # ------------------------------------------------------------------
     # Transport
@@ -146,11 +153,11 @@ class HttpServiceClient(RetryingClientMixin):
     def _refresh_cached(path, response, document):
         """Fold 304-refreshable headers into the (cached) document.
 
-        ``expires_in`` is deliberately not part of the cached body (it
-        is a GC countdown, not content); the gateway re-sends it as
-        ``X-Expires-In`` on every response *including* 304s, so the
-        status documents this client returns stay as fresh as the TCP
-        client's.
+        ``expires_in`` is deliberately not part of an ETag'd body (it
+        is a GC countdown, not content); the gateway sends it as
+        ``X-Expires-In`` on every such response *including* 304s, so
+        the status documents this client returns stay as fresh as the
+        TCP client's.
         """
         expires = response.headers.get("X-Expires-In")
         if "status" in document or "state" in document:
@@ -187,83 +194,29 @@ class HttpServiceClient(RetryingClientMixin):
         return parsed
 
     # ------------------------------------------------------------------
-    # Operations (the ServiceClient surface)
+    # The framing
     # ------------------------------------------------------------------
-    def ping(self):
-        """Gateway liveness + service/roster info."""
-        return self._request("GET", "/v1/ping")
+    def _call(self, request):
+        body = dict(request)
+        method, path = ROUTES[body.pop("op")]
+        if "job" in body:
+            path %= body.pop("job")
+        if request["op"] == "status":
+            # The gateway's status is the bare, ETag'd document: fetch
+            # it conditionally and answer in the line protocol's shape.
+            return {"status": self._request(method, path,
+                                            conditional=True)}
+        return self._request(method, path, document=body or None)
 
-    def submit(self, points, weight=None, objective=None):
-        """Submit a batch; returns the job id.
-
-        Queue-full *and* per-key quota rejections (both 429 +
-        ``Retry-After``) are retried under the shared backoff
-        contract; :attr:`last_submit_rejections` counts every
-        rejection absorbed, the final unretried one included.
-        ``weight`` may lower this key's fair-scheduler weight for the
-        job; the key's configured weight is the ceiling.
-        """
-        documents = [ServiceClient._coerce_point(point)
-                     for point in points]
-        request = {"points": documents}
-        if weight is not None:
-            request["weight"] = weight
-        if objective is not None:
-            request["objective"] = objective
-        return self._submit_with_retries(
-            lambda: self._request("POST", "/v1/jobs",
-                                  document=request)["job"])
-
-    def status(self, job_id):
-        """The job's status document (conditionally fetched)."""
-        return self._request("GET", "/v1/jobs/%s" % job_id,
-                             conditional=True)
-
-    def jobs(self):
-        """Every job's status document (uncached: a volatile listing)."""
-        return self._request("GET", "/v1/jobs")["jobs"]
-
-    def results(self, job_id, library=None):
-        """Yield ``(index, PointResult)`` as points complete.
-
-        Completion-ordered, like the TCP stream; a cancelled point
-        yields ``(index, None)``.  Pages through long-polls instead of
-        holding a connection, so abandoning the iterator costs the
-        server nothing — there is no stream to tear down.  The closing
-        status document lands in :attr:`last_status`; as on TCP, it
-        comes once the job's store entries are on disk, and a failed
-        closing flush raises :class:`ServiceError`.
-        """
-        self.last_status = None
+    def _pages(self, job_id):
+        """Long-poll pages: completions past ``after``, then on."""
         after = 0
         while True:
             page = self._request(
                 "GET", "/v1/jobs/%s/results?after=%d&wait=%s"
                 % (job_id, after, self.poll_wait))
-            for entry in page.get("results", []):
-                index = entry["index"]
-                if entry.get("cancelled"):
-                    yield index, None
-                else:
-                    yield index, point_result_from_dict(
-                        entry["result"], library=library)
+            yield page
             after = page.get("next", after)
-            if page.get("done"):
-                self.last_status = page.get("status")
-                return
-
-    def collect(self, job_id, library=None):
-        """Block until terminal; results in submission order.
-
-        Same contract as the TCP client's ``collect``: one slot per
-        submitted point, ``PointResult`` (``error`` possibly set) or
-        ``None`` for a cancelled point.
-        """
-        status = self.status(job_id)
-        slots = [None] * status["total"]
-        for index, result in self.results(job_id, library=library):
-            slots[index] = result
-        return slots
 
     def results_document(self, job_id, library=None):
         """The full results document, conditionally fetched.
@@ -274,11 +227,6 @@ class HttpServiceClient(RetryingClientMixin):
         """
         return self._request("GET", "/v1/jobs/%s/results" % job_id,
                              conditional=True)
-
-    def cancel(self, job_id):
-        """Cancel the job's pending points; returns the final status."""
-        response = self._request("DELETE", "/v1/jobs/%s" % job_id)
-        return response["status"]
 
     # ------------------------------------------------------------------
     # HTML documents (reports + dashboard)

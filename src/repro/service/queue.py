@@ -446,9 +446,13 @@ class JobQueue:
 
         Points already running finish normally (their results stay
         available); pending points flip to CANCELLED here and are
-        skipped when the scheduler eventually dequeues them.
+        skipped when the scheduler eventually dequeues them.  A job
+        that already finished is left as it is (the count is 0): its
+        documents may already have been served as immutable.
         """
         job = self.get(job_id)
+        if job.finished:
+            return 0
         job.cancelled = True
         pending = [index for index, state in enumerate(job.states)
                    if state == PENDING]

@@ -525,14 +525,9 @@ class ExplorationService:
                                        timeout=wait)
         from repro.io.serialize import design_point_to_dict
 
-        # The objective travels with each leased unit: a point's
-        # evaluation is objective-independent (every metric is always
-        # computed), but a worker summarising or logging its lease can
-        # honour the submitting client's intent.
         writer.write(protocol.encode(protocol.ok(
             engine=engine.id,
             points=[{"job": unit.job.id, "index": unit.index,
-                     "objective": unit.job.objective,
                      "point": design_point_to_dict(
                          unit.job.points[unit.index])}
                     for unit in units])))

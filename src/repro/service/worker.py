@@ -19,11 +19,17 @@ writer — absorbs them before recording the frame's results.  A worker
 started with its own ``--cache-dir`` additionally hydrates from it, so
 a pre-warmed worker contributes warm caches from its first lease.
 
-Liveness: every request touches the engine on the coordinator, and a
-long evaluation would otherwise look like death, so a daemon thread
-heartbeats at the interval the ``join`` response prescribes.  The one
-socket is shared; a lock around each request/response pair keeps the
-conversations from interleaving.
+The worker talks through the TCP client's
+:class:`~repro.service.client.LineChannel`, held open for its whole
+life: the same auth handshake, line conversation and typed
+:class:`~repro.service.client.ServiceError` (the server's document on
+a rejection, its last error line on a dropped link) as
+:class:`~repro.service.client.ServiceClient`.  Every request touches
+the engine on the coordinator, and a long evaluation would otherwise
+look like death, so a daemon thread heartbeats at the interval the
+``join`` response prescribes; the channel's lock around each
+request/reply pair keeps its conversation and the lease loop's from
+interleaving.
 
 Failure is symmetric and safe by construction: if the worker dies the
 coordinator re-queues its leased units elsewhere; if the coordinator
@@ -36,70 +42,15 @@ outcome is identical.
 import socket
 import tempfile
 import threading
-import time
 
 from repro.engine.cache import CacheStats
 from repro.engine.session import Session
-from repro.errors import ReproError
 from repro.io.serialize import (
     design_point_from_dict,
     point_result_to_dict,
 )
 from repro.service import protocol
-
-
-class WorkerError(ReproError):
-    """The coordinator conversation failed or rejected a request."""
-
-
-class _Channel:
-    """One shared request/response socket, interleave-safe.
-
-    Both the lease loop and the heartbeat thread talk through here;
-    the lock spans each request *and* its response line, so replies
-    can never cross threads.
-    """
-
-    def __init__(self, host, port, timeout):
-        self._sock = socket.create_connection((host, port),
-                                              timeout=timeout)
-        self._stream = self._sock.makefile("rwb")
-        self._lock = threading.Lock()
-
-    def request(self, message):
-        with self._lock:
-            try:
-                self._stream.write(protocol.encode(message))
-                self._stream.flush()
-                line = self._stream.readline(
-                    protocol.MAX_LINE_BYTES + 1)
-            except (OSError, ValueError) as exc:
-                raise WorkerError("coordinator connection lost (%s: %s)"
-                                  % (type(exc).__name__, exc)) from exc
-        if not line:
-            raise WorkerError("coordinator closed the connection")
-        import json
-
-        try:
-            response = json.loads(line.decode("utf-8"))
-        except (UnicodeDecodeError, ValueError):
-            raise WorkerError("unreadable coordinator response: %r"
-                              % line[:80]) from None
-        if not isinstance(response, dict) or not response.get("ok"):
-            raise WorkerError(
-                (response or {}).get("error", "request rejected")
-                if isinstance(response, dict) else "request rejected")
-        return response
-
-    def close(self):
-        try:
-            self._stream.close()
-        except OSError:
-            pass
-        try:
-            self._sock.close()
-        except OSError:
-            pass
+from repro.service.client import LineChannel, ServiceError
 
 
 class EngineWorker:
@@ -157,12 +108,12 @@ class EngineWorker:
         """Join, then lease/evaluate/deliver until the coordinator goes
         away (clean shutdown or crash) or :meth:`stop` is called.
         Returns the number of points evaluated."""
-        self._channel = _Channel(self.host, self.port, self.timeout)
         heartbeat_thread = None
         try:
-            if self.token is not None:
-                self._channel.request({"op": "auth",
-                                       "token": self.token})
+            self._channel = LineChannel(
+                socket.create_connection((self.host, self.port),
+                                         timeout=self.timeout),
+                self.token)
             joined = self._channel.request({
                 "op": "join", "engine": self.label,
                 "slots": self.slots})
@@ -178,14 +129,15 @@ class EngineWorker:
                 name="lycos-worker-heartbeat", daemon=True)
             heartbeat_thread.start()
             self._lease_loop(interval)
-        except WorkerError as exc:
+        except ServiceError as exc:
             if self.announce is not None:
                 self.announce("coordinator gone: %s" % exc)
         finally:
             self._stop.set()
             if heartbeat_thread is not None:
                 heartbeat_thread.join(timeout=2.0)
-            self._channel.close()
+            if self._channel is not None:
+                self._channel.close()
             if self._scratch is not None:
                 self._scratch.cleanup()
         return self.points_evaluated
@@ -215,11 +167,6 @@ class EngineWorker:
         """Evaluate one lease and ship results + store deltas home."""
         entries = []
         for item in leased:
-            # Leased items carry the submission's objective; the
-            # per-point pipeline computes every metric regardless
-            # (speed-up, area, energy all ride the PointResult), so
-            # the worker's evaluation is objective-independent and the
-            # field is pass-through context only.
             point = design_point_from_dict(item["point"])
             before = self.session.stats.snapshot()
             result = self.session.evaluate_point_safe(point)
@@ -263,7 +210,7 @@ class EngineWorker:
             try:
                 self._channel.request({"op": "engine-heartbeat",
                                        "engine": self.engine_id})
-            except WorkerError:
+            except ServiceError:
                 return
 
 

@@ -14,6 +14,10 @@ Three fixed bugs, each pinned here so it cannot quietly return:
    a sleep is uniform on ``((1 - jitter) * wait, wait]`` — top
    attainable, bottom excluded.  Both clients must share that helper
    (:func:`repro.service.client.backoff_wait`), not copy it.
+
+Both framings run the one set of job operations of
+:class:`~repro.service.client.JobClient`, so they must also answer with
+the same documents (:class:`TestFramingParity`).
 """
 
 import time
@@ -23,13 +27,18 @@ import pytest
 from repro.engine import DesignPoint
 from repro.errors import ReproError
 from repro.service.client import (
-    RetryingClientMixin,
+    JobClient,
     ServiceClient,
     ServiceError,
     backoff_wait,
 )
 from repro.service.http_client import HttpServiceClient
 from repro.service.server import ExplorationService
+
+from tests.service.test_service import (
+    assert_matches_serial,
+    transport_client,
+)
 
 GRID = (DesignPoint(app="straight", area=3000.0, quanta=80),
         DesignPoint(app="straight", area=5000.0, quanta=80),
@@ -46,7 +55,12 @@ class SlowService(ExplorationService):
 
 
 def spying_client(harness, **kwargs):
-    """A harness client whose created sockets are recorded."""
+    """A harness client whose created sockets are recorded.
+
+    ``_connect`` is the TCP framing's connection seam: every
+    :class:`~repro.service.client.LineChannel` it opens, the results
+    stream's included, runs over a socket made there.
+    """
     client = harness.client(**kwargs)
     sockets = []
     inner = client._connect
@@ -129,15 +143,14 @@ class _Rejector:
         return "job-1"
 
 
-def mixin(budget, jitter=0.0, cap=2.0, seed=1):
-    client = RetryingClientMixin()
-    client._init_retry(budget, cap, jitter, seed)
-    return client
+def job_client(budget, jitter=0.0, cap=2.0, seed=1):
+    return JobClient(retry_budget=budget, retry_cap=cap,
+                     retry_jitter=jitter, retry_seed=seed)
 
 
 class TestRejectionAccounting:
     def test_final_overbudget_rejection_is_counted(self):
-        client = mixin(budget=0.0)
+        client = job_client(budget=0.0)
         send = _Rejector(failures=99)
         with pytest.raises(ServiceError):
             client._submit_with_retries(send)
@@ -147,21 +160,21 @@ class TestRejectionAccounting:
         assert send.calls == 1
 
     def test_absorbed_and_final_rejections_all_count(self):
-        client = mixin(budget=0.2)
+        client = job_client(budget=0.2)
         send = _Rejector(failures=99, retry_after=0.05)
         with pytest.raises(ServiceError):
             client._submit_with_retries(send)
         assert client.last_submit_rejections == send.calls
 
     def test_retried_to_success_counts_only_absorbed(self):
-        client = mixin(budget=10.0)
+        client = job_client(budget=10.0)
         send = _Rejector(failures=2)
         assert client._submit_with_retries(send) == "job-1"
         assert client.last_submit_rejections == 2
         assert send.calls == 3
 
     def test_counter_resets_between_submits(self):
-        client = mixin(budget=10.0)
+        client = job_client(budget=10.0)
         assert client._submit_with_retries(
             _Rejector(failures=1)) == "job-1"
         assert client.last_submit_rejections == 1
@@ -170,7 +183,7 @@ class TestRejectionAccounting:
         assert client.last_submit_rejections == 0
 
     def test_non_backpressure_rejection_is_not_retried(self):
-        client = mixin(budget=10.0)
+        client = job_client(budget=10.0)
         calls = []
 
         def send():
@@ -238,22 +251,57 @@ class TestJitterEnvelope:
     def test_jitter_out_of_range_is_rejected(self):
         for bad in (-0.1, 1.5):
             with pytest.raises(ReproError, match="retry_jitter"):
-                mixin(budget=1.0, jitter=bad)
+                job_client(budget=1.0, jitter=bad)
 
 
 class TestSharedHelper:
     def test_both_clients_inherit_the_one_contract(self):
-        assert issubclass(ServiceClient, RetryingClientMixin)
-        assert issubclass(HttpServiceClient, RetryingClientMixin)
-        for name in ("_backoff_wait", "_submit_with_retries",
-                     "_init_retry"):
-            # Neither transport may shadow the shared helper with a
-            # private copy — the fix must live in exactly one place.
+        assert issubclass(ServiceClient, JobClient)
+        assert issubclass(HttpServiceClient, JobClient)
+        for name in ("_backoff_wait", "_submit_with_retries", "ping",
+                     "status", "cancel", "jobs", "results"):
+            # Neither framing may shadow a shared operation with a
+            # private copy — a fix must live in exactly one place.
             assert name not in vars(ServiceClient)
             assert name not in vars(HttpServiceClient)
-            assert name in vars(RetryingClientMixin)
+            assert name in vars(JobClient)
+        for name in ("submit", "collect"):
+            # Each framing names these in its own body (perfbench
+            # traces them per framing), as the base's own functions.
+            assert vars(ServiceClient)[name] is vars(JobClient)[name]
+            assert vars(HttpServiceClient)[name] is vars(JobClient)[name]
 
     def test_backoff_method_delegates_to_the_module_helper(self):
-        client = mixin(budget=1.0, jitter=0.0)
+        client = job_client(budget=1.0, jitter=0.0)
         assert client._backoff_wait(0.25, 3) == backoff_wait(
             0.25, 3, 2.0, 0.0, _FixedRng(0.0))
+
+
+#: The keys of a job's status document, the GC countdown included.
+STATUS_KEYS = {"job", "state", "total", "done", "errors", "cancelled",
+               "pending", "running", "hits", "misses", "hit_rate",
+               "objective", "expires_in"}
+
+
+class TestFramingParity:
+    @pytest.mark.parametrize("transport", ["tcp", "http"])
+    def test_job_documents_match_across_framings(self, make_harness,
+                                                 transport):
+        harness = make_harness(job_ttl=3600)
+        client = transport_client(harness, transport)
+        job = client.submit(GRID[:2])
+        assert_matches_serial(client.collect(job), GRID[:2])
+        closing = client.last_status
+        status = client.status(job)
+        hits = getattr(client, "conditional_hits", None)
+        cancelled = client.cancel(job)
+        for document in (closing, status, cancelled):
+            assert set(document) == STATUS_KEYS
+            assert document["expires_in"] is not None
+        # Cancelling a finished job changes nothing.
+        assert (cancelled["state"], cancelled["cancelled"]) == ("done", 0)
+        assert client.status(job)["state"] == "done"
+        if transport == "http":
+            # ...so the status the gateway served as immutable still
+            # revalidates: the re-fetch is a 304 under the same ETag.
+            assert client.conditional_hits == hits + 1

@@ -22,7 +22,7 @@ import pytest
 
 from repro.engine import DesignPoint
 from repro.service import protocol
-from repro.service.client import ServiceError
+from repro.service.client import LineChannel, ServiceError
 from repro.service.server import ExplorationService
 from repro.service.worker import EngineWorker
 
@@ -438,6 +438,33 @@ class TestRosterObservability:
         assert not response["ok"]
         assert "join" in response["error"]
         raw.vanish()
+
+
+class TestWorkerConnectionErrors:
+    def test_wrong_token_reaches_run_as_the_servers_error(
+            self, make_harness, monkeypatch):
+        harness = make_harness(token="right", local_engines=0)
+        raised = []
+        request = LineChannel.request
+
+        def spy(channel, message):
+            try:
+                return request(channel, message)
+            except ServiceError as exc:
+                raised.append(exc)
+                raise
+
+        monkeypatch.setattr(LineChannel, "request", spy)
+        said = []
+        worker = EngineWorker("127.0.0.1", harness.port, token="wrong",
+                              announce=said.append)
+        assert worker.run() == 0
+        # The worker's handshake is the TCP client's: the rejection is
+        # a ServiceError carrying the server's document, and run()
+        # reports the server's own message.
+        (error,) = raised
+        assert error.response == {"ok": False, "error": "invalid token"}
+        assert said == ["coordinator gone: invalid token"]
 
 
 class TestWorkerStoreDirectory:

@@ -345,13 +345,13 @@ class TestServiceParser:
             main(["serve", "--token", "a", "--token-file", "b"])
 
     def test_token_file_is_read_and_stripped(self, tmp_path):
-        from repro.cli import _resolve_token
+        from repro.cli import _resolve_secret
 
         secret = tmp_path / "secret"
         secret.write_text("  sesame\n")
         args = build_parser().parse_args(
             ["serve", "--token-file", str(secret)])
-        assert _resolve_token(args) == "sesame"
+        assert _resolve_secret(args, "token") == "sesame"
 
     def test_empty_token_file_is_loud(self, tmp_path):
         secret = tmp_path / "secret"
@@ -370,6 +370,8 @@ class TestServiceParser:
     def test_submit_weight(self):
         args = build_parser().parse_args(["submit", "--weight", "3"])
         assert args.weight == 3
+        # Unset, no weight is sent: the service (or API key) decides.
+        assert build_parser().parse_args(["submit"]).weight is None
         with pytest.raises(SystemExit):
             main(["submit", "--weight", "0"])
 
