@@ -21,12 +21,18 @@ from repro.core.module_selection import (
     FastestPolicy,
     allocate_with_selection,
 )
+from repro.core.rmap import RMap
 from repro.hwlib.library import ResourceLibrary, default_library
 from repro.hwlib.overheads import OverheadModel
 from repro.ir.ops import OpType
 from repro.partition.evaluate import evaluate_allocation
 from repro.partition.model import TargetArchitecture
 from repro.partition.multi_asic import multi_asic_codesign
+
+
+def _units(allocation):
+    """Total allocated instances across all resources."""
+    return sum(allocation.as_dict().values())
 
 
 def mixed_library():
@@ -169,8 +175,7 @@ def test_overhead_model_ablation(benchmark, programs, library, name,
               % (name, plain.speedup, charged.speedup,
                  charged.overhead_area,
                  iterated.final_evaluation.speedup,
-                 allocation.total_units()
-                 - iterated.final_allocation.total_units()))
+                 _units(allocation) - _units(iterated.final_allocation)))
     assert charged.overhead_area > 0
     assert charged.speedup <= plain.speedup + 1e-9
     assert (iterated.final_evaluation.speedup
@@ -191,7 +196,7 @@ def test_restrictions_ablation(benchmark, programs, library, capsys):
     allocates too many resources that can execute a specific operation
     type can occur'."""
     from repro.apps.registry import application_spec
-    from repro.core.restrictions import asap_restrictions, relax_restrictions
+    from repro.core.restrictions import asap_restrictions
 
     program = programs["man"]
     spec = application_spec("man")
@@ -201,8 +206,9 @@ def test_restrictions_ablation(benchmark, programs, library, capsys):
     def run():
         restricted = allocate(program.bsbs, library,
                               area=spec.total_area)
-        relaxed_caps = relax_restrictions(
-            asap_restrictions(program.bsbs, library), 10.0)
+        relaxed_caps = RMap({
+            name: 10 * count for name, count
+            in asap_restrictions(program.bsbs, library).items()})
         unrestricted = allocate(program.bsbs, library,
                                 area=spec.total_area,
                                 restrictions=relaxed_caps)
@@ -219,10 +225,10 @@ def test_restrictions_ablation(benchmark, programs, library, capsys):
     with capsys.disabled():
         print("\nman restrictions ablation: capped %d units -> SU "
               "%.0f%%; x10 caps %d units -> SU %.0f%%"
-              % (restricted.allocation.total_units(), r_eval.speedup,
-                 unrestricted.allocation.total_units(), u_eval.speedup))
+              % (_units(restricted.allocation), r_eval.speedup,
+                 _units(unrestricted.allocation), u_eval.speedup))
     # Without meaningful caps the allocation balloons...
-    assert (unrestricted.allocation.total_units()
-            > restricted.allocation.total_units())
+    assert (_units(unrestricted.allocation)
+            > _units(restricted.allocation))
     # ...and the partitioning outcome is no better.
     assert u_eval.speedup <= r_eval.speedup + 1e-9

@@ -2,7 +2,8 @@
 
 Walks the full LYCOS flow of Figure 1 on a small application:
 
-1. compile mini-C source into a CDFG and the BSB hierarchy (Figure 4);
+1. compile mini-C source into a CDFG, whose view is the BSB hierarchy
+   (Figure 4);
 2. profile it on concrete inputs;
 3. run the hardware resource allocation algorithm (Algorithm 1);
 4. evaluate the allocation by PACE hardware/software partitioning.
@@ -41,14 +42,15 @@ if (energy > 100000) {
 
 def main():
     # ------------------------------------------------------------------
-    # 1-2. Frontend: source -> CDFG -> BSB hierarchy, plus profiling.
+    # 1-2. Frontend: source -> CDFG, plus profiling.  The BSB hierarchy
+    #      is a view of the CDFG; its leaves form the leaf-BSB array.
     # ------------------------------------------------------------------
     program = compile_source(SOURCE, name="energy", inputs={"n": 64,
                                                             "gain": 200})
     print("Compiled %r: %d non-blank lines, %d leaf BSBs"
           % (program.name, program.source_lines(), len(program.bsbs)))
     print("\nBSB hierarchy (the Figure 4 correspondence):")
-    for line in hierarchy_lines(program.bsb_root):
+    for line in hierarchy_lines(program.cdfg):
         print("  " + line)
     print("\nProfiled outputs: %s" % program.outputs)
 

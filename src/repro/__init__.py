@@ -10,7 +10,9 @@ Frontend and application model::
 
     from repro import compile_source, leaf_array
     program = compile_source(source_code)       # mini-C -> CDFG -> BSBs
-    bsbs = program.bsbs                          # the leaf-BSB array
+    program.cdfg                                 # the one program tree
+    bsbs = program.bsbs                          # its leaf-BSB array,
+                                                 # as leaf_array builds it
 
 The allocation algorithm (the paper's contribution)::
 
@@ -28,15 +30,7 @@ Evaluation via PACE partitioning::
 """
 
 from repro.ir import OpType, Operation, DFG
-from repro.bsb import (
-    LeafBSB,
-    SequenceBSB,
-    LoopBSB,
-    BranchBSB,
-    FunctionBSB,
-    WaitBSB,
-    leaf_array,
-)
+from repro.bsb import LeafBSB, leaf_array
 from repro.hwlib import Technology, Resource, ResourceLibrary, default_library
 from repro.sched import (
     asap_schedule,
@@ -81,11 +75,6 @@ __all__ = [
     "Operation",
     "DFG",
     "LeafBSB",
-    "SequenceBSB",
-    "LoopBSB",
-    "BranchBSB",
-    "FunctionBSB",
-    "WaitBSB",
     "leaf_array",
     "Technology",
     "Resource",

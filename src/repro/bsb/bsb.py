@@ -1,4 +1,4 @@
-"""BSB node classes: leaves (DFGs) and control-structure inner nodes."""
+"""The leaf BSB: one data-flow graph plus partitioning metadata."""
 
 import itertools
 
@@ -8,25 +8,11 @@ from repro.ir.dfg import DFG
 _bsb_id_counter = itertools.count(1)
 
 
-class BSBNode:
-    """Common base for all nodes in a BSB hierarchy."""
-
-    kind = "bsb"
-
-    def __init__(self, name=""):
-        self.uid = next(_bsb_id_counter)
-        self.name = name or "%s%d" % (self.kind, self.uid)
-
-    def leaves(self):
-        """All leaf BSBs below (or at) this node, in program order."""
-        raise NotImplementedError
-
-    def __repr__(self):
-        return "%s(name=%r)" % (type(self).__name__, self.name)
-
-
-class LeafBSB(BSBNode):
+class LeafBSB:
     """A leaf BSB: one data-flow graph plus partitioning metadata.
+
+    Every leaf BSB gets a process-local ``uid`` from its own counter;
+    the in-process cache stages key on it.
 
     Attributes:
         dfg: The contained :class:`~repro.ir.dfg.DFG`.
@@ -38,12 +24,11 @@ class LeafBSB(BSBNode):
         writes: Names of variables the BSB produces (live-out).
     """
 
-    kind = "leaf"
-
     def __init__(self, dfg, profile_count=1, name="", reads=(), writes=()):
         if not isinstance(dfg, DFG):
             raise CdfgError("LeafBSB requires a DFG, got %r" % (dfg,))
-        super().__init__(name=name or dfg.name)
+        self.uid = next(_bsb_id_counter)
+        self.name = name or dfg.name or "leaf%d" % self.uid
         if profile_count < 0:
             raise CdfgError("profile count must be >= 0, got %r"
                             % (profile_count,))
@@ -52,81 +37,10 @@ class LeafBSB(BSBNode):
         self.reads = frozenset(reads)
         self.writes = frozenset(writes)
 
-    def leaves(self):
-        return [self]
-
     def op_types(self):
         """The operation types appearing in this BSB's DFG."""
         return self.dfg.op_types()
 
-    def operation_count(self):
-        """Total number of operations in the BSB."""
-        return len(self.dfg)
-
     def __repr__(self):
         return "LeafBSB(name=%r, ops=%d, profile=%d)" % (
             self.name, len(self.dfg), self.profile_count)
-
-
-class ControlBSB(BSBNode):
-    """Base class for inner (control-structure) BSB nodes."""
-
-    kind = "control"
-
-    def __init__(self, children, name=""):
-        super().__init__(name=name)
-        self.children = list(children)
-        for child in self.children:
-            if not isinstance(child, BSBNode):
-                raise CdfgError("BSB children must be BSB nodes, got %r"
-                                % (child,))
-
-    def leaves(self):
-        result = []
-        for child in self.children:
-            result.extend(child.leaves())
-        return result
-
-
-class SequenceBSB(ControlBSB):
-    """Sequential composition of BSBs (a statement list)."""
-
-    kind = "seq"
-
-
-class LoopBSB(ControlBSB):
-    """A loop: first child is the test, the rest form the body."""
-
-    kind = "loop"
-
-    def __init__(self, test, body, name=""):
-        children = ([test] if test is not None else []) + list(body)
-        super().__init__(children, name=name)
-        self.test = test
-        self.body = list(body)
-
-
-class BranchBSB(ControlBSB):
-    """A conditional: a test child plus one child per branch."""
-
-    kind = "branch"
-
-    def __init__(self, test, branches, name=""):
-        children = ([test] if test is not None else [])
-        for branch in branches:
-            children.extend(branch)
-        super().__init__(children, name=name)
-        self.test = test
-        self.branches = [list(branch) for branch in branches]
-
-
-class FunctionBSB(ControlBSB):
-    """Functional hierarchy: a named group of BSBs."""
-
-    kind = "func"
-
-
-class WaitBSB(ControlBSB):
-    """A wait statement enclosing the BSBs executed after the event."""
-
-    kind = "wait"

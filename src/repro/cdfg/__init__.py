@@ -3,8 +3,9 @@
 The CDFG expresses "loops, conditionals, wait-statements, functional
 hierarchy and actual computation (the Data Flow Graphs)".  The builder
 converts the mini-C AST into a CDFG whose leaves are maximal basic
-blocks, then lowers each leaf into a DFG and the whole CDFG into the
-BSB hierarchy used by the allocator and partitioner.
+blocks, then lowers each leaf into a DFG.  The CDFG is the program's
+one tree: the BSB hierarchy used by the allocator and partitioner is a
+view of it (:mod:`repro.bsb`).
 """
 
 from repro.cdfg.nodes import (

@@ -1,21 +1,15 @@
-"""AST -> CDFG -> BSB pipeline and the Program container.
+"""AST -> CDFG -> leaf-BSB pipeline and the Program container.
 
 The builder performs the Figure-4 translation: basic blocks of the AST
 become CDFG leaves; loops, conditionals and waits become inner nodes.
-Lowering then gives every leaf a DFG, profiling gives it an execution
-count, and the final pass mirrors the CDFG into the BSB hierarchy whose
-flattened leaf array feeds the allocator and PACE.
+Lowering then gives every leaf a DFG and profiling gives it an
+execution count.  The CDFG is then the program's one tree: the BSB
+hierarchy is a view of it, and its leaf-BSB array
+(:func:`repro.bsb.hierarchy.leaf_array`) feeds the allocator and PACE.
 """
 
 from dataclasses import dataclass, field
 
-from repro.bsb.bsb import (
-    BranchBSB,
-    LeafBSB,
-    LoopBSB,
-    SequenceBSB,
-    WaitBSB,
-)
 from repro.bsb.hierarchy import leaf_array
 from repro.cdfg.lowering import lower_all_leaves
 from repro.cdfg.nodes import (
@@ -130,27 +124,6 @@ def build_cdfg(program_ast, name="main"):
     return _CdfgBuilder().build_sequence(program_ast.statements, name=name)
 
 
-def cdfg_to_bsb(node):
-    """Mirror a CDFG (with lowered, profiled leaves) into BSB nodes."""
-    if isinstance(node, CdfgLeaf):
-        return LeafBSB(node.dfg, profile_count=node.exec_count,
-                       name=node.name, reads=node.reads, writes=node.writes)
-    if isinstance(node, CdfgSeq):
-        return SequenceBSB([cdfg_to_bsb(child) for child in node.children],
-                           name=node.name)
-    if isinstance(node, CdfgLoop):
-        return LoopBSB(cdfg_to_bsb(node.test), [cdfg_to_bsb(node.body)],
-                       name=node.name)
-    if isinstance(node, CdfgBranch):
-        branches = [[cdfg_to_bsb(node.then_body)]]
-        if node.else_body is not None:
-            branches.append([cdfg_to_bsb(node.else_body)])
-        return BranchBSB(cdfg_to_bsb(node.test), branches, name=node.name)
-    if isinstance(node, CdfgWait):
-        return WaitBSB([], name=node.name)
-    raise SemanticError("cannot convert CDFG node %r" % (node,))
-
-
 @dataclass
 class Program:
     """A compiled, profiled application ready for allocation.
@@ -169,9 +142,9 @@ class Program:
         name: Application name.
         source: The mini-C source text.
         ast: The parsed program (``None`` for hydrated programs).
-        cdfg: The CDFG root, a CdfgSeq.
-        bsb_root: The BSB hierarchy root, mirrored from ``cdfg``.
-        bsbs: The flattened leaf-BSB array (empty leaves dropped).
+        cdfg: The CDFG root, a CdfgSeq: the program's one tree, of
+            which the BSB hierarchy is a view.
+        bsbs: The leaf-BSB array (empty leaves dropped).
         inputs: The input values used for profiling.
         final_values: Scalar variable values after the profiled run.
         outputs: Values of the declared ``output`` variables.
@@ -181,7 +154,6 @@ class Program:
     source: str
     ast: object
     cdfg: object
-    bsb_root: object
     bsbs: list
     inputs: dict = field(default_factory=dict)
     final_values: dict = field(default_factory=dict)
@@ -190,12 +162,6 @@ class Program:
     def source_lines(self):
         """Number of non-blank source lines (the paper's Lines column)."""
         return sum(1 for line in self.source.splitlines() if line.strip())
-
-    def bsb_by_name(self, name):
-        for bsb in self.bsbs:
-            if bsb.name == name:
-                return bsb
-        raise KeyError("no BSB named %r in %s" % (name, self.name))
 
 
 def compile_source(source, name="app", inputs=None, max_steps=5_000_000):
@@ -238,19 +204,17 @@ def program_from_cdfg(cdfg, name, source, inputs, final_values, outputs,
                       program_ast=None):
     """The Program of a lowered, profiled CDFG.
 
-    The one construction path for cold and warm programs alike: it
-    mirrors ``cdfg`` into the BSB hierarchy and keeps the leaves with
-    at least one operation as the program's BSB array.  The mappings
-    are copied; ``program_ast`` is ``None`` for a hydrated program.
+    The one construction path for cold and warm programs alike: the
+    program's BSB array is :func:`repro.bsb.hierarchy.leaf_array` of
+    ``cdfg``.  The mappings are copied; ``program_ast`` is ``None`` for
+    a hydrated program.
     """
-    bsb_root = cdfg_to_bsb(cdfg)
     return Program(
         name=name,
         source=source,
         ast=program_ast,
         cdfg=cdfg,
-        bsb_root=bsb_root,
-        bsbs=[bsb for bsb in leaf_array(bsb_root) if len(bsb.dfg)],
+        bsbs=leaf_array(cdfg),
         inputs=dict(inputs),
         final_values=dict(final_values),
         outputs=dict(outputs),

@@ -3,16 +3,21 @@
 Leaves hold the AST statements of one basic block (plus, for test
 leaves, the controlling condition expression); inner nodes mirror the
 control constructs.  Profile counts land on the leaves during
-profiling and travel with them into the BSB hierarchy.
+profiling.  The CDFG is the program's one tree: every node lists its
+``children`` in program order, and the BSB hierarchy of Figure 4 is a
+view of it — :func:`repro.bsb.hierarchy.leaf_array` builds the
+leaf-BSB array from its lowered, profiled leaves, and
+:func:`repro.bsb.hierarchy.hierarchy_lines` and
+:func:`repro.viz.dot.bsb_hierarchy_to_dot` render it.
 
 Every lowered, profiled tree also serialises to a **neutral, uid-free
 payload** (:meth:`CdfgNode.to_payload` / :func:`cdfg_from_payload`):
 names, structure, statement counts, test markers and profile counts
 survive, and each leaf carries its DFG payload
 (:meth:`repro.ir.dfg.DFG.to_payload`) and its ``reads`` and
-``writes``; uids do not survive.  This is the program store's one
-tree: the BSB hierarchy is mirrored from it on load exactly as a cold
-compile mirrors it.  A hydrated tree gets fresh uids in the same
+``writes``; uids do not survive.  This is the tree the program store
+keeps, so a hydrated program has the same views as a cold compile.
+A hydrated tree gets fresh uids in the same
 construction order the frontend builder uses (children before
 parents), so visualisations of a stored CDFG are byte-identical to the
 cold compile's.  The AST is a frontend artefact no downstream stage
@@ -38,9 +43,16 @@ HYDRATED_COND = "<hydrated-cond>"
 
 
 class CdfgNode:
-    """Base class for CDFG nodes."""
+    """Base class for CDFG nodes.
+
+    ``children`` lists a node's subtrees in program order: a
+    sequence's statements; a loop's test, then its body; a branch's
+    test, its then-body, then its else-body when there is one.  A leaf
+    or a wait has none.
+    """
 
     kind = "node"
+    children = ()
 
     def __init__(self, name=""):
         self.uid = next(_cdfg_id_counter)
@@ -48,7 +60,10 @@ class CdfgNode:
 
     def leaves(self):
         """All CDFG leaves below (or at) this node, in program order."""
-        raise NotImplementedError
+        result = []
+        for child in self.children:
+            result.extend(child.leaves())
+        return result
 
     def to_payload(self):
         """A uid-free, JSON-compatible description of this subtree."""
@@ -114,12 +129,6 @@ class CdfgSeq(CdfgNode):
         super().__init__(name=name)
         self.children = list(children or [])
 
-    def leaves(self):
-        result = []
-        for child in self.children:
-            result.extend(child.leaves())
-        return result
-
     def to_payload(self):
         return {
             "kind": self.kind,
@@ -138,8 +147,9 @@ class CdfgLoop(CdfgNode):
         self.test = test
         self.body = body
 
-    def leaves(self):
-        return self.test.leaves() + self.body.leaves()
+    @property
+    def children(self):
+        return [self.test, self.body]
 
     def to_payload(self):
         return {
@@ -161,11 +171,12 @@ class CdfgBranch(CdfgNode):
         self.then_body = then_body
         self.else_body = else_body
 
-    def leaves(self):
-        result = self.test.leaves() + self.then_body.leaves()
+    @property
+    def children(self):
+        children = [self.test, self.then_body]
         if self.else_body is not None:
-            result.extend(self.else_body.leaves())
-        return result
+            children.append(self.else_body)
+        return children
 
     def to_payload(self):
         return {
@@ -186,9 +197,6 @@ class CdfgWait(CdfgNode):
     def __init__(self, cycles, name=""):
         super().__init__(name=name)
         self.cycles = cycles
-
-    def leaves(self):
-        return []
 
     def to_payload(self):
         return {"kind": self.kind, "name": self.name, "cycles": self.cycles}

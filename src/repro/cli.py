@@ -47,6 +47,7 @@ commands print a ``frontend compiles`` line the CI asserts on).
 """
 
 import argparse
+import contextlib
 import math
 import sys
 
@@ -860,10 +861,11 @@ def _cmd_serve_join(args, token):
         port = -1
     if not host or not 0 < port < 65536:
         raise SystemExit("--join expects HOST:PORT, got %r" % args.join)
-    evaluated = join_coordinator(host, port, token=token,
-                                 label=args.label or "",
-                                 slots=args.slots,
-                                 cache_dir=args.cache_dir)
+    with _reaching(args.join):
+        evaluated = join_coordinator(host, port, token=token,
+                                     label=args.label or "",
+                                     slots=args.slots,
+                                     cache_dir=args.cache_dir)
     print("worker done: %d point(s) evaluated" % evaluated)
 
 
@@ -901,6 +903,27 @@ def _print_job_status(status):
               % status["expires_in"])
 
 
+@contextlib.contextmanager
+def _reaching(address):
+    """Exit with one line naming ``address`` when it cannot be reached.
+
+    The clients and the joined worker raise :class:`OSError` when
+    nothing listens there (the wait loops in CI and perfbench poll for
+    exactly that), so the command line turns it into a message.
+    """
+    try:
+        yield
+    except OSError as exc:
+        raise SystemExit("cannot reach the service at %s: %s"
+                         % (address, exc)) from None
+
+
+def _service_address(args):
+    if getattr(args, "http", None) is not None:
+        return args.http
+    return "%s:%d" % (args.host, args.port)
+
+
 def _service_client(args):
     if getattr(args, "http", None) is not None:
         from repro.service.http_client import HttpServiceClient
@@ -920,16 +943,17 @@ def cmd_submit(args):
     points = _grid_points(args.apps, args.fractions, args.policies,
                           args.quanta)
     client = _service_client(args)
-    job = client.submit(points, weight=args.weight,
-                        objective=args.objective)
-    if client.last_submit_rejections:
-        print("admitted after %d queue-full rejection(s)"
-              % client.last_submit_rejections)
-    print("submitted %s (%d points)" % (job, len(points)))
-    if not args.wait:
-        return
-    for index, result in client.results(job):
-        _print_point_line(index, result)
+    with _reaching(_service_address(args)):
+        job = client.submit(points, weight=args.weight,
+                            objective=args.objective)
+        if client.last_submit_rejections:
+            print("admitted after %d queue-full rejection(s)"
+                  % client.last_submit_rejections)
+        print("submitted %s (%d points)" % (job, len(points)))
+        if not args.wait:
+            return
+        for index, result in client.results(job):
+            _print_point_line(index, result)
     _print_job_status(client.last_status)
 
 
@@ -939,17 +963,20 @@ def cmd_status(args):
             raise SystemExit("--html needs --http: the HTML documents "
                              "are served by the REST gateway")
         client = _service_client(args)
-        page = (client.report(args.job) if args.job is not None
-                else client.dashboard())
+        with _reaching(args.http):
+            page = (client.report(args.job) if args.job is not None
+                    else client.dashboard())
         with open(args.html, "w", encoding="utf-8") as handle:
             handle.write(page)
         print("wrote %s (%d bytes)" % (args.html, len(page)))
         return
     client = _service_client(args)
-    if args.job is not None:
-        _print_job_status(client.status(args.job))
-        return
-    info = client.ping()
+    with _reaching(_service_address(args)):
+        if args.job is not None:
+            _print_job_status(client.status(args.job))
+            return
+        info = client.ping()
+        jobs = client.jobs()
     cap = info.get("queue_cap")
     engines = sum(engine["alive"] for engine in info["engines"])
     print("service up: protocol v%d, %d engine(s), %d job(s), "
@@ -979,20 +1006,23 @@ def cmd_status(args):
                  engine.get("delta_entries", 0),
                  engine.get("delta_raw_bytes", 0),
                  engine.get("delta_compressed_bytes", 0)))
-    for status in client.jobs():
+    for status in jobs:
         _print_job_status(status)
 
 
 def cmd_results(args):
     client = _service_client(args)
-    for index, result in client.results(args.job):
-        _print_point_line(index, result)
+    with _reaching(_service_address(args)):
+        for index, result in client.results(args.job):
+            _print_point_line(index, result)
     _print_job_status(client.last_status)
 
 
 def cmd_cancel(args):
     client = _service_client(args)
-    _print_job_status(client.cancel(args.job))
+    with _reaching(_service_address(args)):
+        status = client.cancel(args.job)
+    _print_job_status(status)
 
 
 def cmd_export(args):
@@ -1005,7 +1035,7 @@ def cmd_export(args):
     if args.what == "cdfg":
         print(cdfg_to_dot(program.cdfg, name=args.app))
     elif args.what == "bsb":
-        print(bsb_hierarchy_to_dot(program.bsb_root, name=args.app))
+        print(bsb_hierarchy_to_dot(program.cdfg, name=args.app))
     else:
         hottest = session.hottest_bsb(args.app)
         print(dfg_to_dot(hottest.dfg, name="%s_%s"

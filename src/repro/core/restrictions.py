@@ -59,11 +59,3 @@ def exclusive_type_load(dfg, library):
         count, latency = loads.get(resource.name, (0, resource.latency))
         loads[resource.name] = (count + op_count, latency)
     return loads
-
-
-def relax_restrictions(restrictions, factor):
-    """Scale every cap by ``factor`` (ablation helper; ceil, min 1)."""
-    relaxed = RMap()
-    for name, count in restrictions.items():
-        relaxed[name] = max(1, int(count * factor + 0.999999))
-    return relaxed

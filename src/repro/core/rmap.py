@@ -74,10 +74,6 @@ class RMap:
         """Resource names with a positive count."""
         return sorted(self._counts)
 
-    def total_units(self):
-        """Total number of allocated instances across all resources."""
-        return sum(self._counts.values())
-
     # ------------------------------------------------------------------
     # Definition 1 operators
     # ------------------------------------------------------------------

@@ -326,9 +326,9 @@ def program_to_dict(program):
     the round trip: the source text (for the Lines column), the
     profiled inputs/finals/outputs, and the neutral uid-free CDFG
     document, whose leaves carry their DFGs, profile counts, reads and
-    writes.  The CDFG is the document's only tree — the BSB hierarchy
-    is mirrored from it on load — so ``export`` renders every graph
-    from the store without recompiling.  Only the AST — a frontend
+    writes.  The CDFG is the program's only tree — the BSB hierarchy
+    is a view of it — so ``export`` renders every graph from the store
+    without recompiling.  Only the AST — a frontend
     artefact nothing downstream touches — is dropped; a hydrated
     program carries ``None`` for it.
     """
@@ -349,8 +349,8 @@ def program_from_dict(data):
 
     The CDFG is hydrated and handed to
     :func:`~repro.cdfg.builder.program_from_cdfg`, the function a cold
-    compile ends in, so the BSB hierarchy and the flattened ``bsbs``
-    array come out of the same code and a hydrated program is
+    compile ends in, so the ``bsbs`` array comes out of the same
+    :func:`~repro.bsb.hierarchy.leaf_array` and a hydrated program is
     positionally identical to its cold twin.  Raises
     :class:`ReproError` on malformed documents, a missing or malformed
     CDFG included (the program store treats that as damage and falls

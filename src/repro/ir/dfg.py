@@ -141,11 +141,6 @@ class DFG:
         return {self._ops[uid] for uid in
                 _reachable(operation.uid, self._succ)}
 
-    def transitive_predecessors(self, operation):
-        """All operations that reach ``operation``."""
-        return {self._ops[uid] for uid in
-                _reachable(operation.uid, self._pred)}
-
     def sources(self):
         """Operations with no predecessors."""
         return [self._ops[uid] for uid in sorted(self._ops)
@@ -338,10 +333,3 @@ def chain(dfg, operations):
     for producer, consumer in zip(operations, operations[1:]):
         dfg.add_dependency(producer, consumer)
     return operations
-
-
-def parallel_ops(dfg, optype, count, label_prefix=""):
-    """Convenience: add ``count`` independent operations of one type."""
-    return [dfg.new_operation(optype,
-                              label="%s%d" % (label_prefix, index))
-            for index in range(count)]

@@ -158,33 +158,3 @@ class Program(Node):
     inputs: list = field(default_factory=list)
     outputs: list = field(default_factory=list)
     arrays: dict = field(default_factory=dict)  # name -> size
-
-
-def walk_expr(expr):
-    """Yield ``expr`` and all sub-expressions, pre-order."""
-    yield expr
-    if isinstance(expr, UnaryOp):
-        yield from walk_expr(expr.operand)
-    elif isinstance(expr, BinaryOp):
-        yield from walk_expr(expr.left)
-        yield from walk_expr(expr.right)
-    elif isinstance(expr, ArrayRef):
-        yield from walk_expr(expr.index)
-
-
-def expr_variables(expr):
-    """Names of scalar variables read by ``expr`` (arrays excluded)."""
-    names = set()
-    for node in walk_expr(expr):
-        if isinstance(node, VarRef):
-            names.add(node.name)
-    return names
-
-
-def expr_arrays(expr):
-    """Names of arrays read by ``expr``."""
-    names = set()
-    for node in walk_expr(expr):
-        if isinstance(node, ArrayRef):
-            names.add(node.name)
-    return names

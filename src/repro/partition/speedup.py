@@ -17,8 +17,3 @@ def speedup_percent(sw_time_all, hybrid_time):
         raise PartitionError("hybrid time must be positive, got %r"
                              % (hybrid_time,))
     return (sw_time_all - hybrid_time) / hybrid_time * 100.0
-
-
-def speedup_factor(speedup):
-    """Convert a percentage speed-up back into a time ratio."""
-    return 1.0 + speedup / 100.0

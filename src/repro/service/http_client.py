@@ -84,7 +84,7 @@ class HttpServiceClient(JobClient):
         self._prefix = split.path.rstrip("/")
         self.api_key = api_key
         self.poll_wait = float(poll_wait)
-        self._etags = {}           # path -> (etag, document)
+        self._etags = {}           # path -> (etag, body bytes)
         self.conditional_hits = 0
         self.conditional_misses = 0
 
@@ -123,7 +123,9 @@ class HttpServiceClient(JobClient):
         """One round trip; returns the parsed JSON document.
 
         With ``conditional=True`` the path's remembered ETag rides as
-        ``If-None-Match`` and a 304 answers from the local copy.
+        ``If-None-Match`` and a 304 answers from the local copy.  The
+        copy is the body's bytes, parsed afresh for every answer, so a
+        caller's edit to one answer never reaches the next.
         Rejections raise :class:`ServiceError` carrying the server's
         structured error document (``retry_after`` included on a 429),
         exactly like the TCP client's typed errors.
@@ -139,19 +141,20 @@ class HttpServiceClient(JobClient):
         response, payload = self._round_trip(method, path, headers, body)
         if response.status == 304:
             self.conditional_hits += 1
-            return self._refresh_cached(path, response, cached[1])
+            payload = cached[1]
         parsed = self._parse(response, payload)
-        if conditional:
+        if not conditional:
+            return parsed
+        if response.status != 304:
             self.conditional_misses += 1
             etag = response.headers.get("ETag")
             if etag:
-                self._etags[path] = (etag, parsed)
-            self._refresh_cached(path, response, parsed)
-        return parsed
+                self._etags[path] = (etag, payload)
+        return self._refresh_expiry(response, parsed)
 
     @staticmethod
-    def _refresh_cached(path, response, document):
-        """Fold 304-refreshable headers into the (cached) document.
+    def _refresh_expiry(response, document):
+        """Fold the 304-refreshable header into a conditional answer.
 
         ``expires_in`` is deliberately not part of an ETag'd body (it
         is a GC countdown, not content); the gateway sends it as

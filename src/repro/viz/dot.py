@@ -12,14 +12,9 @@ of the same consumer is still one arrow — and emitted in sorted dense
 order, so the text is deterministic.
 """
 
-from repro.bsb.bsb import ControlBSB, LeafBSB
-from repro.cdfg.nodes import (
-    CdfgBranch,
-    CdfgLeaf,
-    CdfgLoop,
-    CdfgSeq,
-    CdfgWait,
-)
+import itertools
+
+from repro.cdfg.nodes import CdfgLeaf
 from repro.ir.ops import OpType
 
 #: Fill colours per operation category (pastel, print-friendly).
@@ -69,86 +64,67 @@ def dfg_to_dot(dfg, name=None):
     return "\n".join(lines)
 
 
-def cdfg_to_dot(root, name="cdfg"):
+def _tree_to_dot(cdfg, name, prefix, attributes):
+    """DOT source for a CDFG walked through its ``children``.
+
+    Nodes are numbered ``prefix0``, ``prefix1``, ... in pre-order, and
+    ``attributes(node)`` gives each node's attribute list.
+    """
+    lines = ["digraph %s {" % _quote(name),
+             "  rankdir=TB;",
+             "  node [fontname=Helvetica];"]
+    count = itertools.count()
+
+    def emit(node):
+        node_id = "%s%d" % (prefix, next(count))
+        lines.append("  %s [%s];" % (node_id, attributes(node)))
+        for child in node.children:
+            child_id = emit(child)
+            lines.append("  %s -> %s;" % (node_id, child_id))
+        return node_id
+
+    emit(cdfg)
+    lines.append("}")
+    return "\n".join(lines)
+
+
+def _cdfg_attributes(node):
+    if isinstance(node, CdfgLeaf):
+        label = "%s\\n%d stmts" % (node.name, len(node.statements))
+        if node.cond is not None:
+            label += "\\n[test]"
+        if node.exec_count:
+            label += "\\nx%d" % node.exec_count
+        return ('shape=box, style=filled, fillcolor="#d0e0f0", label=%s'
+                % _quote(label))
+    shape = {"seq": "folder", "loop": "ellipse",
+             "branch": "diamond", "wait": "octagon"}.get(node.kind, "box")
+    return "shape=%s, label=%s" % (shape, _quote(node.name))
+
+
+def _bsb_attributes(node):
+    if isinstance(node, CdfgLeaf):
+        label = "%s\\n%d ops, x%d" % (node.name, len(node.dfg),
+                                       node.exec_count)
+        return ('shape=box, style=filled, fillcolor="#d9ead3", label=%s'
+                % _quote(label))
+    return "shape=folder, label=%s" % _quote("%s (%s)" % (node.name,
+                                                          node.kind))
+
+
+def cdfg_to_dot(cdfg, name="cdfg"):
     """DOT source for a CDFG (control nodes + leaf basic blocks)."""
-    lines = ["digraph %s {" % _quote(name),
-             "  rankdir=TB;",
-             "  node [fontname=Helvetica];"]
-    ids = {}
-
-    def node_id(node):
-        if id(node) not in ids:
-            ids[id(node)] = len(ids)
-        return "c%d" % ids[id(node)]
-
-    def emit(node):
-        if isinstance(node, CdfgLeaf):
-            label = "%s\\n%d stmts" % (node.name, len(node.statements))
-            if node.cond is not None:
-                label += "\\n[test]"
-            if node.exec_count:
-                label += "\\nx%d" % node.exec_count
-            lines.append('  %s [shape=box, style=filled, '
-                         'fillcolor="#d0e0f0", label=%s];'
-                         % (node_id(node), _quote(label)))
-            return
-        shape = {"seq": "folder", "loop": "ellipse",
-                 "branch": "diamond", "wait": "octagon"}.get(
-                     node.kind, "box")
-        lines.append('  %s [shape=%s, label=%s];'
-                     % (node_id(node), shape, _quote(node.name)))
-        children = []
-        if isinstance(node, CdfgSeq):
-            children = node.children
-        elif isinstance(node, CdfgLoop):
-            children = [node.test, node.body]
-        elif isinstance(node, CdfgBranch):
-            children = [node.test, node.then_body]
-            if node.else_body is not None:
-                children.append(node.else_body)
-        elif isinstance(node, CdfgWait):
-            children = []
-        for child in children:
-            emit(child)
-            lines.append("  %s -> %s;" % (node_id(node), node_id(child)))
-
-    emit(root)
-    lines.append("}")
-    return "\n".join(lines)
+    return _tree_to_dot(cdfg, name, "c", _cdfg_attributes)
 
 
-def bsb_hierarchy_to_dot(root, name="bsbs"):
-    """DOT source for a BSB hierarchy (Figure 4, right-hand side)."""
-    lines = ["digraph %s {" % _quote(name),
-             "  rankdir=TB;",
-             "  node [fontname=Helvetica];"]
-    ids = {}
+def bsb_hierarchy_to_dot(cdfg, name="bsbs"):
+    """DOT source for the BSB hierarchy (Figure 4, right-hand side).
 
-    def node_id(node):
-        if id(node) not in ids:
-            ids[id(node)] = len(ids)
-        return "b%d" % ids[id(node)]
-
-    def emit(node):
-        if isinstance(node, LeafBSB):
-            label = "%s\\n%d ops, x%d" % (node.name, len(node.dfg),
-                                          node.profile_count)
-            lines.append('  %s [shape=box, style=filled, '
-                         'fillcolor="#d9ead3", label=%s];'
-                         % (node_id(node), _quote(label)))
-            return
-        lines.append('  %s [shape=folder, label=%s];'
-                     % (node_id(node), _quote("%s (%s)"
-                                              % (node.name, node.kind))))
-        if isinstance(node, ControlBSB):
-            for child in node.children:
-                emit(child)
-                lines.append("  %s -> %s;"
-                             % (node_id(node), node_id(child)))
-
-    emit(root)
-    lines.append("}")
-    return "\n".join(lines)
+    The hierarchy is a view of the CDFG: control nodes are labelled
+    ``name (kind)``, and each leaf shows its DFG's operation count and
+    its execution count.
+    """
+    return _tree_to_dot(cdfg, name, "b", _bsb_attributes)
 
 
 def schedule_to_dot(schedule, name="schedule"):

@@ -1,19 +1,15 @@
-"""Tests for BSB node classes."""
+"""Tests for the leaf BSB and the hierarchy's control nodes."""
 
 import pytest
 
-from repro.bsb.bsb import (
-    BranchBSB,
-    LeafBSB,
-    LoopBSB,
-    SequenceBSB,
-    WaitBSB,
-)
+from repro.bsb.bsb import LeafBSB
+from repro.bsb.hierarchy import leaf_array
+from repro.cdfg.nodes import CdfgBranch, CdfgLoop, CdfgSeq, CdfgWait
 from repro.errors import CdfgError
 from repro.ir.dfg import DFG
 from repro.ir.ops import OpType
 
-from tests.conftest import make_diamond_dfg, make_leaf
+from tests.conftest import make_cdfg_leaf, make_diamond_dfg, make_leaf
 
 
 class TestLeafBSB:
@@ -35,11 +31,7 @@ class TestLeafBSB:
     def test_op_types_and_count(self):
         leaf = make_leaf(make_diamond_dfg())
         assert leaf.op_types() == {OpType.MUL, OpType.ADD}
-        assert leaf.operation_count() == 3
-
-    def test_leaves_returns_self(self):
-        leaf = make_leaf(make_diamond_dfg())
-        assert leaf.leaves() == [leaf]
+        assert len(leaf.dfg) == 3
 
     def test_unique_uids(self):
         first = make_leaf(make_diamond_dfg())
@@ -47,36 +39,32 @@ class TestLeafBSB:
         assert first.uid != second.uid
 
 
+def leaf_names(root):
+    return [bsb.name for bsb in leaf_array(root)]
+
+
 class TestControlBSBs:
+    """The hierarchy's control nodes are the CDFG's: each flattens into
+    the leaf-BSB array in program order."""
+
     def test_sequence_flattens_in_order(self):
-        leaves = [make_leaf(make_diamond_dfg(), name="L%d" % i)
-                  for i in range(3)]
-        seq = SequenceBSB(leaves)
-        assert [leaf.name for leaf in seq.leaves()] == ["L0", "L1", "L2"]
+        seq = CdfgSeq([make_cdfg_leaf("L%d" % i) for i in range(3)])
+        assert leaf_names(seq) == ["L0", "L1", "L2"]
 
     def test_loop_includes_test_first(self):
-        test = make_leaf(make_diamond_dfg(), name="test")
-        body = make_leaf(make_diamond_dfg(), name="body")
-        loop = LoopBSB(test, [body])
-        assert [leaf.name for leaf in loop.leaves()] == ["test", "body"]
+        loop = CdfgLoop(make_cdfg_leaf("test"),
+                        CdfgSeq([make_cdfg_leaf("body")]))
+        assert leaf_names(loop) == ["test", "body"]
 
     def test_branch_covers_all_branches(self):
-        test = make_leaf(make_diamond_dfg(), name="test")
-        then_leaf = make_leaf(make_diamond_dfg(), name="then")
-        else_leaf = make_leaf(make_diamond_dfg(), name="else")
-        branch = BranchBSB(test, [[then_leaf], [else_leaf]])
-        assert [leaf.name for leaf in branch.leaves()] == [
-            "test", "then", "else"]
+        branch = CdfgBranch(make_cdfg_leaf("test"),
+                            CdfgSeq([make_cdfg_leaf("then")]),
+                            CdfgSeq([make_cdfg_leaf("else")]))
+        assert leaf_names(branch) == ["test", "then", "else"]
 
     def test_wait_has_no_leaves(self):
-        wait = WaitBSB([])
-        assert wait.leaves() == []
+        assert leaf_array(CdfgWait(3)) == []
 
     def test_nested_hierarchy(self):
-        inner = SequenceBSB([make_leaf(make_diamond_dfg(), name="deep")])
-        outer = SequenceBSB([inner])
-        assert [leaf.name for leaf in outer.leaves()] == ["deep"]
-
-    def test_non_bsb_child_rejected(self):
-        with pytest.raises(CdfgError):
-            SequenceBSB(["garbage"])
+        outer = CdfgSeq([CdfgSeq([make_cdfg_leaf("deep")])])
+        assert leaf_names(outer) == ["deep"]

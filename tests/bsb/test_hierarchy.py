@@ -1,53 +1,49 @@
-"""Tests for BSB hierarchy flattening and rendering."""
+"""Tests for the BSB hierarchy as a view of the CDFG."""
 
 import pytest
 
-from repro.bsb.bsb import LoopBSB, SequenceBSB
-from repro.bsb.hierarchy import (
-    hierarchy_lines,
-    leaf_array,
-    total_operations,
-    weighted_operations,
-)
+from repro.bsb.bsb import LeafBSB
+from repro.bsb.hierarchy import hierarchy_lines, leaf_array
+from repro.cdfg.nodes import CdfgLoop, CdfgSeq
 from repro.errors import CdfgError
+from repro.ir.dfg import DFG
 
-from tests.conftest import make_diamond_dfg, make_leaf
+from tests.conftest import make_cdfg_leaf
 
 
 @pytest.fixture
 def hierarchy():
-    setup = make_leaf(make_diamond_dfg(), name="setup", profile=1)
-    test = make_leaf(make_diamond_dfg(), name="test", profile=11)
-    body = make_leaf(make_diamond_dfg(), name="body", profile=10)
-    return SequenceBSB([setup, LoopBSB(test, [body])], name="main")
+    setup = make_cdfg_leaf("setup", 1)
+    test = make_cdfg_leaf("test", 11)
+    body = make_cdfg_leaf("body", 10)
+    empty = make_cdfg_leaf("empty", 10, dfg=DFG("empty"))
+    return CdfgSeq([setup, CdfgLoop(test, CdfgSeq([body, empty]))],
+                   name="main")
 
 
 class TestLeafArray:
     def test_flattening_order(self, hierarchy):
-        names = [leaf.name for leaf in leaf_array(hierarchy)]
-        assert names == ["setup", "test", "body"]
+        bsbs = leaf_array(hierarchy)
+        assert [bsb.name for bsb in bsbs] == ["setup", "test", "body"]
+        assert [bsb.profile_count for bsb in bsbs] == [1, 11, 10]
+        assert bsbs[2].reads == {"in_body"}
+        assert bsbs[2].writes == {"out_body"}
 
     def test_rejects_non_bsb(self):
         with pytest.raises(CdfgError):
             leaf_array("nope")
 
     def test_single_leaf_root(self):
-        leaf = make_leaf(make_diamond_dfg(), name="only")
-        assert leaf_array(leaf) == [leaf]
-
-
-class TestStatistics:
-    def test_total_operations(self, hierarchy):
-        assert total_operations(hierarchy) == 9  # 3 leaves x 3 ops
-
-    def test_weighted_operations(self, hierarchy):
-        assert weighted_operations(hierarchy) == 3 * (1 + 11 + 10)
+        leaf = make_cdfg_leaf("only", 3)
+        [bsb] = leaf_array(leaf)
+        assert isinstance(bsb, LeafBSB)
+        assert (bsb.name, bsb.dfg, bsb.profile_count) == ("only", leaf.dfg, 3)
 
 
 class TestRendering:
     def test_lines_mention_all_nodes(self, hierarchy):
         text = "\n".join(hierarchy_lines(hierarchy))
-        for name in ("main", "setup", "test", "body"):
+        for name in ("main", "setup", "test", "body", "empty"):
             assert name in text
 
     def test_leaf_lines_show_profile(self, hierarchy):

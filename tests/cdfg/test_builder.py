@@ -1,8 +1,5 @@
 """Tests for CDFG construction and the compile pipeline."""
 
-import pytest
-
-from repro.bsb.bsb import BranchBSB, LoopBSB
 from repro.cdfg.builder import build_cdfg, compile_source
 from repro.cdfg.nodes import CdfgBranch, CdfgLeaf, CdfgLoop, CdfgSeq
 from repro.lang.parser import parse
@@ -76,22 +73,22 @@ class TestFigure4Correspondence:
 
     def test_bsb_hierarchy_mirrors_cdfg(self):
         program = compile_source(self.SOURCE, name="fig4")
-        kinds = [type(child).__name__
-                 for child in program.bsb_root.children]
-        assert kinds == ["LeafBSB", "LoopBSB", "BranchBSB", "LeafBSB"]
+        kinds = [child.kind for child in program.cdfg.children]
+        assert kinds == ["dfg", "loop", "branch", "dfg"]
 
     def test_loop_bsb_has_test_and_body(self):
         program = compile_source(self.SOURCE, name="fig4")
-        loop = program.bsb_root.children[1]
-        assert isinstance(loop, LoopBSB)
-        assert loop.test is not None
-        assert loop.body
+        loop = program.cdfg.children[1]
+        assert isinstance(loop, CdfgLoop)
+        assert loop.test.cond is not None
+        assert loop.children == [loop.test, loop.body]
 
     def test_branch_bsb_has_two_branches(self):
         program = compile_source(self.SOURCE, name="fig4")
-        branch = program.bsb_root.children[2]
-        assert isinstance(branch, BranchBSB)
-        assert len(branch.branches) == 2
+        branch = program.cdfg.children[2]
+        assert isinstance(branch, CdfgBranch)
+        assert branch.children == [branch.test, branch.then_body,
+                                   branch.else_body]
 
     def test_leaf_array_flattening(self):
         program = compile_source(self.SOURCE, name="fig4")
@@ -127,12 +124,6 @@ class TestCompilePipeline:
     def test_source_lines_counts_nonblank(self):
         program = compile_source("x = 1;\n\n\ny = 2;\n")
         assert program.source_lines() == 2
-
-    def test_bsb_by_name(self):
-        program = compile_source("x = 1;")
-        assert program.bsb_by_name("B1").name == "B1"
-        with pytest.raises(KeyError):
-            program.bsb_by_name("B99")
 
     def test_reads_writes_propagated(self):
         program = compile_source("input a; b = a + 1; ")

@@ -60,6 +60,16 @@ class TestControlNodes:
         assert CdfgWait(5).leaves() == []
         assert CdfgWait(5).cycles == 5
 
+    def test_children_in_program_order(self):
+        test, then_body, else_body = (CdfgLeaf(), CdfgSeq(), CdfgSeq())
+        assert CdfgLoop(test, then_body).children == [test, then_body]
+        assert CdfgBranch(test, then_body, else_body).children == [
+            test, then_body, else_body]
+        assert CdfgBranch(test, then_body).children == [test, then_body]
+        assert CdfgSeq([test]).children == [test]
+        assert not CdfgLeaf().children
+        assert not CdfgWait(1).children
+
     def test_nested_structure(self):
         inner_loop = CdfgLoop(CdfgLeaf(name="t2"),
                               CdfgSeq([CdfgLeaf(name="b2")]))

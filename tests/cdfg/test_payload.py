@@ -187,15 +187,6 @@ class TestWarmStoreViz:
 
 def _walk(node):
     nodes = [node]
-    if isinstance(node, CdfgSeq):
-        for child in node.children:
-            nodes.extend(_walk(child))
-    elif isinstance(node, CdfgLoop):
-        nodes.extend(_walk(node.test))
-        nodes.extend(_walk(node.body))
-    elif isinstance(node, CdfgBranch):
-        nodes.extend(_walk(node.test))
-        nodes.extend(_walk(node.then_body))
-        if node.else_body is not None:
-            nodes.extend(_walk(node.else_body))
+    for child in node.children:
+        nodes.extend(_walk(child))
     return nodes

@@ -3,6 +3,7 @@
 import pytest
 
 from repro.bsb.bsb import LeafBSB
+from repro.cdfg.nodes import CdfgLeaf
 from repro.hwlib.library import default_library
 from repro.ir.dfg import DFG
 from repro.ir.ops import OpType
@@ -56,6 +57,17 @@ def make_leaf(dfg, profile=1, name="", reads=(), writes=()):
     """Wrap a DFG in a LeafBSB."""
     return LeafBSB(dfg, profile_count=profile, name=name or dfg.name,
                    reads=reads, writes=writes)
+
+
+def make_cdfg_leaf(name, profile=1, dfg=None):
+    """A CDFG leaf as lowering and profiling leave it (a diamond DFG
+    unless ``dfg`` is given)."""
+    leaf = CdfgLeaf(name=name)
+    leaf.dfg = make_diamond_dfg() if dfg is None else dfg
+    leaf.exec_count = profile
+    leaf.reads = {"in_" + name}
+    leaf.writes = {"out_" + name}
+    return leaf
 
 
 @pytest.fixture

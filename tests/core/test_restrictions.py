@@ -1,11 +1,6 @@
 """Tests for ASAP-parallelism allocation restrictions (section 4.3)."""
 
-from repro.core.restrictions import (
-    asap_restrictions,
-    asap_type_parallelism,
-    relax_restrictions,
-)
-from repro.core.rmap import RMap
+from repro.core.restrictions import asap_restrictions, asap_type_parallelism
 from repro.ir.dfg import DFG
 from repro.ir.ops import OpType
 
@@ -67,17 +62,3 @@ class TestRestrictions:
         restrictions = asap_restrictions([make_leaf(dfg)], library)
         assert restrictions["adder"] == 2
         assert restrictions["divider"] == 4
-
-
-class TestRelax:
-    def test_relax_doubles(self):
-        relaxed = relax_restrictions(RMap({"adder": 3}), 2.0)
-        assert relaxed["adder"] == 6
-
-    def test_relax_never_below_one(self):
-        relaxed = relax_restrictions(RMap({"adder": 3}), 0.1)
-        assert relaxed["adder"] == 1
-
-    def test_relax_rounds_up(self):
-        relaxed = relax_restrictions(RMap({"adder": 3}), 0.5)
-        assert relaxed["adder"] == 2

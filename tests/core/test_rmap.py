@@ -57,9 +57,6 @@ class TestMappingBehaviour:
         rmap = RMap({"z": 1, "a": 2, "m": 3})
         assert [name for name, _ in rmap.items()] == ["a", "m", "z"]
 
-    def test_total_units(self):
-        assert RMap({"a": 2, "b": 3}).total_units() == 5
-
     def test_iteration_order(self):
         rmap = RMap({"b": 1, "a": 1})
         assert list(rmap) == ["a", "b"]

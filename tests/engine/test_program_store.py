@@ -184,8 +184,9 @@ class TestColdWarmParity:
     @pytest.mark.parametrize("app", application_names())
     def test_hydrated_trees_equal_the_cold_compile(self, cold_programs,
                                                    app):
-        """The warm program's BSB hierarchy is mirrored from its stored
-        CDFG by the cold compile's code: same graphs, same leaves."""
+        """The warm program's stored CDFG renders the cold compile's
+        BSB hierarchy, and its leaf-BSB array comes out of the cold
+        compile's code: same graphs, same leaves."""
         store_dir, programs = cold_programs
         cold = programs[app]
         warm_session = Session(cache_dir=store_dir)
@@ -193,10 +194,9 @@ class TestColdWarmParity:
         warm = warm_session.program(app)
         assert frontend_compile_count() == before
         assert warm.ast is None
-        assert (bsb_hierarchy_to_dot(warm.bsb_root, name=app)
-                == bsb_hierarchy_to_dot(cold.bsb_root, name=app))
-        assert hierarchy_lines(warm.bsb_root) == hierarchy_lines(
-            cold.bsb_root)
+        assert (bsb_hierarchy_to_dot(warm.cdfg, name=app)
+                == bsb_hierarchy_to_dot(cold.cdfg, name=app))
+        assert hierarchy_lines(warm.cdfg) == hierarchy_lines(cold.cdfg)
         assert ([bsb_fingerprint(bsb) for bsb in warm.bsbs]
                 == [bsb_fingerprint(bsb) for bsb in cold.bsbs])
         warm_leaves, cold_leaves = warm.cdfg.leaves(), cold.cdfg.leaves()

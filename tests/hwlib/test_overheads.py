@@ -105,8 +105,10 @@ class TestEvaluationIntegration:
         charged = design_iteration(
             bsbs, allocation, architecture, area_quanta=100,
             overhead_model=OverheadModel(word_width_factor=1.0))
-        removed_plain = (allocation.total_units()
-                         - plain.final_allocation.total_units())
-        removed_charged = (allocation.total_units()
-                           - charged.final_allocation.total_units())
+        def units(rmap):
+            return sum(rmap.as_dict().values())
+
+        removed_plain = units(allocation) - units(plain.final_allocation)
+        removed_charged = (units(allocation)
+                           - units(charged.final_allocation))
         assert removed_charged >= removed_plain

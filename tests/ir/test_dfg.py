@@ -3,7 +3,7 @@
 import pytest
 
 from repro.errors import CdfgError
-from repro.ir.dfg import DFG, chain, parallel_ops
+from repro.ir.dfg import DFG, chain
 from repro.ir.ops import OpType, make_op
 
 from tests.conftest import make_chain_dfg, make_diamond_dfg
@@ -74,11 +74,6 @@ class TestQueries:
         assert dfg.transitive_successors(first) == {second, third}
         assert dfg.transitive_successors(third) == set()
 
-    def test_transitive_predecessors(self):
-        dfg = make_chain_dfg([OpType.ADD, OpType.SUB, OpType.MUL])
-        first, second, third = dfg.operations()
-        assert dfg.transitive_predecessors(third) == {first, second}
-
     def test_sources_and_sinks(self):
         dfg = make_diamond_dfg()
         left, right, join = dfg.operations()
@@ -137,12 +132,6 @@ class TestHelpers:
         chain(dfg, ops)
         for producer, consumer in zip(ops, ops[1:]):
             assert consumer in dfg.successors(producer)
-
-    def test_parallel_ops_helper(self):
-        dfg = DFG("t")
-        ops = parallel_ops(dfg, OpType.MUL, 5)
-        assert len(ops) == 5
-        assert all(dfg.predecessors(op) == [] for op in ops)
 
     def test_repr_mentions_counts(self):
         dfg = make_diamond_dfg()

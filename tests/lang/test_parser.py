@@ -160,18 +160,3 @@ class TestErrors:
         with pytest.raises(ParseError) as excinfo:
             parse("x = ;")
         assert excinfo.value.line == 1
-
-
-class TestAstHelpers:
-    def test_expr_variables(self):
-        expr = parse("x = a + b * a;").statements[0].expr
-        assert ast.expr_variables(expr) == {"a", "b"}
-
-    def test_expr_arrays(self):
-        expr = parse("x = t[i] + 1;").statements[0].expr
-        assert ast.expr_arrays(expr) == {"t"}
-        assert ast.expr_variables(expr) == {"i"}
-
-    def test_walk_expr_counts_nodes(self):
-        expr = parse("x = (a + 2) * b;").statements[0].expr
-        assert len(list(ast.walk_expr(expr))) == 5

@@ -3,7 +3,7 @@
 import pytest
 
 from repro.errors import PartitionError
-from repro.partition.speedup import speedup_factor, speedup_percent
+from repro.partition.speedup import speedup_percent
 
 
 class TestSpeedupPercent:
@@ -28,12 +28,3 @@ class TestSpeedupPercent:
 
     def test_both_zero_is_zero(self):
         assert speedup_percent(0.0, 0.0) == 0.0
-
-
-class TestSpeedupFactor:
-    def test_roundtrip(self):
-        assert speedup_factor(speedup_percent(300.0, 100.0)) == \
-            pytest.approx(3.0)
-
-    def test_zero(self):
-        assert speedup_factor(0.0) == 1.0

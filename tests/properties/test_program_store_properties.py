@@ -11,7 +11,7 @@ sharing **no** uid with the original.  The generators from
 generator the same way.  A stored program keeps one tree, the CDFG, so
 each synthetic DFG travels the way a compiled one does: on a lowered
 CDFG leaf, through :func:`cdfg_from_payload`, and into a BSB through
-:func:`cdfg_to_bsb`.
+:func:`leaf_array`.
 """
 
 import json
@@ -21,7 +21,6 @@ from hypothesis import strategies as st
 
 from repro.apps.synthetic import synthetic_bsb, synthetic_bsb_array
 from repro.bsb.hierarchy import leaf_array
-from repro.cdfg.builder import cdfg_to_bsb
 from repro.cdfg.nodes import CdfgLeaf, CdfgSeq, cdfg_from_payload
 from repro.engine.store import bsb_fingerprint
 from repro.ir.dfg import DFG
@@ -38,8 +37,8 @@ def as_leaf(bsb):
 
 
 def hydrate(payload):
-    """The BSB hierarchy the program store builds from a CDFG payload."""
-    return cdfg_to_bsb(cdfg_from_payload(payload))
+    """The leaf-BSB array the program store builds from a CDFG payload."""
+    return leaf_array(cdfg_from_payload(payload))
 
 
 def assert_dfg_clone(original, clone):
@@ -87,7 +86,7 @@ def test_synthetic_leaf_round_trip_preserves_fingerprint(
         seed, ops, chain, profile):
     bsb = synthetic_bsb(ops, seed=seed, name="leaf%d" % seed,
                         chain_probability=chain, profile=profile)
-    clone = hydrate(as_leaf(bsb).to_payload())
+    [clone] = hydrate(as_leaf(bsb).to_payload())
     assert clone.uid != bsb.uid
     assert clone.name == bsb.name
     assert clone.profile_count == bsb.profile_count
@@ -105,7 +104,7 @@ def test_synthetic_array_round_trip(seed, bsb_count, ops):
     """Whole arrays survive: fingerprints, order and chained dataflow."""
     bsbs = synthetic_bsb_array(bsb_count, ops, seed=seed)
     tree = CdfgSeq([as_leaf(bsb) for bsb in bsbs], name="array")
-    clones = leaf_array(hydrate(tree.to_payload()))
+    clones = hydrate(tree.to_payload())
     assert ([bsb_fingerprint(clone) for clone in clones]
             == [bsb_fingerprint(bsb) for bsb in bsbs])
     for clone, bsb in zip(clones, bsbs):
@@ -121,7 +120,7 @@ def test_payloads_are_plain_json_data(seed, ops):
     clean — what the store pickles is pure data."""
     bsb = synthetic_bsb(ops, seed=seed, name="json%d" % seed)
     payload = as_leaf(bsb).to_payload()
-    rebuilt = hydrate(json.loads(json.dumps(payload)))
+    [rebuilt] = hydrate(json.loads(json.dumps(payload)))
     assert bsb_fingerprint(rebuilt) == bsb_fingerprint(bsb)
 
 

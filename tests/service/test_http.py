@@ -160,6 +160,16 @@ class TestConditionalGet:
         assert web.conditional_hits >= 1
         assert again["expires_in"] is not None
 
+    def test_a_callers_edit_never_reaches_the_next_answer(self, harness):
+        web = harness.http_client()
+        job = web.submit(GRID[:1])
+        web.collect(job)
+        web.status(job)["state"] = "edited by the caller"
+        hits = web.conditional_hits
+        again = web.status(job)
+        assert web.conditional_hits == hits + 1  # answered by a 304
+        assert again["state"] == "done"
+
 
 class TestAuth:
     def test_keyed_gateway_401s_missing_and_unknown_keys(

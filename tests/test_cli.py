@@ -1,6 +1,7 @@
 """Tests for the command-line driver."""
 
 import re
+import socket
 
 import pytest
 
@@ -544,3 +545,40 @@ class TestPointLineRendering:
         output = capsys.readouterr().out
         assert "ERROR ReproError" in output
         assert "cancelled" in output
+
+
+@pytest.fixture
+def refusing_port():
+    """A loopback port that refuses connections: bound, never listening."""
+    sock = socket.socket()
+    sock.bind(("127.0.0.1", 0))
+    yield sock.getsockname()[1]
+    sock.close()
+
+
+class TestUnreachableService:
+    """A command whose service is not listening exits with one line
+    that names the address, instead of a traceback."""
+
+    @pytest.mark.parametrize("argv, address", [
+        (["status", "--port", "{port}"], "127.0.0.1:{port}"),
+        (["status", "--http", "http://127.0.0.1:{port}"],
+         "http://127.0.0.1:{port}"),
+        (["submit", "--port", "{port}", "--apps", "hal",
+          "--fractions", "0.5"], "127.0.0.1:{port}"),
+        (["results", "--http", "http://127.0.0.1:{port}", "--job", "job-1"],
+         "http://127.0.0.1:{port}"),
+        (["cancel", "--port", "{port}", "--job", "job-1"],
+         "127.0.0.1:{port}"),
+        (["serve", "--join", "127.0.0.1:{port}"], "127.0.0.1:{port}"),
+    ], ids=["status-tcp", "status-http", "submit-tcp", "results-http",
+            "cancel-tcp", "serve-join"])
+    def test_exits_with_one_line_naming_the_address(self, refusing_port,
+                                                    argv, address):
+        argv = [arg.format(port=refusing_port) for arg in argv]
+        with pytest.raises(SystemExit) as excinfo:
+            main(argv)
+        message = str(excinfo.value.code)
+        assert message.startswith("cannot reach the service at %s: "
+                                  % address.format(port=refusing_port))
+        assert "\n" not in message

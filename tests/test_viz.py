@@ -74,13 +74,13 @@ class TestCdfgDot:
 
 class TestBsbDot:
     def test_hierarchy_rendered(self, program):
-        dot = bsb_hierarchy_to_dot(program.bsb_root)
+        dot = bsb_hierarchy_to_dot(program.cdfg)
         assert "folder" in dot
         for bsb in program.bsbs:
             assert bsb.name in dot
 
     def test_edges_connect_parents(self, program):
-        dot = bsb_hierarchy_to_dot(program.bsb_root)
+        dot = bsb_hierarchy_to_dot(program.cdfg)
         assert "->" in dot
 
 
