@@ -38,12 +38,24 @@ def frontend_compile_count():
 
 
 class _CdfgBuilder:
-    """Builds the CDFG, numbering leaves B1, B2, ... in program order."""
+    """Builds the CDFG, numbering leaves B1, B2, ... in program order.
+
+    Every node counts in one construction order (children before their
+    parent), and an unnamed control node is named by its kind and its
+    place in it (``loop5``), so a tree's names depend only on its
+    program, never on what the process built before.
+    """
 
     def __init__(self):
         self.leaf_count = 0
+        self.node_count = 0
+
+    def _name(self, kind):
+        self.node_count += 1
+        return "%s%d" % (kind, self.node_count)
 
     def _new_leaf(self, statements, cond=None):
+        self.node_count += 1
         self.leaf_count += 1
         return CdfgLeaf(statements=statements, cond=cond,
                         name="B%d" % self.leaf_count)
@@ -83,7 +95,7 @@ class _CdfgBuilder:
                 flush()
                 children.append(self.build_statement(statement))
         flush()
-        return CdfgSeq(children, name=name)
+        return CdfgSeq(children, name=name or self._name("seq"))
 
     def build_statement(self, statement):
         if isinstance(statement, ast.If):
@@ -93,7 +105,7 @@ class _CdfgBuilder:
         if isinstance(statement, ast.For):
             return self.build_for(statement)
         if isinstance(statement, ast.Wait):
-            return CdfgWait(statement.cycles)
+            return CdfgWait(statement.cycles, name=self._name("wait"))
         raise SemanticError("unsupported statement %r at line %d"
                             % (type(statement).__name__, statement.line))
 
@@ -103,12 +115,13 @@ class _CdfgBuilder:
         else_body = None
         if statement.else_body is not None:
             else_body = self.build_sequence(statement.else_body.statements)
-        return CdfgBranch(test, then_body, else_body)
+        return CdfgBranch(test, then_body, else_body,
+                          name=self._name("branch"))
 
     def build_while(self, statement):
         test = self._new_leaf([], cond=statement.cond)
         body = self.build_sequence(statement.body.statements)
-        return CdfgLoop(test, body)
+        return CdfgLoop(test, body, name=self._name("loop"))
 
     def build_for(self, statement):
         # for (init; cond; update) body  ==  init; while (cond) {body; update}
@@ -116,7 +129,7 @@ class _CdfgBuilder:
         test = self._new_leaf([], cond=statement.cond)
         body_statements = list(statement.body.statements) + [statement.update]
         body = self.build_sequence(body_statements)
-        return CdfgLoop(test, body)
+        return CdfgLoop(test, body, name=self._name("loop"))
 
 
 def build_cdfg(program_ast, name="main"):

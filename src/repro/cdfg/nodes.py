@@ -55,6 +55,8 @@ class CdfgNode:
     children = ()
 
     def __init__(self, name=""):
+        # The frontend builder names every node it builds per tree; a
+        # node built without a name is named by its process-global uid.
         self.uid = next(_cdfg_id_counter)
         self.name = name or "%s%d" % (self.kind, self.uid)
 
@@ -228,8 +230,8 @@ def cdfg_from_payload(doc):
     frontend builder constructs them — and every node gets a **fresh
     uid** from this process's counter, so a hydrated tree can never
     collide with trees already live here.  Stored names are restored
-    verbatim (they embed the *original* process's uids, which is what
-    keeps warm visualisations byte-identical to cold ones).  Hydrated
+    verbatim (the builder numbers them per tree, which is what keeps
+    warm visualisations byte-identical to cold ones).  Hydrated
     leaves get their DFG (fresh operation uids), ``reads`` and
     ``writes`` back, and placeholder statements/conditions: only the
     statement count and test flag survive, which is all any

@@ -186,19 +186,24 @@ class ExhaustiveResult:
     front: object = None
 
 
+#: Candidates a best-bound-first scan ranks at a time.  It keeps the
+#: pending candidates of one block in memory, so memory stays bounded
+#: even for a brute scan of a space of a million allocations.
+_BLOCK = 4096
+
+
 def _scan_candidates(candidates, bsbs, architecture, area_quanta,
                      keep_history, session, unit_areas, check_area,
                      objective):
-    """Evaluate a candidate stream in order: the brute and sampled scans.
+    """Evaluate a candidate stream: the brute and sampled scans.
 
     Candidates are ranked by ``objective`` (the default objective's
     tournament is bit-identical to the historical :func:`_better`);
     a Pareto-style objective additionally accumulates its dominance
     front over every evaluated candidate.  Under the speed-up objective
-    with no history and no front, each candidate is gated by the
-    incumbent's speed-up (``EvaluationScan.evaluate``'s ``beat``): one
-    whose PACE bound is below it cannot win, so it is counted as ranked
-    and its partition is skipped.  Returns (best allocation, best
+    with no history and no front, the scan runs best bound first (see
+    :func:`_scan_best_bound_first`); otherwise every candidate is
+    evaluated in scan order.  Returns (best allocation, best
     evaluation, history, front, counts), where ``counts`` holds the
     :class:`ExhaustiveResult` counters the scan moved.
     """
@@ -215,9 +220,9 @@ def _scan_candidates(candidates, bsbs, architecture, area_quanta,
                           cache=session.cache, remember=remember)
     front = objective.new_front() if hasattr(objective, "new_front") \
         else None
-    gated = objective.name == "speedup" and not keep_history \
-        and front is None
-    beat = None
+    if objective.name == "speedup" and not keep_history and front is None:
+        return _scan_best_bound_first(candidates, scan, architecture,
+                                      unit_areas, check_area, objective)
     best_eval = None
     best_allocation = None
     counts = {"evaluations": 0, "skipped_infeasible": 0}
@@ -227,10 +232,8 @@ def _scan_candidates(candidates, bsbs, architecture, area_quanta,
                 allocation.area_from(unit_areas) > architecture.total_area:
             counts["skipped_infeasible"] += 1
             continue
-        evaluation = scan.evaluate(allocation, beat=beat)
+        evaluation = scan.evaluate(allocation)
         counts["evaluations"] += 1
-        if evaluation is None:
-            continue
         if keep_history:
             history.append((allocation, evaluation.speedup))
         if front is not None:
@@ -239,9 +242,60 @@ def _scan_candidates(candidates, bsbs, architecture, area_quanta,
                                                  library):
             best_eval = evaluation
             best_allocation = allocation
-            if gated:
-                beat = evaluation.speedup
     return best_allocation, best_eval, history, front, counts
+
+
+def _scan_best_bound_first(candidates, scan, architecture, unit_areas,
+                           check_area, objective):
+    """The speed-up scan that partitions only candidates that can win.
+
+    The candidates are taken :data:`_BLOCK` at a time.  Each block is
+    ranked in scan order: every area-feasible candidate is counted as
+    evaluated and bounded (:meth:`EvaluationScan.bound`), and one whose
+    admissible PACE bound is below the incumbent of earlier blocks is
+    dropped.  The rest are partitioned in descending bound order, ties
+    in scan order, until the first bound below the incumbent: no
+    candidate from there on can reach it.  The tournament compares
+    (objective key, negated scan index), so the winner is the first
+    maximum in scan order, exactly the sequential scan's.  Returns
+    what :func:`_scan_candidates` returns, with an empty history.
+    """
+    library = architecture.library
+    total_area = architecture.total_area
+    counts = {"evaluations": 0, "skipped_infeasible": 0}
+    # (objective key, negated scan index, allocation, evaluation)
+    best = None
+    candidates = iter(candidates)
+    index = 0
+    while True:
+        block = list(itertools.islice(candidates, _BLOCK))
+        if not block:
+            break
+        incumbent = float("-inf") if best is None else best[3].speedup
+        ranked = []  # (negated bound, scan index, allocation, pending)
+        for allocation in block:
+            index += 1
+            if check_area and \
+                    allocation.area_from(unit_areas) > total_area:
+                counts["skipped_infeasible"] += 1
+                continue
+            counts["evaluations"] += 1
+            bound, pending = scan.bound(allocation)
+            if bound >= incumbent:
+                ranked.append((-bound, index, allocation, pending))
+        # Scan indices are distinct, so the sort never compares further.
+        ranked.sort()
+        for negated, position, allocation, pending in ranked:
+            if best is not None and -negated < best[3].speedup:
+                break
+            evaluation = scan.settle(allocation, pending)
+            entry = (objective.key(evaluation, library), -position,
+                     allocation, evaluation)
+            if best is None or entry[:2] > best[:2]:
+                best = entry
+    if best is None:
+        return None, None, [], None, counts
+    return best[2], best[3], [], None, counts
 
 
 def _warm_threshold(bsbs, architecture, restrictions, area_quanta,
@@ -343,7 +397,8 @@ def _scan_pruned(bsbs, architecture, restrictions, area_quanta,
 
     speedup_mode = objective.name == "speedup"
     # A leaf below the incumbent's speed-up cannot win; without a
-    # history to fill, its partition is skipped (see _scan_candidates).
+    # history to fill, its partition is skipped (EvaluationScan's
+    # ``beat``).
     gated = speedup_mode and not keep_history
     energy_mode = objective.name == "energy"
     inc_su = inc_eval.speedup

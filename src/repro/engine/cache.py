@@ -270,9 +270,9 @@ class EvalCache:
             controller areas coincide share one PACE DP run.
         evals: full-evaluation key -> AllocationEvaluation.
         allocs: Algorithm 1 memo used by the engine Session.
-        sched_inputs: (bsb uid, library) -> (priority map, latency
-            table) handed to the list scheduler so repeated schedules
-            of one DFG skip the ALAP and latency preprocessing;
+        sched_inputs: (bsb uid, library) -> (priority map, schedule
+            tables) handed to the list scheduler so repeated schedules
+            of one DFG skip the ALAP and unit-pool preprocessing;
             process-local.
         cost_plans: (array, library) -> the grouping of a BSB array by
             identical cost-signature functions, so one evaluation

@@ -4,7 +4,7 @@ The :class:`~repro.engine.cache.EvalCache` keys its persisted stage
 dicts by *content fingerprints*, so its keys mean the same thing in
 every process.  A :class:`CacheStore` spills those entries, as they
 are, into one stdlib ``sqlite3`` file under a ``--cache-dir``
-(``store.v6.sqlite``), and a fresh session merges them back — so
+(``store.v7.sqlite``), and a fresh session merges them back — so
 sweeps survive restarts and a store can be shared across machines.
 
 Every persisted key starts with its *owner*: one BSB fingerprint, or
@@ -56,8 +56,9 @@ from repro.errors import ReproError, StoreIntegrityError
 #: cache's own content keys; v4: one sqlite file replaces the pickle
 #: shards and their LRU, delta and compaction sidecars; v5: partition
 #: keys name the cost array's content, not its allocation signatures;
-#: v6: program documents keep one tree (the CDFG, DFGs on its leaves).
-STORE_VERSION = 6
+#: v6: program documents keep one tree (the CDFG, DFGs on its leaves);
+#: v7: control-node names are numbered per tree, not per process.
+STORE_VERSION = 7
 
 #: The EvalCache stages the store persists.
 PERSISTED_STAGES = ("ops", "capable", "sched", "sw_times", "furo", "eca",

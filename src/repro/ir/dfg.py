@@ -29,6 +29,7 @@ class DFG:
         self._pred_cache = {}
         self._succ_cache = {}
         self._signature_cache = None
+        self._adjacency_cache = None
 
     # ------------------------------------------------------------------
     # Construction
@@ -86,6 +87,7 @@ class DFG:
         self._pred_cache.clear()
         self._succ_cache.clear()
         self._signature_cache = None
+        self._adjacency_cache = None
 
     # ------------------------------------------------------------------
     # Queries
@@ -135,6 +137,22 @@ class DFG:
             cached = [self._ops[each] for each in sorted(self._succ[uid])]
             self._succ_cache[uid] = cached
         return cached
+
+    def adjacency(self):
+        """The graph at uid level: (uids in uid order, uid -> in-degree,
+        uid -> successor uids in uid order).
+
+        Memoised like :meth:`topological_order`: the list schedulers
+        and :meth:`~repro.sched.schedule.Schedule.verify_dependencies`
+        walk it once per schedule.  Callers must not mutate it.
+        """
+        if self._adjacency_cache is None:
+            uids = tuple(sorted(self._ops))
+            self._adjacency_cache = (
+                uids,
+                {uid: len(self._pred[uid]) for uid in uids},
+                {uid: tuple(sorted(self._succ[uid])) for uid in uids})
+        return self._adjacency_cache
 
     def transitive_successors(self, operation):
         """All operations reachable from ``operation`` (Succ(i) in Def. 2)."""
@@ -326,10 +344,3 @@ def _reachable(start, edges):
                 seen.add(uid)
                 stack.append(uid)
     return seen
-
-
-def chain(dfg, operations):
-    """Convenience: add dependencies forming a chain through ``operations``."""
-    for producer, consumer in zip(operations, operations[1:]):
-        dfg.add_dependency(producer, consumer)
-    return operations

@@ -32,11 +32,15 @@ objects by the slice of the allocation its signature reads (see
 
 A scan that only needs the candidates that can win (the exhaustive
 searches under the speed-up objective, keeping no history and no
-front) passes the incumbent's speed-up as ``beat``: once the cost
+front) bounds each candidate before partitioning it: once the cost
 array and the available area are known, an admissible bound on the
 PACE speed-up (:func:`~repro.partition.pace.speedup_bound`, a
-fractional knapsack over the array's own costs) settles most
+fractional knapsack over the array's own costs) rules out most
 candidates without a partition lookup, a sequence table or a DP run.
+The flat scans rank a block of candidates by :meth:`EvaluationScan.bound`
+and :meth:`EvaluationScan.settle` them best bound first, until a bound
+falls below the incumbent; the pruned walk's leaves pass the
+incumbent's speed-up to :meth:`EvaluationScan.evaluate` as ``beat``.
 """
 
 from dataclasses import dataclass
@@ -181,6 +185,13 @@ class EvaluationScan:
     memo counts as the hit its probe would have been.  A memo entry is
     stored only once every member's cost exists, so a build that raises
     leaves none behind.
+
+    A candidate is evaluated in one call (:meth:`evaluate`, optionally
+    gated by a ``beat`` speed-up) or in two: :meth:`bound` probes the
+    eval memo, costs the candidate and bounds its speed-up, and
+    :meth:`settle` partitions it later, so a scan can partition its
+    candidates best bound first and stop at the first bound below its
+    incumbent.  Both ways count the same eval and cost lookups.
     """
 
     __slots__ = ("_bsbs", "_architecture", "_area_quanta", "_cache",
@@ -227,16 +238,61 @@ class EvaluationScan:
         """
         return self._evaluate(RMap._coerce(allocation), beat)
 
-    def _evaluate(self, allocation, beat=None):
-        cache = self._cache
-        architecture = self._architecture
-        key = self._key_prefix + (allocation, self._area_quanta,
-                                  self._overhead_model)
-        evaluation = cache.evals.get(key)
+    def bound(self, allocation):
+        """Rank one candidate (an RMap) for a scan that partitions its
+        candidates best bound first: return (speed-up bound, pending),
+        where ``pending`` is what :meth:`settle` needs besides the
+        allocation.
+
+        The eval memo is probed once, as :meth:`evaluate` probes it; a
+        remembered evaluation is its own bound and its own ``pending``.
+        Otherwise the candidate is costed and bounded as ``evaluate``'s
+        gate bounds it, and ``pending`` is a tuple snapshot of its cost
+        array, so settling repeats no eval or cost lookup.
+
+        Raises :class:`PartitionError` as :meth:`evaluate` does.
+        """
+        evaluation = self._recall(allocation)
         if evaluation is not None:
-            cache.stats.hit("eval")
+            return evaluation.speedup, evaluation
+        available = self._areas(allocation)[2]
+        costs = tuple(self._costs_for(allocation))
+        return self._speedup_bound(costs, available), costs
+
+    def settle(self, allocation, pending):
+        """The :class:`AllocationEvaluation` of a candidate :meth:`bound`
+        ranked, from its ``pending``."""
+        if isinstance(pending, AllocationEvaluation):
+            return pending
+        return self._conclude(allocation, self._areas(allocation), pending)
+
+    def _evaluate(self, allocation, beat=None):
+        evaluation = self._recall(allocation)
+        if evaluation is not None:
             return evaluation
-        cache.stats.miss("eval")
+        areas = self._areas(allocation)
+        costs = self._costs_for(allocation)
+        if beat is not None and self._speedup_bound(costs, areas[2]) < beat:
+            return None
+        return self._conclude(allocation, areas, costs)
+
+    def _eval_key(self, allocation):
+        return self._key_prefix + (allocation, self._area_quanta,
+                                   self._overhead_model)
+
+    def _recall(self, allocation):
+        """The remembered evaluation of ``allocation``, or ``None``; one
+        counted probe of the eval memo."""
+        evaluation = self._cache.evals.get(self._eval_key(allocation))
+        if evaluation is not None:
+            self._cache.stats.hit("eval")
+        else:
+            self._cache.stats.miss("eval")
+        return evaluation
+
+    def _areas(self, allocation):
+        """(data-path area, overhead area, area left for controllers)."""
+        architecture = self._architecture
         datapath_area = allocation.area(architecture.library)
         if datapath_area > architecture.total_area:
             raise PartitionError(
@@ -251,11 +307,14 @@ class EvaluationScan:
                 model=self._overhead_model)
         # Overheads may leave no controller room at all — that is a valid
         # (terrible) design point, not an error: PACE then moves nothing.
-        available = architecture.total_area - datapath_area - overhead_area
-        partition = self._partition(self._costs_for(allocation), available,
-                                    beat)
-        if partition is None:
-            return None
+        return (datapath_area, overhead_area,
+                architecture.total_area - datapath_area - overhead_area)
+
+    def _conclude(self, allocation, areas, costs):
+        """Partition a costed candidate and return its evaluation,
+        remembered when the scan remembers evaluations."""
+        datapath_area, overhead_area, available = areas
+        partition = self._partition(costs, available)
         evaluation = AllocationEvaluation(
             allocation=allocation,
             datapath_area=datapath_area,
@@ -263,11 +322,12 @@ class EvaluationScan:
             partition=partition,
             overhead_area=overhead_area,
             energy=partition_energy(
-                bsb_energy_pairs(self._bsbs, architecture, cache=cache),
+                bsb_energy_pairs(self._bsbs, self._architecture,
+                                 cache=self._cache),
                 partition.hw_sequences),
         )
         if self._remember is True:
-            cache.evals[key] = evaluation
+            self._cache.evals[self._eval_key(allocation)] = evaluation
         return evaluation
 
     def _costs_for(self, allocation):
@@ -362,10 +422,23 @@ class EvaluationScan:
         self._memos = memos
         return memos
 
-    def _partition(self, costs, available, beat=None):
-        """PACE result of one cost array, through the table and DP memos,
-        or ``None`` when ``beat`` is given and the array's speed-up bound
-        under ``available`` is below it.
+    def _speedup_bound(self, costs, available):
+        """:func:`~repro.partition.pace.speedup_bound` of a cost array
+        under ``available``; the array's gains are built on its first
+        bound and kept in its ``tables`` entry (see :meth:`_partition`).
+        """
+        cache = self._cache
+        table_key = (tuple(map(id, costs)),
+                     self._architecture.comm_cycles_per_word)
+        sequence_table, content_key, gains = \
+            cache.tables.get(table_key) or (None, None, None)
+        if gains is None:
+            gains = bound_gains(costs)
+            cache.tables[table_key] = (sequence_table, content_key, gains)
+        return speedup_bound(gains, available)
+
+    def _partition(self, costs, available):
+        """PACE result of one cost array, through the table and DP memos.
 
         Tables are keyed by cost-object identity: cost objects are
         memoised, hence live as long as the cache, and interned by
@@ -378,10 +451,10 @@ class EvaluationScan:
         BSB's hardware time and controller area): everything else in a
         cost follows from its BSB and processor.  An entry holds the
         array's :func:`~repro.partition.pace.bound_gains` from its first
-        gated probe, the content key from its first partition probe,
-        and its :class:`SequenceTable` from its first partition miss,
-        so a pass whose partitions all hit builds no table and a
-        candidate the gate discards digests nothing and builds no table.
+        bound, the content key from its first partition probe, and its
+        :class:`SequenceTable` from its first partition miss, so a pass
+        whose partitions all hit builds no table and a candidate the
+        bound discards digests nothing and builds no table.
         """
         cache = self._cache
         architecture = self._architecture
@@ -389,13 +462,6 @@ class EvaluationScan:
         table_key = (tuple(map(id, costs)), comm)
         sequence_table, content_key, gains = \
             cache.tables.get(table_key) or (None, None, None)
-        if beat is not None:
-            if gains is None:
-                gains = bound_gains(costs)
-                cache.tables[table_key] = (sequence_table, content_key,
-                                           gains)
-            if speedup_bound(gains, available) < beat:
-                return None
         if content_key is None:
             content_key = (self._array_key, data_digest((
                 self._arch_key, tuple((cost.hw_time, cost.controller_area)

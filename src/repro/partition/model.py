@@ -6,7 +6,7 @@ from repro.core.eca import controller_area_for_states
 from repro.engine.cache import EvalCache, fingerprint
 from repro.errors import PartitionError, ResourceError
 from repro.hwlib.library import ResourceLibrary
-from repro.sched.list_scheduler import list_schedule
+from repro.sched.list_scheduler import list_schedule, schedule_tables
 from repro.swmodel.estimator import bsb_software_time
 from repro.swmodel.processor import Processor, default_processor
 
@@ -148,9 +148,9 @@ def _signature_steps(bsb, signature, library, cache):
     steps = cache.sched.get(key)
     if steps is None:
         if homo:
-            priority, latencies = _schedule_inputs(bsb, library, cache)
+            priority, tables = _schedule_inputs(bsb, library, cache)
             schedule = list_schedule(bsb.dfg, dict(counts), library,
-                                     priority=priority, latencies=latencies)
+                                     priority=priority, tables=tables)
         else:
             from repro.sched.hetero_scheduler import hetero_list_schedule
 
@@ -160,23 +160,24 @@ def _signature_steps(bsb, signature, library, cache):
 
 
 def _schedule_inputs(bsb, library, cache):
-    """(priority map, latency table) for list-scheduling one BSB.
+    """(priority map, :func:`~repro.sched.list_scheduler.schedule_tables`)
+    for list-scheduling one BSB.
 
-    Derived from the memoised ASAP/ALAP intervals (the ALAP start *is*
-    the list scheduler's priority), so the many allocations that
-    re-schedule the same DFG pay the graph preprocessing once.  Both
-    maps are keyed by operation uid, hence by BSB uid here.
+    The priority derives from the memoised ASAP/ALAP intervals (the
+    ALAP start *is* the list scheduler's priority), so the many
+    allocations that re-schedule the same DFG pay the graph
+    preprocessing once.  Both are keyed by operation uid, hence by BSB
+    uid here.
     """
     key = (bsb.uid, fingerprint(library))
     inputs = cache.sched_inputs.get(key)
     if inputs is None:
         from repro.core.furo import bsb_intervals
-        from repro.sched.schedule import latency_table
 
         intervals = bsb_intervals(bsb, library, cache)
         priority = {uid: (interval[1], uid)
                     for uid, interval in intervals.items()}
-        inputs = (priority, latency_table(bsb.dfg, library=library))
+        inputs = (priority, schedule_tables(bsb.dfg, library))
         cache.sched_inputs[key] = inputs
     return inputs
 

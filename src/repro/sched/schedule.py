@@ -11,11 +11,15 @@ class Schedule:
     ``l`` occupies steps ``s .. s+l-1`` inclusive.
     """
 
-    def __init__(self, dfg, latencies):
-        """``latencies`` maps operation uid -> latency in control steps."""
+    def __init__(self, dfg, latencies, starts=None):
+        """``latencies`` maps operation uid -> latency in control steps;
+        ``starts``, when given, maps uid -> start step of every placed
+        operation in one piece (the list scheduler's way) instead of
+        one :meth:`place` call per operation, and is kept, not copied.
+        """
         self.dfg = dfg
         self._latencies = dict(latencies)
-        self._starts = {}
+        self._starts = {} if starts is None else starts
 
     # ------------------------------------------------------------------
     # Construction
@@ -106,14 +110,33 @@ class Schedule:
         return peaks
 
     def verify_dependencies(self):
-        """Raise :class:`SchedulingError` if a consumer starts too early."""
-        for op in self.dfg.operations():
-            for successor in self.dfg.successors(op):
-                if self.start(successor) < self.finish(op) + 1:
+        """Raise :class:`SchedulingError` if a consumer starts too early.
+
+        Walks the DFG's uid :meth:`~repro.ir.dfg.DFG.adjacency` over
+        the start and latency maps; an operation with a consumer that
+        is not placed (or a consumer that is not) raises too.
+        """
+        starts = self._starts
+        latencies = self._latencies
+        operation = self.dfg.operation
+        for uid, consumers in self.dfg.adjacency()[2].items():
+            if not consumers:
+                continue
+            finish = starts.get(uid)
+            if finish is None:
+                raise SchedulingError("operation %s is not scheduled"
+                                      % (operation(uid),))
+            finish += latencies[uid] - 1
+            for consumer in consumers:
+                start = starts.get(consumer)
+                if start is None:
+                    raise SchedulingError("operation %s is not scheduled"
+                                          % (operation(consumer),))
+                if start <= finish:
                     raise SchedulingError(
                         "dependency violated: %s finishes at %d but %s "
-                        "starts at %d" % (op, self.finish(op),
-                                          successor, self.start(successor)))
+                        "starts at %d" % (operation(uid), finish,
+                                          operation(consumer), start))
 
     def as_dict(self):
         """Mapping uid -> (start, finish) for reporting."""

@@ -9,11 +9,14 @@ with strictly fewer partition lookups.
 """
 
 import math
+import types
 
 import pytest
 
 from repro.apps.registry import application_spec
 from repro.apps.synthetic import synthetic_bsb_array
+from repro.core import exhaustive
+from repro.core.objective import as_objective
 from repro.core.rmap import RMap
 from repro.engine.session import Session
 from repro.partition.evaluate import EvaluationScan, evaluate_allocation
@@ -122,3 +125,111 @@ def test_gated_candidate_probes_no_partition_and_builds_no_table():
                                    area_quanta=80)
     assert expected.speedup > 0
     assert scan.evaluate(allocation, beat=expected.speedup) == expected
+
+
+# Brute scans past one best-bound-first block (4,096 candidates): the
+# second space also skips infeasible candidates in both blocks.
+@pytest.mark.parametrize("seed, ops, total_area", [(1, 20, 6000.0),
+                                                   (3, 18, 4000.0)])
+def test_brute_scan_larger_than_one_block(seed, ops, total_area):
+    result = assert_gate_changes_only_the_work(
+        synthetic(seed, total_area, bsb_count=4, ops=ops),
+        area_quanta=80, search="brute")
+    assert result.space > exhaustive._BLOCK
+
+
+@pytest.mark.parametrize("seed, total_area", [(3, 3000.0), (21, 1500.0)])
+def test_small_blocks(monkeypatch, seed, total_area):
+    """Many blocks: each drops what the incumbent of earlier blocks
+    already beats, and ties still resolve in scan order."""
+    monkeypatch.setattr(exhaustive, "_BLOCK", 7)
+    assert_gate_changes_only_the_work(synthetic(seed, total_area),
+                                      area_quanta=80, search="brute")
+
+
+class Candidate:
+    """An allocation of a synthetic scan: its area, speed-up and bound."""
+
+    def __init__(self, name, area, speedup, bound):
+        self.name, self._area = name, area
+        self.speedup, self.bound = speedup, bound
+
+    def area(self, library):
+        return self._area
+
+    def area_from(self, unit_areas):
+        return self._area
+
+    def __repr__(self):
+        return self.name
+
+
+class Evaluated:
+    def __init__(self, candidate):
+        self.allocation = candidate
+        self.speedup = candidate.speedup
+
+
+class SyntheticScan:
+    """Stands in for EvaluationScan: each candidate carries its bound
+    and speed-up, and every partition is logged."""
+
+    settled = []
+
+    def __init__(self, *args, **options):
+        pass
+
+    def evaluate(self, candidate, beat=None):
+        return self.settle(candidate, None)
+
+    def bound(self, candidate):
+        return candidate.bound, None
+
+    def settle(self, candidate, pending):
+        self.settled.append(candidate)
+        return Evaluated(candidate)
+
+
+def synthetic_scan(monkeypatch, candidates, keep_history):
+    """Winner and settle order of ``_scan_candidates`` over
+    ``candidates``, with the synthetic evaluator."""
+    monkeypatch.setattr(exhaustive, "EvaluationScan", SyntheticScan)
+    monkeypatch.setattr(SyntheticScan, "settled", [])
+    session = types.SimpleNamespace(store=None, cache=None)
+    architecture = types.SimpleNamespace(library=None, total_area=100.0)
+    best, evaluation, _, _, counts = exhaustive._scan_candidates(
+        candidates, None, architecture, 80, keep_history, session, None,
+        check_area=True, objective=as_objective("speedup"))
+    assert evaluation.allocation is best
+    return best, counts, list(SyntheticScan.settled)
+
+
+def tied_candidates():
+    """``first`` and ``later`` tie on speed-up and area; ``later`` has
+    the higher bound, so a best-bound-first scan settles it first."""
+    return [Candidate("loser", 10.0, 1.5, 1.6),
+            Candidate("first", 20.0, 2.0, 2.1),
+            Candidate("larger", 30.0, 2.0, 2.2),
+            Candidate("later", 20.0, 2.0, 3.0),
+            Candidate("cut", 40.0, 1.0, 1.9),
+            Candidate("too-big", 200.0, 9.0, 9.0)]
+
+
+@pytest.mark.parametrize("block", [4096, 2, 3],
+                         ids=["one-block", "blocks-of-2", "blocks-of-3"])
+def test_a_tie_goes_to_the_earliest_candidate(monkeypatch, block):
+    monkeypatch.setattr(exhaustive, "_BLOCK", block)
+    ungated = synthetic_scan(monkeypatch, tied_candidates(), True)
+    gated = synthetic_scan(monkeypatch, tied_candidates(), False)
+    assert ungated[0].name == "first"
+    assert gated[0].name == "first"
+    assert gated[1] == ungated[1] == {"evaluations": 5,
+                                      "skipped_infeasible": 1}
+    # Every candidate that can tie is settled; "cut" cannot.
+    assert "later" in [each.name for each in gated[2]]
+    assert "cut" not in [each.name for each in gated[2]]
+
+
+def test_candidates_settle_best_bound_first(monkeypatch):
+    _, _, settled = synthetic_scan(monkeypatch, tied_candidates(), False)
+    assert [each.name for each in settled] == ["later", "larger", "first"]

@@ -181,16 +181,18 @@ class TestKeyboardInterrupt:
     def test_interrupted_scan_keeps_its_partitions(self, tmp_path,
                                                    monkeypatch):
         cache_dir = str(tmp_path / "store")
-        evaluate = EvaluationScan.evaluate
+        settle = EvaluationScan.settle
         calls = []
 
-        def interrupting(scan, allocation, beat=None):
+        # The scan partitions its candidates through settle(), best
+        # bound first; hal's scan settles 72 of them.
+        def interrupting(scan, allocation, pending):
             calls.append(allocation)
-            if len(calls) == 200:  # the user hits ^C mid-search
+            if len(calls) == 20:  # the user hits ^C mid-search
                 raise KeyboardInterrupt
-            return evaluate(scan, allocation, beat=beat)
+            return settle(scan, allocation, pending)
 
-        monkeypatch.setattr(EvaluationScan, "evaluate", interrupting)
+        monkeypatch.setattr(EvaluationScan, "settle", interrupting)
         library = default_library()
         bsbs = load_application("hal").bsbs
         architecture = TargetArchitecture(library=library,
@@ -199,7 +201,7 @@ class TestKeyboardInterrupt:
             exhaustive_best_allocation(
                 bsbs, architecture,
                 session=Session(library=library, cache_dir=cache_dir))
-        assert len(calls) == 200
+        assert len(calls) == 20
         # The PACE results of the candidates before it reached the disk.
         entries, _ = CacheStore(cache_dir).info().get("partitions", (0, 0))
         assert entries > 0

@@ -3,7 +3,7 @@
 import pytest
 
 from repro.errors import CdfgError
-from repro.ir.dfg import DFG, chain
+from repro.ir.dfg import DFG
 from repro.ir.ops import OpType, make_op
 
 from tests.conftest import make_chain_dfg, make_diamond_dfg
@@ -126,13 +126,6 @@ class TestCopy:
 
 
 class TestHelpers:
-    def test_chain_helper(self):
-        dfg = DFG("t")
-        ops = [dfg.new_operation(OpType.ADD) for _ in range(4)]
-        chain(dfg, ops)
-        for producer, consumer in zip(ops, ops[1:]):
-            assert consumer in dfg.successors(producer)
-
     def test_repr_mentions_counts(self):
         dfg = make_diamond_dfg()
         assert "ops=3" in repr(dfg)

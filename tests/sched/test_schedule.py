@@ -100,6 +100,18 @@ class TestVerification:
         with pytest.raises(SchedulingError):
             schedule.verify_dependencies()
 
+    @pytest.mark.parametrize("unplaced", [0, 2],
+                             ids=["producer", "consumer"])
+    def test_unplaced_operation_detected(self, unplaced):
+        dfg = make_diamond_dfg()
+        schedule = unit_schedule(dfg)
+        operations = dfg.operations()
+        for start, op in enumerate(operations, 1):
+            if op is not operations[unplaced]:
+                schedule.place(op, start)
+        with pytest.raises(SchedulingError, match="not scheduled"):
+            schedule.verify_dependencies()
+
     def test_as_dict(self):
         dfg = make_parallel_dfg(OpType.ADD, 1)
         schedule = unit_schedule(dfg)

@@ -7,17 +7,22 @@ designated-unit scheduler over per-resource free counts, and the
 module-selection scheduler taking the fastest free capable unit.  On
 random DFGs and random allocations, each scheduler must give every
 operation the reference's start and latency, or raise the reference's
-exception type.
+exception type.  The engine's path, which schedules one BSB under many
+allocations from tables it builds once, must give the reference's
+lengths too.
 """
 
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro.bsb.bsb import LeafBSB
+from repro.engine.cache import EvalCache
 from repro.errors import ReproError, ResourceError, SchedulingError
 from repro.hwlib.library import ResourceLibrary
 from repro.hwlib.resources import Resource
 from repro.ir.dfg import DFG
 from repro.ir.ops import OpType
+from repro.partition.model import TargetArchitecture, hardware_steps
 from repro.sched.alap import alap_schedule
 from repro.sched.hetero_scheduler import hetero_list_schedule
 from repro.sched.list_scheduler import list_schedule
@@ -173,13 +178,13 @@ OPTYPES = [OpType.ADD, OpType.ADD, OpType.MUL, OpType.MUL, OpType.SUB,
 
 
 @st.composite
-def random_dags(draw):
-    """A DAG of up to 14 operations; one DFG in ten also holds a DIV,
-    which no unit executes."""
+def random_dags(draw, divisions=True):
+    """A DAG of up to 14 operations; with ``divisions``, one DFG in ten
+    also holds a DIV, which no unit executes."""
     dfg = DFG("equivalence")
     optypes = [draw(st.sampled_from(OPTYPES))
                for _ in range(draw(st.integers(0, 14)))]
-    if draw(st.integers(0, 9)) == 0:
+    if divisions and draw(st.integers(0, 9)) == 0:
         optypes.insert(draw(st.integers(0, len(optypes))), OpType.DIV)
     ops = []
     for optype in optypes:
@@ -235,3 +240,25 @@ def test_hetero_list_schedule_matches_reference(dfg, allocation):
     assert outcome(lambda: hetero_list_schedule(dfg, allocation, LIBRARY)) \
         == expected
 
+
+#: Designated-unit allocations: every unit at least once, so the engine
+#: takes the list scheduler (a zero count may take the module-selection
+#: scheduler instead).
+positive_allocations = st.fixed_dictionaries(
+    {name: st.integers(1, 3) for name in UNITS})
+
+
+@settings(max_examples=100, deadline=None)
+@given(random_dags(divisions=False),
+       st.lists(positive_allocations, min_size=1, max_size=5))
+def test_engine_schedules_match_reference(dfg, allocations):
+    """One BSB under several allocations through one cache: its
+    schedule tables are built once and every length is the
+    reference's."""
+    bsb = LeafBSB(dfg)
+    architecture = TargetArchitecture(library=LIBRARY)
+    cache = EvalCache()
+    for allocation in allocations:
+        assert hardware_steps(bsb, allocation, architecture, cache) == \
+            reference_list_schedule(dfg, allocation, LIBRARY).length
+    assert len(cache.sched_inputs) == (1 if len(dfg) else 0)

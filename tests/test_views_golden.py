@@ -3,11 +3,11 @@
 For each application, ``views_golden.txt`` holds the DOT text that
 ``python -m repro export --what cdfg|bsb|dfg`` prints and the
 ``hierarchy_lines`` listing of its BSB hierarchy.  Each application
-renders in a fresh interpreter: control-node names such as ``loop5``
-embed the process's CDFG uid counter, so only a fresh interpreter
-names them as ``export`` does.  The first export compiles cold into a
+renders in a fresh interpreter.  The first export compiles cold into a
 throwaway store and the other two render the hydrated program, so the
-warm views are held to the cold compile's bytes as well.
+warm views are held to the cold compile's bytes as well.  Control-node
+names such as ``loop5`` are numbered per tree, so a program compiled
+after others in one process renders the same bytes.
 
 To re-capture after an intended change to a view::
 
@@ -22,6 +22,7 @@ import tempfile
 
 import pytest
 
+from repro import cli
 from repro.apps.registry import application_names
 
 GOLDEN = os.path.join(os.path.dirname(os.path.abspath(__file__)),
@@ -73,6 +74,23 @@ def golden_sections():
 @pytest.mark.parametrize("app", application_names())
 def test_views_match_the_golden_file(app):
     assert render(app) == golden_sections()[app]
+
+
+def test_names_do_not_depend_on_what_the_process_compiled_before(
+        tmp_path, capsys):
+    """man compiled after hal into a store, in this long-lived
+    process, exports the fresh interpreter's labels (``loop33``)."""
+    store = str(tmp_path / "store")
+    cli.main(["table1", "--apps", "hal", "man", "--budget", "50",
+              "--cache-dir", store])
+    capsys.readouterr()
+    cli.main(["export", "--app", "man", "--what", "cdfg",
+              "--cache-dir", store])
+    exported = capsys.readouterr().out
+    section = golden_sections()["man"]
+    fresh = section[section.index("\n") + 1:section.index("=== man bsb ===")]
+    assert 'label="loop33"' in fresh
+    assert exported == fresh
 
 
 if __name__ == "__main__":
